@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import single_mode
 from .config import RunConfig, load_config
 from .core import (
+    NODE_BLOCK,
     ThermalParams,
     correlated_coherent_state,
     gibbs_coefficients,
@@ -54,16 +56,26 @@ COV_ENTRIES = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.14e}"
-    return str(value)
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
+
+def _bool_text(mask: np.ndarray) -> np.ndarray:
+    """CSV text of a boolean array, one shared str object per value."""
+    return _BOOL_TEXT[mask.astype(np.intp)]
+
+
+def _cell_format(kind: type) -> str:
+    return "%.14e" if issubclass(kind, (float, np.floating)) else "%s"
 
 
 class CsvTable:
-    """Rectangular table rendered deterministically."""
+    """Rectangular table rendered deterministically.
+
+    Floats render as ``%.14e`` (15 significant digits), bools as
+    ``true``/``false``, everything else through ``str``.  Each row is
+    rendered with a ``%`` template chosen by the types of its values, so a
+    column may mix types.
+    """
 
     def __init__(self, columns):
         self.columns = list(columns)
@@ -74,18 +86,40 @@ class CsvTable:
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
         self.rows.append(values)
 
+    def add_columns(self, *columns):
+        """Append one row per entry of the equally long 1-D ``columns``."""
+        if len(columns) != len(self.columns):
+            raise ValueError(f"expected {len(self.columns)} columns, got {len(columns)}")
+        values = [np.asarray(c).tolist() for c in columns]
+        if len({len(v) for v in values}) > 1:
+            raise ValueError(f"columns differ in length: {[len(v) for v in values]}")
+        self.rows.extend(zip(*values))
+
     def render(self) -> str:
-        lines = [",".join(self.columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        templates = {}
+        chunks = [",".join(self.columns)]
+        for start in range(0, len(self.rows), NODE_BLOCK):
+            lines = []
+            for row in self.rows[start:start + NODE_BLOCK]:
+                kinds = tuple(map(type, row))
+                template = templates.get(kinds)
+                if template is None:
+                    template = templates[kinds] = ",".join(map(_cell_format, kinds))
+                if bool in kinds:
+                    row = tuple(("true" if v else "false") if type(v) is bool else v
+                                for v in row)
+                lines.append(template % row)
+            chunks.append("\n".join(lines))
+        chunks.append("")  # the final newline, without a second copy of the text
+        return "\n".join(chunks)
 
 
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # Written in slices: encoding the whole text at once would hold a second
+    # full copy of it, as bytes, at the command's peak memory.
+    with open(out_path, "w", newline="\n") if out_path else nullcontext(sys.stdout) as fh:
+        for start in range(0, len(text), 1 << 16):
+            fh.write(text[start:start + (1 << 16)])
 
 
 def _grid_setting(cfg: RunConfig, section: str, key: str, flag_value, default):
@@ -99,6 +133,8 @@ def _linspace(lo: float, hi: float, steps, what: str) -> np.ndarray:
     steps = int(steps)
     if steps < 1:
         raise ConfigError(f"{what}: steps must be >= 1, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{what}: min and max must be finite, got {lo!r} and {hi!r}")
     if hi < lo:
         raise ConfigError(f"{what}: max {hi!r} is below min {lo!r}")
     return np.linspace(float(lo), float(hi), steps)
@@ -144,33 +180,30 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
             "t grid",
         )
 
-    node_valid = {}
-    for c in c_grid:
-        thermal = ThermalParams(C=float(c))
-        node_valid[float(c)] = validate_single_mode(
-            gibbs_coefficients(params, thermal), thermal
-        ).passed
+    # (C, its thermal parameters or None where the Gibbs coefficients fail)
+    c_nodes = []
+    for c in c_grid.tolist():
+        thermal = ThermalParams(C=c)
+        valid = validate_single_mode(gibbs_coefficients(params, thermal), thermal).passed
+        c_nodes.append((c, thermal if valid else None))
 
     columns = ["t", "C", "sigma_det", "delta_qd"]
     if args.skip_invalid:
         columns.append("status")
     table = CsvTable(columns)
-    for t in t_grid:
-        for c in c_grid:
-            c = float(c)
-            if not node_valid[c]:
+    for t in t_grid.tolist():
+        for c, thermal in c_nodes:
+            if thermal is None:
                 if not args.skip_invalid:
                     print(f"invalid thermal coefficients at C={c!r} "
                           "(rerun with --skip-invalid to keep going)", file=sys.stderr)
                     return EXIT_INVALID
-                table.add(float(t), c, math.nan, math.nan, "invalid")
+                table.add(t, c, math.nan, math.nan, "invalid")
                 continue
-            thermal = ThermalParams(C=c)
             sigma = single_mode.uncertainty_determinant(initial.delta, initial.r,
-                                                        params, thermal, float(t))
-            qd = single_mode.decoherence_degree(initial.delta, initial.r,
-                                                params, thermal, float(t))
-            row = [float(t), c, sigma, qd]
+                                                        params, thermal, t)
+            qd = single_mode.degree_from_uncertainty(sigma, params, thermal, t)
+            row = [t, c, sigma, qd]
             if args.skip_invalid:
                 row.append("ok")
             table.add(*row)
@@ -304,12 +337,11 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     sigma0[2:, 2:] = block
 
     table = CsvTable(["t"] + [name for name, _, _ in COV_ENTRIES] + ["simon_score"])
-    for t in t_grid:
-        sigma = propagate_covariance(sigma0, env, params, float(t))
-        row = [float(t)]
-        row.extend(float(sigma[i, j]) for _, i, j in COV_ENTRIES)
-        row.append(simon_score(sigma))
-        table.add(*row)
+    cov_i, cov_j = [i for _, i, _ in COV_ENTRIES], [j for _, _, j in COV_ENTRIES]
+    for start in range(0, t_grid.size, NODE_BLOCK):
+        t = t_grid[start:start + NODE_BLOCK]
+        sigma = propagate_covariance(sigma0, env, params, t)
+        table.add_columns(t, *sigma[:, cov_i, cov_j].T, simon_score(sigma))
     _emit(table.render(), args.out)
     return EXIT_OK
 
@@ -329,12 +361,15 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         _grid_setting(cfg, "scan", "dxpy_steps", args.dxpy_steps, 151),
         "Dxpy grid",
     )
-    records = scan_separability(env, params, dxx_grid, dxpy_grid)
+    scan = scan_separability(env, params, dxx_grid, dxpy_grid)
+    separable = np.where(scan.boundary, "boundary", _bool_text(scan.separable))
+    if scan.in_window is None:
+        in_window = np.full(scan.Dxx.size, "", dtype=object)
+    else:
+        in_window = _bool_text(scan.in_window)
     table = CsvTable(["Dxx", "Dxpy", "S", "separable", "in_window", "status"])
-    for rec in records:
-        separable = "boundary" if rec.boundary else _fmt(rec.separable)
-        in_window = "" if rec.in_window is None else _fmt(rec.in_window)
-        table.add(rec.Dxx, rec.Dxpy, rec.score, separable, in_window, rec.status)
+    table.add_columns(scan.Dxx, scan.Dxpy, scan.score, separable, in_window, scan.status)
+    del scan, separable, in_window  # the rows hold the values; free the arrays before rendering
     _emit(table.render(), args.out)
     return EXIT_OK
 

@@ -37,10 +37,17 @@ __all__ = [
     "validate_single_mode",
     "validate_two_mode",
     "correlated_coherent_state",
+    "gram_matrices",
+    "gram_checks",
 ]
 
 #: Relative tolerance used when an exact inequality is checked in floats.
 PSD_RTOL = 1e-10
+
+#: Grid nodes go through the stacked kernels, and CSV rows through
+#: rendering, this many at a time; this bounds the memory their
+#: temporaries take on large grids.
+NODE_BLOCK = 1024
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -196,13 +203,9 @@ class TwoModeEnvironment:
         Complete positivity of the dynamical semigroup is equivalent to
         this matrix being positive semidefinite.
         """
-        il = 0.5j * hbar * self.lam
-        return np.array([
-            [self.Dxx, -self.Dxpx - il, self.Dxy, -self.Dxpy],
-            [-self.Dxpx + il, self.Dpxpx, -self.Dypx, self.Dpxpy],
-            [self.Dxy, -self.Dypx, self.Dyy, -self.Dypy - il],
-            [-self.Dxpy, self.Dpxpy, -self.Dypy + il, self.Dpypy],
-        ])
+        return gram_matrices(self.Dxx, self.Dxpx, self.Dpxpx, self.Dyy, self.Dypy,
+                             self.Dpypy, self.Dxy, self.Dxpy, self.Dypx, self.Dpxpy,
+                             self.lam, hbar)
 
     def swapped(self) -> "TwoModeEnvironment":
         """Exchange the roles of the two oscillators (x <-> y, p_x <-> p_y)."""
@@ -327,14 +330,54 @@ def validate_single_mode(env: SingleModeEnv, thermal: ThermalParams | None = Non
     return ValidationReport(tuple(checks))
 
 
-_MINOR_PAIRS = (
-    ("cs_xx_yy", (0, 2)),
-    ("cs_xx_pxpx", (0, 1)),
-    ("cs_xx_pypy", (0, 3)),
-    ("cs_yy_pxpx", (1, 2)),
-    ("cs_yy_pypy", (2, 3)),
-    ("cs_pxpx_pypy", (1, 3)),
-)
+def stack_matrices(rows) -> np.ndarray:
+    """Matrices of shape (..., n, n) from n rows of n entries that broadcast together."""
+    n = len(rows)
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+
+
+def gram_matrices(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
+                  lam, hbar: float = 1.0) -> np.ndarray:
+    """Hermitian Gram matrices of environment coefficients, shape (..., 4, 4).
+
+    The coefficients may be arrays; they broadcast against each other.
+    See :meth:`TwoModeEnvironment.coefficient_matrix`.
+    """
+    il = 0.5j * hbar * lam
+    return stack_matrices([
+        [Dxx, -Dxpx - il, Dxy, -Dxpy],
+        [-Dxpx + il, Dpxpx, -Dypx, Dpxpy],
+        [Dxy, -Dypx, Dyy, -Dypy - il],
+        [-Dxpy, Dpxpy, -Dypy + il, Dpypy],
+    ])
+
+
+#: Names of the Gram checks, in the order of the last axis of ``gram_checks``.
+GRAM_CHECKS = ("gram_matrix_psd", "cs_xx_yy", "cs_xx_pxpx", "cs_xx_pypy",
+               "cs_yy_pxpx", "cs_yy_pypy", "cs_pxpx_pypy")
+_MINOR_I = np.array([0, 0, 0, 1, 2, 1])
+_MINOR_J = np.array([2, 1, 3, 2, 3, 3])
+
+
+def gram_checks(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slack and pass flag of each positivity check of Gram matrices (..., 4, 4).
+
+    Both results have shape (..., 7), ordered as ``GRAM_CHECKS``.  The first
+    check is the minimum eigenvalue, which passes at >= -PSD_RTOL * max|G|
+    of its own matrix; the other six are the 2x2 principal minors, which
+    pass at >= 0.
+    """
+    min_eig = np.linalg.eigvalsh(gram)[..., 0]
+    tol = PSD_RTOL * np.abs(gram).max(axis=(-2, -1))
+    a, b = gram[..., _MINOR_I, _MINOR_I], gram[..., _MINOR_J, _MINOR_J]
+    c, d = gram[..., _MINOR_I, _MINOR_J], gram[..., _MINOR_J, _MINOR_I]
+    # Re(a b - c d) in real arithmetic: numpy's vectorized complex product
+    # rounds differently from the scalar one the slacks were defined with.
+    minors = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
+    slack = np.concatenate([min_eig[..., None], minors], axis=-1)
+    passed = np.concatenate([(min_eig >= -tol)[..., None], minors >= 0.0], axis=-1)
+    return slack, passed
 
 
 def validate_two_mode(env: TwoModeEnvironment, hbar: float = 1.0) -> ValidationReport:
@@ -347,18 +390,12 @@ def validate_two_mode(env: TwoModeEnvironment, hbar: float = 1.0) -> ValidationR
     determinant of each 2x2 principal minor is the slack of the
     corresponding coefficient inequality; for the own-mode pairs it
     already carries the (lam*hbar/2)**2 offset through the imaginary
-    off-diagonal entries.
+    off-diagonal entries.  :func:`gram_checks` runs the same checks on
+    stacks of Gram matrices.
     """
-    gram = env.coefficient_matrix(hbar=hbar)
-    eigs = np.linalg.eigvalsh(gram)
-    min_eig = float(eigs[0])
-    tol = PSD_RTOL * float(np.abs(gram).max())
-    checks = [ValidationCheck("gram_matrix_psd", min_eig >= -tol, min_eig)]
-    for name, (i, j) in _MINOR_PAIRS:
-        sub = gram[np.ix_((i, j), (i, j))]
-        slack = float(np.real(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]))
-        checks.append(ValidationCheck(name, slack >= 0.0, slack))
-    return ValidationReport(tuple(checks))
+    slack, passed = gram_checks(env.coefficient_matrix(hbar=hbar))
+    return ValidationReport(tuple(ValidationCheck(name, bool(ok), float(value))
+                                  for name, ok, value in zip(GRAM_CHECKS, passed, slack)))
 
 
 def correlated_coherent_state(delta: float, r: float, params: OscillatorParams,

@@ -27,18 +27,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OscillatorParams, TwoModeEnvironment, validate_two_mode
-from .errors import InvalidEnvironmentError, ParameterError
+# validate_two_mode is also reached as separability.validate_two_mode.
+from .core import (  # noqa: F401
+    NODE_BLOCK,
+    OscillatorParams,
+    TwoModeEnvironment,
+    gram_checks,
+    gram_matrices,
+    validate_two_mode,
+)
+from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 from .two_mode import (
     require_covariance4,
     require_matching_lam,
-    steady_covariance_closed_form,
+    scalar_or_array,
+    steady_covariance_symmetric,
 )
 
 __all__ = [
     "BlockDecomposition",
     "SeparabilityResult",
-    "ScanRecord",
+    "ScanColumns",
     "block_decompose",
     "simon_score",
     "is_separable",
@@ -59,16 +68,17 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """2x2 blocks of a 4x4 covariance matrix: one-mode A and B, cross C."""
+    """2x2 blocks of a 4x4 covariance matrix (or of a stack of them):
+    one-mode A and B, cross C."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
 
     def reassemble(self) -> np.ndarray:
-        top = np.hstack([self.A, self.C])
-        bottom = np.hstack([self.C.T, self.B])
-        return np.vstack([top, bottom])
+        top = np.concatenate([self.A, self.C], axis=-1)
+        bottom = np.concatenate([np.swapaxes(self.C, -1, -2), self.B], axis=-1)
+        return np.concatenate([top, bottom], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -85,43 +95,53 @@ class SeparabilityResult:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """One node of a separability scan over (Dxx, Dxpy)."""
+class ScanColumns:
+    """A separability scan over (Dxx, Dxpy), one array entry per node.
 
-    Dxx: float
-    Dxpy: float
-    score: float
-    separable: bool
-    boundary: bool
-    in_window: bool | None
-    status: str
+    ``in_window`` is None when the template has Dxy != 0 (no window).
+    ``status`` holds "ok", "invalid", "invalid-window" or
+    "boundary-indeterminate".
+    """
+
+    Dxx: np.ndarray
+    Dxpy: np.ndarray
+    score: np.ndarray
+    separable: np.ndarray
+    boundary: np.ndarray
+    in_window: np.ndarray | None
+    status: np.ndarray
 
 
 def block_decompose(sigma: np.ndarray) -> BlockDecomposition:
-    """Split a symmetric 4x4 covariance into its (A, B, C) blocks."""
+    """Split a symmetric 4x4 covariance (or an (N, 4, 4) stack) into its
+    (A, B, C) blocks."""
     sigma = require_covariance4(sigma)
-    return BlockDecomposition(A=sigma[:2, :2].copy(),
-                              B=sigma[2:, 2:].copy(),
-                              C=sigma[:2, 2:].copy())
+    return BlockDecomposition(A=sigma[..., :2, :2].copy(),
+                              B=sigma[..., 2:, 2:].copy(),
+                              C=sigma[..., :2, 2:].copy())
 
 
-def simon_score(sigma: np.ndarray) -> float:
+def simon_score(sigma: np.ndarray):
     """Separability score S of a two-mode covariance matrix (hbar = 1).
 
     S >= 0 is necessary and sufficient for separability of the Gaussian
-    state with this covariance.
+    state with this covariance.  Takes one 4x4 matrix (returns a float) or
+    an (N, 4, 4) stack (returns an (N,) array).
     """
     blocks = block_decompose(sigma)
     A, B, C = blocks.A, blocks.B, blocks.C
-    det_a = float(np.linalg.det(A))
-    det_b = float(np.linalg.det(B))
-    det_c = float(np.linalg.det(C))
-    cross = float(np.trace(A @ _J @ C @ _J @ B @ _J @ C.T @ _J))
-    return det_a * det_b + (0.25 - abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
+    det_a, det_b, det_c = np.linalg.det(A), np.linalg.det(B), np.linalg.det(C)
+    chain = A @ _J @ C @ _J @ B @ _J @ np.swapaxes(C, -1, -2) @ _J
+    cross = np.trace(chain, axis1=-2, axis2=-1)
+    score = det_a * det_b + (0.25 - np.abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
+    return scalar_or_array(score)
 
 
 def is_separable(sigma: np.ndarray) -> SeparabilityResult:
-    """Separability verdict and score; |S| < 1e-12 is flagged as boundary."""
+    """Separability verdict and score of one 4x4 covariance; |S| < 1e-12 is
+    flagged as boundary."""
+    if np.ndim(sigma) != 2:
+        raise ShapeError(f"expected one 4x4 matrix, got shape {np.shape(sigma)}")
     score = simon_score(sigma)
     return SeparabilityResult(separable=score >= 0.0,
                               score=score,
@@ -169,6 +189,10 @@ def simon_score_closed_form(env: TwoModeEnvironment, params: OscillatorParams) -
     return head * head - 4.0 * mw2 * env.Dxx**2 * env.Dxpy**2 / (lam * lam * q)
 
 
+def _window_ratio(Dxx, params: OscillatorParams):
+    return params.m * params.omega * Dxx / params.lam
+
+
 def entanglement_window(Dxx: float, params: OscillatorParams) -> tuple[float, float]:
     """Open interval of Dxpy producing an entangled asymptotic state.
 
@@ -178,71 +202,74 @@ def entanglement_window(Dxx: float, params: OscillatorParams) -> tuple[float, fl
          sqrt(lam^2 + w^2) * (m w Dxx/lam + 1/2)),
 
     defined only when m w Dxx / lam >= 1/2 (the one-mode uncertainty
-    bound on the asymptotic state).
+    bound on the asymptotic state).  ``Dxx`` may be an array, giving
+    arrays of endpoints.
     """
     if params.hbar != 1.0:
         raise ParameterError(f"separability analysis requires hbar = 1, got {params.hbar!r}")
-    ratio = params.m * params.omega * Dxx / params.lam
-    if ratio < 0.5:
+    ratio = _window_ratio(Dxx, params)
+    if np.any(ratio < 0.5):
+        low = float(np.min(ratio))
         raise ParameterError(
-            f"need m*omega*Dxx/lam >= 1/2 (one-mode uncertainty), got {ratio!r}"
+            f"need m*omega*Dxx/lam >= 1/2 (one-mode uncertainty), got {low!r}"
         )
     root = math.sqrt(params.lam**2 + params.omega**2)
     return (root * (ratio - 0.5), root * (ratio + 0.5))
 
 
 def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams,
-                      dxx_values, dxpy_values) -> list[ScanRecord]:
+                      dxx_values, dxpy_values) -> ScanColumns:
     """Evaluate the asymptotic separability score over a (Dxx, Dxpy) grid.
 
-    Each node rebuilds the template environment in the closed-form family
+    Each node takes the template environment into the closed-form family
     (Dpxpx := m^2 w^2 Dxx, Dxpx := 0, Dpxpy := m^2 w^2 Dxy) with the
     node's Dxx and Dxpy, and scores the full asymptotic covariance.
 
-    Records are emitted in row-major order, Dxx slowest.  ``in_window``
-    is reported only for Dxy = 0 templates; the status column marks
-    Gram-positivity violations ("invalid"), nodes whose Dxx is below the
-    one-mode uncertainty bound ("invalid-window"), and nodes within
-    1e-9 of a window endpoint ("boundary-indeterminate").  A node status
-    never aborts the scan.
+    Nodes are in row-major order, Dxx slowest.  ``in_window`` is reported
+    only for Dxy = 0 templates; the status column marks Gram-positivity
+    violations ("invalid"), nodes whose Dxx is below the one-mode
+    uncertainty bound ("invalid-window"), and nodes within 1e-9 of a
+    window endpoint ("boundary-indeterminate").  A node status never
+    aborts the scan.
     """
     if params.hbar != 1.0:
         raise ParameterError(f"separability analysis requires hbar = 1, got {params.hbar!r}")
     require_matching_lam(env_template, params)
+    dxx_values = np.asarray(dxx_values, dtype=float).ravel()
+    dxpy_values = np.asarray(dxpy_values, dtype=float).ravel()
+    dxx = np.repeat(dxx_values, dxpy_values.size)
+    dxpy = np.tile(dxpy_values, dxx_values.size)
     mw2 = (params.m * params.omega) ** 2
-    window_applies = env_template.Dxy == 0.0
-    records = []
-    for dxx in dxx_values:
-        dxx = float(dxx)
-        ratio = params.m * params.omega * dxx / params.lam
-        window = None
-        if window_applies and ratio >= 0.5:
-            window = entanglement_window(dxx, params)
-        for dxpy in dxpy_values:
-            dxpy = float(dxpy)
-            env = TwoModeEnvironment.symmetric_env(
-                Dxx=dxx, Dxpx=0.0, Dpxpx=mw2 * dxx,
-                Dxy=env_template.Dxy, Dxpy=dxpy, Dpxpy=mw2 * env_template.Dxy,
-                lam=env_template.lam,
-            )
-            score = simon_score(steady_covariance_closed_form(env, params))
-            separable = score >= 0.0
-            boundary = abs(score) < BOUNDARY_ATOL
-            in_window = None
-            status = "ok"
-            if window_applies:
-                if window is None:
-                    in_window = False
-                    status = "invalid-window"
-                else:
-                    lo, hi = window
-                    in_window = lo < dxpy < hi
-                    margin = ENDPOINT_MARGIN * max(1.0, hi)
-                    if min(abs(dxpy - lo), abs(dxpy - hi)) <= margin:
-                        status = "boundary-indeterminate"
-            if status == "ok" and not validate_two_mode(env).passed:
-                status = "invalid"
-            records.append(ScanRecord(Dxx=dxx, Dxpy=dxpy, score=score,
-                                      separable=separable, boundary=boundary,
-                                      in_window=in_window, status=status))
-    return records
+    dpxpx = mw2 * dxx
+    dxy, dpxpy, lam = env_template.Dxy, mw2 * env_template.Dxy, env_template.lam
+    for name, values in (("Dxx", dxx), ("Dpxpx", dpxpx), ("Dxpy", dxpy), ("Dpxpy", dpxpy)):
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            first = float(np.extract(bad, values)[0])
+            raise ParameterError(f"{name} must be finite, got {first!r}")
+
+    score = np.empty(dxx.size)
+    gram_ok = np.empty(dxx.size, dtype=bool)
+    for start in range(0, dxx.size, NODE_BLOCK):
+        k = slice(start, start + NODE_BLOCK)
+        sigma = steady_covariance_symmetric(dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
+        score[k] = simon_score(sigma)
+        gram = gram_matrices(dxx[k], 0.0, dpxpx[k], dxx[k], 0.0, dpxpx[k],
+                             dxy, dxpy[k], dxpy[k], dpxpy, lam)
+        gram_ok[k] = gram_checks(gram)[1].all(axis=-1)
+
+    status = np.full(dxx.size, "ok", dtype=object)
+    status[~gram_ok] = "invalid"
+    in_window = None
+    if dxy == 0.0:
+        has_window = _window_ratio(dxx, params) >= 0.5
+        lo, hi = np.full(dxx.size, np.nan), np.full(dxx.size, np.nan)
+        lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
+        in_window = (lo < dxpy) & (dxpy < hi)
+        margin = ENDPOINT_MARGIN * np.maximum(1.0, hi)
+        status[np.minimum(np.abs(dxpy - lo), np.abs(dxpy - hi)) <= margin] = \
+            "boundary-indeterminate"
+        status[~has_window] = "invalid-window"
+    return ScanColumns(Dxx=dxx, Dxpy=dxpy, score=score, separable=score >= 0.0,
+                       boundary=np.abs(score) < BOUNDARY_ATOL, in_window=in_window,
+                       status=status)

@@ -48,6 +48,7 @@ __all__ = [
     "uncertainty_determinant",
     "short_time_uncertainty_determinant",
     "decoherence_degree",
+    "degree_from_uncertainty",
     "decoherence_coefficients",
     "density_matrix_element",
     "stationary_density_matrix_element",
@@ -213,10 +214,18 @@ def decoherence_degree(delta: float, r: float, params: OscillatorParams,
     off-diagonal density-matrix elements decay, and tends to 1/C at
     infinite time (``t = math.inf`` returns that limit exactly).
     """
+    sigma = uncertainty_determinant(delta, r, params, thermal, t)
+    return degree_from_uncertainty(sigma, params, thermal, t)
+
+
+def degree_from_uncertainty(sigma: float, params: OscillatorParams,
+                            thermal: ThermalParams, t: float) -> float:
+    """Degree of decoherence from the value ``sigma`` of the uncertainty
+    function at time t: hbar / (2*sqrt(sigma)), and exactly 1/C at
+    ``t = math.inf``."""
     if math.isinf(t):
-        _require_closed_form_domain(delta, r, params)
         return 1.0 / thermal.C
-    return params.hbar / (2.0 * math.sqrt(uncertainty_determinant(delta, r, params, thermal, t)))
+    return params.hbar / (2.0 * math.sqrt(sigma))
 
 
 def decoherence_coefficients(state: GaussianState1D) -> DecoherenceCoefficients:

@@ -18,20 +18,26 @@ where S_inf solves the Lyapunov equation Y S + S Y^T = -2 D.  For
 mirror-symmetric environments every entry of S_inf also has a closed
 form, which doubles as an independent cross-check of the Lyapunov route.
 
+The kernels take arrays first: :func:`propagator` and
+:func:`propagate_covariance` accept an array of times and return one 4x4
+matrix per time, stacked as (..., 4, 4), and
+:func:`steady_covariance_symmetric` broadcasts over arrays of diffusion
+coefficients.  A scalar argument is a batch of one and gives a plain 4x4
+matrix.  Nothing is cached: each call solves for S_inf once, whatever the
+number of times it covers.
+
 This module requires hbar = 1 (the separability analysis built on top of
 it is normalized that way).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
 from . import lyapunov
-from .core import OscillatorParams, TwoModeEnvironment
+from .core import OscillatorParams, TwoModeEnvironment, stack_matrices
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "propagator",
     "steady_covariance",
     "steady_covariance_closed_form",
+    "steady_covariance_symmetric",
     "propagate_covariance",
     "det_cross_block",
     "physicality_min_eigenvalue",
@@ -58,14 +65,18 @@ def _require_hbar_one(params: OscillatorParams):
 
 
 def require_covariance4(sigma: np.ndarray) -> np.ndarray:
-    """Check shape and symmetry of a 4x4 covariance matrix, return as float array."""
+    """Check shape and symmetry of a 4x4 covariance matrix or an (N, 4, 4)
+    stack of them, return as float array.  Each matrix is checked against
+    its own scale."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got shape {sigma.shape}")
-    scale = max(1.0, float(np.abs(sigma).max()))
-    asym = float(np.abs(sigma - sigma.T).max())
-    if asym > SYMMETRY_ATOL * scale:
-        raise ShapeError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
+    if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (4, 4):
+        raise ShapeError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {sigma.shape}")
+    scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1)))
+    asym = np.abs(sigma - np.swapaxes(sigma, -1, -2)).max(axis=(-2, -1))
+    bad = asym > SYMMETRY_ATOL * scale
+    if bad.any():
+        raise ShapeError("covariance matrix is not symmetric "
+                         f"(max asymmetry {float(asym[bad].flat[0]):.3e})")
     return sigma
 
 
@@ -77,18 +88,26 @@ def _warn_mu_ignored(params: OscillatorParams):
         )
 
 
+def _block_diagonal(block: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) matrices with the (..., 2, 2) ``block`` twice on the diagonal."""
+    out = np.zeros(block.shape[:-2] + (4, 4))
+    out[..., :2, :2] = block
+    out[..., 2:, 2:] = block
+    return out
+
+
+def _drift(params: OscillatorParams) -> np.ndarray:
+    return _block_diagonal(np.array([
+        [-params.lam, 1.0 / params.m],
+        [-params.m * params.omega**2, -params.lam],
+    ]))
+
+
 def drift_matrix(params: OscillatorParams) -> np.ndarray:
     """Block-diagonal 4x4 drift; eigenvalues -lam +/- i*omega, twice."""
     _warn_mu_ignored(params)
     _require_hbar_one(params)
-    block = np.array([
-        [-params.lam, 1.0 / params.m],
-        [-params.m * params.omega**2, -params.lam],
-    ])
-    Y = np.zeros((4, 4))
-    Y[:2, :2] = block
-    Y[2:, 2:] = block
-    return Y
+    return _drift(params)
 
 
 def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
@@ -107,22 +126,24 @@ def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
     ])
 
 
-def propagator(params: OscillatorParams, t: float) -> np.ndarray:
+def propagator(params: OscillatorParams, t) -> np.ndarray:
     """Closed-form M(t) = exp(t*Y), per 2x2 block
-    exp(-lam*t) * (cos(omega*t)*I + sin(omega*t)/omega * [[0, 1/m], [-m*omega**2, 0]])."""
+    exp(-lam*t) * (cos(omega*t)*I + sin(omega*t)/omega * [[0, 1/m], [-m*omega**2, 0]]).
+
+    ``t`` may be an array of times; the result then has shape t.shape + (4, 4).
+    """
     _require_hbar_one(params)
     _warn_mu_ignored(params)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ParameterError(f"t must be finite and >= 0, got {t!r}")
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t >= 0.0)
+    if not ok.all():
+        raise ParameterError(f"t must be finite and >= 0, got {float(t[~ok].flat[0])!r}")
     m, omega = params.m, params.omega
     rot = np.array([[0.0, 1.0 / m], [-m * omega**2, 0.0]])
-    block = math.exp(-params.lam * t) * (
-        math.cos(omega * t) * np.eye(2) + (math.sin(omega * t) / omega) * rot
-    )
-    M = np.zeros((4, 4))
-    M[:2, :2] = block
-    M[2:, 2:] = block
-    return M
+    decay = np.exp(-params.lam * t)[..., None, None]
+    cos = np.cos(omega * t)[..., None, None]
+    sin = (np.sin(omega * t) / omega)[..., None, None]
+    return _block_diagonal(decay * (cos * np.eye(2) + sin * rot))
 
 
 def steady_covariance(Y: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -149,6 +170,24 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
                                   params: OscillatorParams) -> np.ndarray:
     """Asymptotic covariance of a mirror-symmetric environment, entry by entry.
 
+    Checks the environment and evaluates :func:`steady_covariance_symmetric`
+    on its coefficients.
+    """
+    _require_hbar_one(params)
+    _require_symmetric_env(env)
+    require_matching_lam(env, params)
+    return steady_covariance_symmetric(env.Dxx, env.Dxpx, env.Dpxpx,
+                                       env.Dxy, env.Dxpy, env.Dpxpy, params)
+
+
+def steady_covariance_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy,
+                                params: OscillatorParams) -> np.ndarray:
+    """Closed-form asymptotic covariances of mirror-symmetric environments.
+
+    The six free coefficients may be arrays that broadcast together; the
+    result has their shape + (4, 4).  The caller vouches for hbar = 1 and
+    for the environments' lam being ``params.lam``.
+
     Both one-mode blocks are equal and the cross block is symmetric; the
     six independent entries are rational in the diffusion coefficients:
 
@@ -159,9 +198,6 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
     with q = lam^2 + w^2, and the same three forms with (Dxx, Dxpx, Dpxpx)
     for the one-mode entries.
     """
-    _require_hbar_one(params)
-    _require_symmetric_env(env)
-    require_matching_lam(env, params)
     m, w, lam = params.m, params.omega, params.lam
     q = lam * lam + w * w
 
@@ -173,9 +209,9 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
                 + (2.0 * lam * lam + w * w) * d_pp) / (2.0 * lam * q)
         return s_qq, s_qp, s_pp
 
-    sxx, sxpx, spxpx = triple(env.Dxx, env.Dxpx, env.Dpxpx)
-    sxy, sxpy, spxpy = triple(env.Dxy, env.Dxpy, env.Dpxpy)
-    return np.array([
+    sxx, sxpx, spxpx = triple(Dxx, Dxpx, Dpxpx)
+    sxy, sxpy, spxpy = triple(Dxy, Dxpy, Dpxpy)
+    return stack_matrices([
         [sxx, sxpx, sxy, sxpy],
         [sxpx, spxpx, sxpy, spxpy],
         [sxy, sxpy, sxx, sxpx],
@@ -183,35 +219,20 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
     ])
 
 
-@lru_cache(maxsize=128)
-def _steady_covariance_cached(env: TwoModeEnvironment,
-                              params: OscillatorParams) -> np.ndarray:
-    block = np.array([
-        [-params.lam, 1.0 / params.m],
-        [-params.m * params.omega**2, -params.lam],
-    ])
-    Y = np.zeros((4, 4))
-    Y[:2, :2] = block
-    Y[2:, 2:] = block
-    S = steady_covariance(Y, diffusion_matrix(env))
-    S.setflags(write=False)
-    return S
-
-
 def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
-                         params: OscillatorParams, t: float) -> np.ndarray:
+                         params: OscillatorParams, t) -> np.ndarray:
     """Exact covariance at time t >= 0 from the initial covariance sigma0.
 
-    The stationary covariance is computed once per (env, params) pair and
-    cached by value equality; concurrent repeated computation is harmless
-    because the cached value is deterministic.
+    ``t`` may be an array of times: M(t) is built for all of them in one
+    broadcast and the result has shape t.shape + (4, 4).  The stationary
+    covariance is solved once per call.
     """
     sigma0 = require_covariance4(sigma0)
     require_matching_lam(env, params)
-    s_inf = _steady_covariance_cached(env, params)
     M = propagator(params, t)
-    s = M @ (sigma0 - s_inf) @ M.T + s_inf
-    return 0.5 * (s + s.T)
+    s_inf = steady_covariance(_drift(params), diffusion_matrix(env))
+    s = M @ (sigma0 - s_inf) @ np.swapaxes(M, -1, -2) + s_inf
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
@@ -232,17 +253,20 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
         / (4.0 * lam * lam * q)
 
 
-def physicality_min_eigenvalue(sigma: np.ndarray) -> float:
+def physicality_min_eigenvalue(sigma: np.ndarray):
     """Optional diagnostic: minimum eigenvalue of sigma + (i/2) Omega.
 
     Omega is the symplectic form of the (x, p_x, y, p_y) ordering; a
     nonnegative result (up to rounding) means sigma is a bona fide
     two-mode quantum covariance matrix.  Nothing in this package enforces
     it; callers concerned about complete positivity of their inputs can.
+    A float for one 4x4 matrix, an (N,) array for an (N, 4, 4) stack.
     """
     sigma = require_covariance4(sigma)
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    Omega = np.zeros((4, 4))
-    Omega[:2, :2] = J
-    Omega[2:, 2:] = J
-    return float(np.linalg.eigvalsh(sigma + 0.5j * Omega)[0])
+    Omega = _block_diagonal(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return scalar_or_array(np.linalg.eigvalsh(sigma + 0.5j * Omega)[..., 0])
+
+
+def scalar_or_array(values: np.ndarray):
+    """A float for a 0-d result (one matrix in), else the array (a stack in)."""
+    return float(values) if values.ndim == 0 else values

@@ -2,10 +2,13 @@
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
-from lindosc import cli
+from lindosc import OscillatorParams, ThermalParams, cli
+from lindosc.single_mode import decoherence_degree
 
 FIG1 = {
     "oscillator": {"lambda": 0.2, "mu": 0.1, "m": 1.0, "omega": 1.0, "hbar": 1.0},
@@ -138,6 +141,19 @@ class TestDecoGridCommand:
         for r in rows:
             qd = float(r["delta_qd"])
             assert 0.0 < qd <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("flags", [[], ["--asymptotic"]])
+    def test_degree_column_matches_decoherence_degree(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, FIG1)
+        code, out, _ = run(capsys, ["deco-grid", "--config", cfg, *flags,
+                                    "--t-min", "0", "--t-max", "10", "--t-steps", "6",
+                                    "--c-min", "1.5", "--c-max", "9.3", "--c-steps", "7"])
+        assert code == 0
+        t_grid = [math.inf] if flags else np.linspace(0.0, 10.0, 6).tolist()
+        params = OscillatorParams(lam=0.2, mu=0.1)
+        want = [f"{decoherence_degree(4.0, 0.0, params, ThermalParams(C=c), t):.14e}"
+                for t in t_grid for c in np.linspace(1.5, 9.3, 7).tolist()]
+        assert [r["delta_qd"] for r in parse_csv(out)] == want
 
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG1)
@@ -373,3 +389,65 @@ class TestOutputFile:
         assert out == ""
         text = out_path.read_text()
         assert text.startswith("name,value")
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--dxpy-max", "inf"],
+        ["scan", "--dxpy-max", "nan"],
+        ["scan", "--dxx-min=-inf", "--dxx-max", "1"],
+        ["propagate", "--t-max", "inf"],
+        ["propagate", "--t-max", "nan"],
+        ["deco-grid", "--t-max", "inf"],
+        ["deco-grid", "--c-max", "nan"],
+        ["density", "--x-max", "inf"],
+    ])
+    def test_non_finite_bound_is_a_config_error(self, tmp_path, capsys, recwarn, argv):
+        body = dict(FIG1, two_mode_env=WINDOW_ENV)
+        body["oscillator"] = dict(FIG1["oscillator"], mu=0.0)
+        cfg = write_config(tmp_path, body)
+        code, out, err = run(capsys, [argv[0], "--config", cfg, *argv[1:]])
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _fmt(value) -> str:
+    """Per-value reference rendering of a CSV cell."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.14e}"
+    return str(value)
+
+
+CELL_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2.5e-7,
+               np.float64(2.5), np.float64(-0.0), np.float32(0.1), True, False,
+               np.bool_(True), "ok", "", "separable-boundary", 7, -3, np.int64(5)]
+
+
+class TestCsvTable:
+    def test_render_matches_per_value_reference(self):
+        rng = random.Random(5)
+        table = cli.CsvTable(["a", "b", "c"])
+        for _ in range(500):  # every column mixes types from row to row
+            table.add(*(rng.choice(CELL_VALUES) for _ in range(3)))
+        want = "\n".join(["a,b,c"] + [",".join(_fmt(v) for v in row) for row in table.rows])
+        assert table.render() == want + "\n"
+
+    def test_add_columns_takes_array_columns(self):
+        columns = (np.array([0.5, -0.0, math.inf]), np.array([True, False, True]),
+                   np.array(["x", "ok", "invalid"], dtype=object), [1, 2, 3])
+        table = cli.CsvTable("abcd")
+        table.add_columns(*columns)
+        assert len(table.rows) == 3
+        assert table.render() == (
+            "a,b,c,d\n5.00000000000000e-01,true,x,1\n"
+            "-0.00000000000000e+00,false,ok,2\ninf,true,invalid,3\n")
+        with pytest.raises(ValueError):
+            table.add_columns(*columns[:3])
+        with pytest.raises(ValueError):
+            table.add_columns(*columns[:3], [1, 2])
+        assert len(table.rows) == 3

@@ -19,7 +19,7 @@ from lindosc import (
     validate_single_mode,
     validate_two_mode,
 )
-from lindosc.core import GaussianState1D
+from lindosc.core import GRAM_CHECKS, GaussianState1D, gram_checks, gram_matrices
 
 
 class TestOscillatorParams:
@@ -237,3 +237,63 @@ class TestGaussianState1D:
         s = GaussianState1D(sxx=2.0, sxp=0.5, spp=1.0)
         np.testing.assert_allclose(s.covariance(), [[2.0, 0.5], [0.5, 1.0]])
         assert s.det == pytest.approx(1.75)
+
+
+def _random_env(rng):
+    coeffs = rng.uniform(-0.5, 1.0, 10)
+    return TwoModeEnvironment(
+        Dxx=abs(coeffs[0]), Dxpx=coeffs[1], Dpxpx=abs(coeffs[2]),
+        Dyy=abs(coeffs[3]), Dypy=coeffs[4], Dpypy=abs(coeffs[5]),
+        Dxy=coeffs[6], Dxpy=coeffs[7], Dypx=coeffs[8], Dpxpy=coeffs[9],
+        lam=rng.uniform(0.05, 0.5),
+    )
+
+
+def _gram_reference(env, hbar=1.0):
+    """Slacks and verdicts of the Gram checks for one environment, written
+    out with a per-node eigen-solve and np.ix_ minors."""
+    gram = env.coefficient_matrix(hbar=hbar)
+    min_eig = float(np.linalg.eigvalsh(gram)[0])
+    slacks = [min_eig]
+    passed = [min_eig >= -1e-10 * float(np.abs(gram).max())]
+    for i, j in ((0, 2), (0, 1), (0, 3), (1, 2), (2, 3), (1, 3)):
+        sub = gram[np.ix_((i, j), (i, j))]
+        slack = float(np.real(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]))
+        slacks.append(slack)
+        passed.append(slack >= 0.0)
+    return slacks, passed
+
+
+class TestGramChecks:
+    def test_stack_matches_validate_two_mode(self):
+        rng = np.random.default_rng(8)
+        n = 40
+        envs = [_random_env(rng) for _ in range(n)]
+        envs += [env.swapped() for env in envs]
+        # 0.1 - 5e-11 fails its own tolerance, but not the 1e3 node's
+        envs += [_diagonal_env(d, 0.2) for d in (0.0, 0.05, 0.1, 0.1 - 5e-11, 0.2, 1e3)]
+        slack, passed = gram_checks(np.stack([env.coefficient_matrix() for env in envs]))
+        assert slack.shape == passed.shape == (len(envs), len(GRAM_CHECKS))
+        for k, env in enumerate(envs):
+            report = validate_two_mode(env)
+            assert tuple(c.name for c in report.checks) == GRAM_CHECKS
+            assert slack[k].tolist() == [c.slack for c in report.checks]
+            assert passed[k].tolist() == [c.passed for c in report.checks]
+            assert ([c.slack for c in report.checks],
+                    [c.passed for c in report.checks]) == _gram_reference(env)
+        assert not passed[-3, 0]
+        # the verdict is invariant under the mode swap
+        np.testing.assert_array_equal(passed[:n].all(axis=1), passed[n:2 * n].all(axis=1))
+
+    def test_gram_matrices_broadcast_over_coefficients(self):
+        rng = np.random.default_rng(9)
+        envs = [_random_env(rng) for _ in range(20)]
+        names = ("Dxx", "Dxpx", "Dpxpx", "Dyy", "Dypy", "Dpypy", "Dxy", "Dxpy", "Dypx",
+                 "Dpxpy", "lam")
+        columns = [np.array([getattr(env, name) for env in envs]) for name in names]
+        stack = gram_matrices(*columns, hbar=0.7)
+        assert stack.shape == (20, 4, 4)
+        for env, gram in zip(envs, stack):
+            np.testing.assert_array_equal(gram, env.coefficient_matrix(hbar=0.7))
+            assert _gram_reference(env, 0.7) == tuple(
+                x.tolist() for x in gram_checks(gram))

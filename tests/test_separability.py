@@ -22,6 +22,7 @@ from lindosc.separability import (
     simon_score,
     simon_score_closed_form,
 )
+from lindosc import validate_two_mode
 from lindosc.two_mode import (
     det_cross_block,
     diffusion_matrix,
@@ -102,6 +103,24 @@ class TestSimonScore:
             swapped = _sigma_from_blocks(blocks[1], blocks[0], blocks[2].T)
             assert simon_score(sigma) == pytest.approx(simon_score(swapped), rel=1e-12)
 
+    def test_stack_matches_each_node(self):
+        rng = np.random.default_rng(40)
+        M = rng.uniform(-1.0, 1.0, (64, 4, 4))
+        stack = M + np.swapaxes(M, 1, 2) + 4.0 * np.eye(4)
+        stack[::3] *= 1e3
+        stack[1] = np.diag([0.5, 0.5, 0.5, 0.5])
+        scores = simon_score(stack)
+        assert scores.shape == (64,)
+        assert scores.tolist() == [simon_score(sigma) for sigma in stack]
+
+    def test_stack_checks_symmetry_against_each_node_scale(self):
+        stack = np.stack([1e6 * np.eye(4), np.eye(4)])
+        stack[1, 0, 1] = 1e-6  # far below the first node's scale, not its own
+        with pytest.raises(ShapeError):
+            simon_score(stack)
+        with pytest.raises(ShapeError):
+            simon_score(np.eye(4)[None, None])
+
     def test_continuity_under_perturbation(self):
         rng = np.random.default_rng(35)
         sigma = steady_covariance_closed_form(WINDOW_ENV, PARAMS)
@@ -136,6 +155,10 @@ class TestIsSeparable:
         result = is_separable(np.diag([0.5, 0.5, 0.5, 0.5]))
         assert result.separable and result.boundary
         assert result.verdict == "separable-boundary"
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ShapeError):
+            is_separable(np.stack([np.eye(4), np.eye(4)]))
 
 
 class TestSimonScoreClosedForm:
@@ -234,44 +257,99 @@ class TestEntanglementWindow:
 
 class TestScanSeparability:
     def test_single_midwindow_node(self):
-        records = scan_separability(WINDOW_ENV, PARAMS, [0.1], [0.5])
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.score == pytest.approx(-0.1825998520710059, abs=1e-10)
-        assert not rec.separable
-        assert rec.in_window is True
-        assert rec.status == "invalid"  # this regime is not completely positive
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1], [0.5])
+        assert len(scan.score) == 1
+        assert scan.score[0] == pytest.approx(-0.1825998520710059, abs=1e-10)
+        assert not scan.separable[0]
+        assert scan.in_window[0]
+        assert scan.status[0] == "invalid"  # this regime is not completely positive
 
     def test_zero_cross_momentum_row_is_nonnegative(self):
-        records = scan_separability(WINDOW_ENV, PARAMS, np.linspace(0.1, 0.5, 5), [0.0])
-        assert all(r.score >= 0.0 for r in records)
+        scan = scan_separability(WINDOW_ENV, PARAMS, np.linspace(0.1, 0.5, 5), [0.0])
+        assert (scan.score >= 0.0).all()
 
     def test_sign_matches_window_away_from_endpoints(self):
-        records = scan_separability(WINDOW_ENV, PARAMS, [0.1], np.linspace(0.0, 1.5, 200))
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1], np.linspace(0.0, 1.5, 200))
         lo, hi = entanglement_window(0.1, PARAMS)
-        for rec in records:
+        for dxpy, score, in_window in zip(scan.Dxpy, scan.score, scan.in_window):
             margin = 1e-6 * hi
-            if lo + margin < rec.Dxpy < hi - margin:
-                assert rec.score < 0.0 and rec.in_window
-            elif rec.Dxpy < lo - margin or rec.Dxpy > hi + margin:
-                assert rec.score >= 0.0 and not rec.in_window
+            if lo + margin < dxpy < hi - margin:
+                assert score < 0.0 and in_window
+            elif dxpy < lo - margin or dxpy > hi + margin:
+                assert score >= 0.0 and not in_window
 
     def test_below_uncertainty_bound_marks_invalid_window(self):
-        records = scan_separability(WINDOW_ENV, PARAMS, [0.05], np.linspace(0.0, 1.0, 5))
-        assert all(r.status == "invalid-window" for r in records)
-        assert all(r.in_window is False for r in records)
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.05], np.linspace(0.0, 1.0, 5))
+        assert all(status == "invalid-window" for status in scan.status)
+        assert not scan.in_window.any()
 
     def test_endpoint_marked_boundary(self):
-        records = scan_separability(WINDOW_ENV, PARAMS, [0.1], [0.0])
-        assert records[0].status == "boundary-indeterminate"
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1], [0.0])
+        assert scan.status[0] == "boundary-indeterminate"
 
     def test_row_major_order(self):
-        records = scan_separability(WINDOW_ENV, PARAMS, [0.1, 0.2], [0.0, 0.5])
-        assert [(r.Dxx, r.Dxpy) for r in records] == \
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1, 0.2], [0.0, 0.5])
+        assert list(zip(scan.Dxx, scan.Dxpy)) == \
             [(0.1, 0.0), (0.1, 0.5), (0.2, 0.0), (0.2, 0.5)]
 
     def test_nonzero_dxy_template_has_no_window_column(self):
         env = TwoModeEnvironment.symmetric_env(Dxx=0.3, Dxpx=0.0, Dpxpx=0.3,
                                                Dxy=0.1, Dxpy=0.0, Dpxpy=0.1, lam=0.2)
-        records = scan_separability(env, PARAMS, [0.3], [0.2])
-        assert records[0].in_window is None
+        scan = scan_separability(env, PARAMS, [0.3], [0.2])
+        assert scan.in_window is None
+
+    @pytest.mark.parametrize("params, dxy", [
+        (PARAMS, 0.0),
+        (OscillatorParams(lam=0.2, m=1.5, omega=0.8), 0.0),
+        (PARAMS, 0.1),
+    ])
+    def test_columns_match_scalar_reference(self, params, dxy):
+        mw2 = (params.m * params.omega) ** 2
+        template = TwoModeEnvironment.symmetric_env(
+            Dxx=0.3, Dxpx=0.0, Dpxpx=mw2 * 0.3, Dxy=dxy, Dxpy=0.0, Dpxpy=mw2 * dxy,
+            lam=params.lam)
+        # the first Dxx row sits below the one-mode bound (invalid-window);
+        # Dxpy crosses both window edges of the third row, and hits them
+        dxx_grid = np.array([0.4, 0.5, 1.5, 3.0, 6.0]) * params.lam / (params.m * params.omega)
+        lo, hi = entanglement_window(float(dxx_grid[2]), params)
+        dxpy_grid = np.concatenate([np.linspace(-1.0, 4.0, 41),
+                                    [lo, hi, lo + 1e-10, hi - 5e-10, hi + 1e-6]])
+        scan = scan_separability(template, params, dxx_grid, dxpy_grid)
+        want = _scan_reference(template, params, dxx_grid, dxpy_grid)
+        assert len(scan.score) == len(want)
+        got = list(zip(scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary,
+                       [None] * len(want) if scan.in_window is None else scan.in_window,
+                       scan.status))
+        assert got == want
+        statuses = set(scan.status)
+        assert statuses >= ({"ok", "invalid"} if dxy else
+                            {"invalid-window", "boundary-indeterminate", "invalid"})
+
+
+def _scan_reference(template, params, dxx_values, dxpy_values):
+    """The scan node by node through the public scalar functions."""
+    mw2 = (params.m * params.omega) ** 2
+    rows = []
+    for dxx in map(float, dxx_values):
+        window = None
+        if template.Dxy == 0.0 and params.m * params.omega * dxx / params.lam >= 0.5:
+            window = entanglement_window(dxx, params)
+        for dxpy in map(float, dxpy_values):
+            env = TwoModeEnvironment.symmetric_env(
+                Dxx=dxx, Dxpx=0.0, Dpxpx=mw2 * dxx, Dxy=template.Dxy, Dxpy=dxpy,
+                Dpxpy=mw2 * template.Dxy, lam=template.lam)
+            result = is_separable(steady_covariance_closed_form(env, params))
+            in_window, status = None, "ok"
+            if template.Dxy == 0.0:
+                if window is None:
+                    in_window, status = False, "invalid-window"
+                else:
+                    lo, hi = window
+                    in_window = lo < dxpy < hi
+                    if min(abs(dxpy - lo), abs(dxpy - hi)) <= 1e-9 * max(1.0, hi):
+                        status = "boundary-indeterminate"
+            if status == "ok" and not validate_two_mode(env).passed:
+                status = "invalid"
+            rows.append((dxx, dxpy, result.score, result.separable, result.boundary,
+                         in_window, status))
+    return rows

@@ -118,6 +118,10 @@ class TestPropagator:
     def test_rejects_negative_t(self):
         with pytest.raises(ParameterError):
             propagator(PARAMS, -1.0)
+        with pytest.raises(ParameterError, match="got -1.0"):
+            propagator(PARAMS, np.array([0.0, 2.0, -1.0]))
+        with pytest.raises(ParameterError):
+            propagator(PARAMS, np.array([0.0, math.nan]))
 
 
 class TestSteadyCovariance:
@@ -238,6 +242,20 @@ class TestPropagateCovariance:
         bad[0, 1] = 1e-6
         with pytest.raises(ShapeError):
             propagate_covariance(bad, WINDOW_ENV, PARAMS, 1.0)
+
+    def test_time_array_matches_per_time_calls(self):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            env = oracles.random_valid_symmetric_env(rng)
+            p = OscillatorParams(lam=env.lam, m=rng.uniform(0.5, 2.0),
+                                 omega=rng.uniform(0.5, 2.0))
+            sigma0 = _product_initial(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5), p)
+            times = np.concatenate([[0.0], rng.uniform(0.0, 40.0, 50)])
+            batch = propagate_covariance(sigma0, env, p, times)
+            assert batch.shape == (51, 4, 4)
+            for t, sigma in zip(times, batch):
+                np.testing.assert_array_equal(sigma, propagate_covariance(sigma0, env, p, float(t)))
+            assert propagate_covariance(sigma0, env, p, times.reshape(3, 17)).shape == (3, 17, 4, 4)
 
     def test_concurrent_calls_agree_with_serial(self):
         from concurrent.futures import ThreadPoolExecutor
