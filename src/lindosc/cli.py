@@ -57,59 +57,82 @@ COV_ENTRIES = (
 
 
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
+_STATUS_TEXT = np.array(["invalid", "ok"], dtype=object)
 
 
-def _bool_text(mask: np.ndarray) -> np.ndarray:
+def _bool_text(mask: np.ndarray, text: np.ndarray = _BOOL_TEXT) -> np.ndarray:
     """CSV text of a boolean array, one shared str object per value."""
-    return _BOOL_TEXT[mask.astype(np.intp)]
+    return text[mask.astype(np.intp)]
 
 
-def _cell_format(kind: type) -> str:
-    return "%.14e" if issubclass(kind, (float, np.floating)) else "%s"
+def _cell_array(value) -> np.ndarray:
+    """One-entry column for :meth:`CsvTable.add`, typed by the value."""
+    if type(value) is bool:
+        return np.array([value])
+    if isinstance(value, (float, np.floating)):
+        return np.array([value], dtype=float)
+    return np.array([value], dtype=object)
+
+
+class _Rows:
+    """Row count and row tuples of a :class:`CsvTable`, built on access."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+
+    def __len__(self):
+        return sum(len(cells[0]) for cells in self._blocks)
+
+    def __iter__(self):
+        for cells in self._blocks:
+            yield from zip(*(c.tolist() for c in cells))
 
 
 class CsvTable:
     """Rectangular table rendered deterministically.
 
-    Floats render as ``%.14e`` (15 significant digits), bools as
-    ``true``/``false``, everything else through ``str``.  Each row is
-    rendered with a ``%`` template chosen by the types of its values, so a
-    column may mix types.
+    The table keeps blocks of equally long 1-D column arrays: one block per
+    :meth:`add_columns` call, and a block of one row per :meth:`add`.  Each
+    column renders by its dtype: floats as ``%.14e`` (15 significant
+    digits), bools as ``true``/``false``, everything else through ``str``.
+    :meth:`add` types each value on its own, so a column may mix types.
     """
 
     def __init__(self, columns):
         self.columns = list(columns)
-        self.rows = []
+        self._blocks = []
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self._blocks)
 
     def add(self, *values):
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
-        self.rows.append(values)
+        self._blocks.append(tuple(map(_cell_array, values)))
 
     def add_columns(self, *columns):
         """Append one row per entry of the equally long 1-D ``columns``."""
         if len(columns) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} columns, got {len(columns)}")
-        values = [np.asarray(c).tolist() for c in columns]
-        if len({len(v) for v in values}) > 1:
-            raise ValueError(f"columns differ in length: {[len(v) for v in values]}")
-        self.rows.extend(zip(*values))
+        cells = tuple(map(np.asarray, columns))
+        if len({c.shape for c in cells}) > 1 or cells[0].ndim != 1:
+            raise ValueError(f"columns differ in shape: {[c.shape for c in cells]}")
+        self._blocks.append(cells)
 
     def render(self) -> str:
-        templates = {}
+        width = len(self.columns)
         chunks = [",".join(self.columns)]
-        for start in range(0, len(self.rows), NODE_BLOCK):
-            lines = []
-            for row in self.rows[start:start + NODE_BLOCK]:
-                kinds = tuple(map(type, row))
-                template = templates.get(kinds)
-                if template is None:
-                    template = templates[kinds] = ",".join(map(_cell_format, kinds))
-                if bool in kinds:
-                    row = tuple(("true" if v else "false") if type(v) is bool else v
-                                for v in row)
-                lines.append(template % row)
-            chunks.append("\n".join(lines))
+        for cells in self._blocks:
+            line = ",".join("%.14e" if c.dtype.kind == "f" else "%s" for c in cells)
+            size = len(cells[0])
+            for start in range(0, size, NODE_BLOCK):
+                k = min(NODE_BLOCK, size - start)
+                flat = [None] * (k * width)  # row-major cells of k rows
+                for j, c in enumerate(cells):
+                    part = c[start:start + k]
+                    flat[j::width] = (_bool_text(part) if part.dtype == bool else part).tolist()
+                chunks.append("\n".join([line] * k) % tuple(flat))
         chunks.append("")  # the final newline, without a second copy of the text
         return "\n".join(chunks)
 
@@ -180,33 +203,33 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
             "t grid",
         )
 
-    # (C, its thermal parameters or None where the Gibbs coefficients fail)
-    c_nodes = []
+    valid = []
     for c in c_grid.tolist():
         thermal = ThermalParams(C=c)
-        valid = validate_single_mode(gibbs_coefficients(params, thermal), thermal).passed
-        c_nodes.append((c, thermal if valid else None))
+        valid.append(validate_single_mode(gibbs_coefficients(params, thermal), thermal).passed)
+    valid = np.array(valid, dtype=bool)
+    if not (args.skip_invalid or valid.all()):
+        print(f"invalid thermal coefficients at C={c_grid[~valid][0].item()!r} "
+              "(rerun with --skip-invalid to keep going)", file=sys.stderr)
+        return EXIT_INVALID
 
-    columns = ["t", "C", "sigma_det", "delta_qd"]
+    # row-major nodes: t outer, C inner; only the valid ones are evaluated
+    t = np.repeat(t_grid, c_grid.size)
+    C = np.tile(c_grid, t_grid.size)
+    ok = np.tile(valid, t_grid.size)
+    sigma = np.full(t.size, math.nan)
+    qd = np.full(t.size, math.nan)
+    if ok.any():
+        c_ok, t_ok = C[ok], t[ok]
+        sigma_ok = single_mode.uncertainty_determinants(initial.delta, initial.r,
+                                                        params, c_ok, t_ok)
+        sigma[ok] = sigma_ok
+        qd[ok] = single_mode.degrees_from_uncertainty(sigma_ok, params, c_ok, t_ok)
+    columns = {"t": t, "C": C, "sigma_det": sigma, "delta_qd": qd}
     if args.skip_invalid:
-        columns.append("status")
+        columns["status"] = _bool_text(ok, _STATUS_TEXT)
     table = CsvTable(columns)
-    for t in t_grid.tolist():
-        for c, thermal in c_nodes:
-            if thermal is None:
-                if not args.skip_invalid:
-                    print(f"invalid thermal coefficients at C={c!r} "
-                          "(rerun with --skip-invalid to keep going)", file=sys.stderr)
-                    return EXIT_INVALID
-                table.add(t, c, math.nan, math.nan, "invalid")
-                continue
-            sigma = single_mode.uncertainty_determinant(initial.delta, initial.r,
-                                                        params, thermal, t)
-            qd = single_mode.degree_from_uncertainty(sigma, params, thermal, t)
-            row = [t, c, sigma, qd]
-            if args.skip_invalid:
-                row.append("ok")
-            table.add(*row)
+    table.add_columns(*columns.values())
     _emit(table.render(), args.out)
     return EXIT_OK
 
@@ -224,13 +247,11 @@ def cmd_density(cfg: RunConfig, args) -> int:
         "x grid",
     )
 
+    x, xp = (a.ravel() for a in np.meshgrid(x_grid, x_grid, indexing="ij"))
     table = CsvTable(["x", "xp", "re", "im"])
     if args.stationary:
-        for x in x_grid:
-            for xp in x_grid:
-                value = single_mode.stationary_density_matrix_element(
-                    params, thermal, float(x), float(xp))
-                table.add(float(x), float(xp), value, 0.0)
+        value = single_mode.stationary_density_matrix_element(params, thermal, x, xp)
+        table.add_columns(x, xp, value, np.zeros(value.size))
     else:
         initial = cfg.require("initial", "density")
         t = float(_grid_setting(cfg, "density", "t", args.t, 0.0))
@@ -238,10 +259,8 @@ def cmd_density(cfg: RunConfig, args) -> int:
         state0 = correlated_coherent_state(initial.delta, initial.r, params,
                                            x0=initial.x0, p0=initial.p0)
         state = single_mode.propagate_moments(state0, env, params, t)
-        for x in x_grid:
-            for xp in x_grid:
-                value = single_mode.density_matrix_element(state, float(x), float(xp))
-                table.add(float(x), float(xp), value.real, value.imag)
+        value = single_mode.density_matrix_element(state, x, xp)
+        table.add_columns(x, xp, value.real, value.imag)
     _emit(table.render(), args.out)
     return EXIT_OK
 
@@ -363,13 +382,11 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     )
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
     separable = np.where(scan.boundary, "boundary", _bool_text(scan.separable))
-    if scan.in_window is None:
+    in_window = scan.in_window
+    if in_window is None:
         in_window = np.full(scan.Dxx.size, "", dtype=object)
-    else:
-        in_window = _bool_text(scan.in_window)
     table = CsvTable(["Dxx", "Dxpy", "S", "separable", "in_window", "status"])
     table.add_columns(scan.Dxx, scan.Dxpy, scan.score, separable, in_window, scan.status)
-    del scan, separable, in_window  # the rows hold the values; free the arrays before rendering
     _emit(table.render(), args.out)
     return EXIT_OK
 

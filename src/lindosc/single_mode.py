@@ -14,14 +14,19 @@ exp(-lam*t) * (cos(W*t)*I + sin(W*t)/W * B) with B = Y + lam*I and
 W = sqrt(omega**2 - mu**2).  The infinite-time state is the solution of
 the Lyapunov equation Y S + S Y^T = -2 D.
 
-``t = math.inf`` is accepted by the closed-form evaluators
-(:func:`uncertainty_determinant`, :func:`decoherence_degree`) and selects
-the exact asymptotic branch; it is not a large-float approximation.
+The closed forms take arrays first: :func:`uncertainty_determinants` and
+:func:`degrees_from_uncertainty` broadcast over arrays of C and t, and
+:func:`density_matrix_element` and :func:`stationary_density_matrix_element`
+over arrays of (x, x').  The scalar calls are batches of one.
+
+``t = math.inf`` is accepted by the uncertainty and decoherence evaluators
+and selects the exact asymptotic branch; it is not a large-float
+approximation.  Only ``+inf`` does: ``-inf`` and ``nan`` are rejected like
+any other negative time.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,9 +51,11 @@ __all__ = [
     "propagate_moments",
     "asymptotic_state",
     "uncertainty_determinant",
+    "uncertainty_determinants",
     "short_time_uncertainty_determinant",
     "decoherence_degree",
     "degree_from_uncertainty",
+    "degrees_from_uncertainty",
     "decoherence_coefficients",
     "density_matrix_element",
     "stationary_density_matrix_element",
@@ -167,6 +174,24 @@ def _require_closed_form_domain(delta: float, r: float, params: OscillatorParams
     params.effective_frequency  # rejects omega <= |mu|
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """Elementwise exp rounded as the C library's ``exp`` (``math.exp``).
+
+    numpy's real exp is its own vectorized kernel, which differs from libm
+    in the last bit on about 5% of inputs, and by CPU.  Its complex exp is
+    libm's ``cexp``, whose real part at zero phase is exactly ``exp(x)``, so
+    the batched closed forms print the digits of the scalar ones.
+    """
+    return np.exp(x + 0j).real
+
+
+def _require_times(t: np.ndarray):
+    """Reject negative and nan times (``+inf`` passes), naming the first."""
+    bad = ~(t >= 0.0)  # True for nan
+    if bad.any():
+        raise ParameterError(f"t must be >= 0, got {t[bad][0].item()!r}")
+
+
 def uncertainty_determinant(delta: float, r: float, params: OscillatorParams,
                             thermal: ThermalParams, t: float) -> float:
     """Generalized uncertainty function sigma(t) = sxx*spp - sxp**2.
@@ -174,25 +199,38 @@ def uncertainty_determinant(delta: float, r: float, params: OscillatorParams,
     Closed form for the evolution that starts from the minimum-uncertainty
     correlated coherent state (sigma(0) = hbar**2/4 identically) and
     relaxes to sigma(inf) = (hbar**2/4) * C**2.  Pass ``t = math.inf``
-    for the exact asymptotic value.
+    for the exact asymptotic value.  A batch of one of
+    :func:`uncertainty_determinants`.
+    """
+    return float(uncertainty_determinants(delta, r, params, thermal.C, t))
+
+
+def uncertainty_determinants(delta: float, r: float, params: OscillatorParams,
+                             C, t) -> np.ndarray:
+    """:func:`uncertainty_determinant` broadcast over arrays of C and t.
+
+    ``C`` holds bath coefficients as in :class:`ThermalParams` (finite,
+    >= 1); this function does not check them.  Nodes with ``t = +inf``
+    take the exact asymptotic value; a negative t, ``-inf`` or ``nan``
+    raises :class:`ParameterError`.
     """
     _require_closed_form_domain(delta, r, params)
-    hbar, C = params.hbar, thermal.C
-    if math.isinf(t):
-        return 0.25 * hbar**2 * C * C
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ParameterError(f"t must be >= 0, got {t!r}")
-    lam, mu, omega = params.lam, params.mu, params.omega
+    C, t = np.asarray(C, dtype=float), np.asarray(t, dtype=float)
+    _require_times(t)
+    asymptotic = t == math.inf
+    t = np.where(asymptotic, 0.0, t)  # a finite stand-in; replaced below
+    hbar, lam, mu, omega = params.hbar, params.lam, params.mu, params.omega
     W = params.effective_frequency
     W2 = W * W
     a = delta + 1.0 / (delta * (1.0 - r * r))
     b = delta - 1.0 / (delta * (1.0 - r * r))
-    c2, s2 = math.cos(2.0 * W * t), math.sin(2.0 * W * t)
-    e2, e4 = math.exp(-2.0 * lam * t), math.exp(-4.0 * lam * t)
+    c2, s2 = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
+    e2, e4 = _exp(-2.0 * lam * t), _exp(-4.0 * lam * t)
     inner = ((a - 2.0 * C) * (omega * omega - mu * mu * c2) / W2
              + b * mu * s2 / W
              + 2.0 * r * mu * omega * (1.0 - c2) / (W2 * math.sqrt(1.0 - r * r)))
-    return 0.25 * hbar**2 * (e4 * (1.0 - a * C + C * C) + e2 * C * inner + C * C)
+    sigma = 0.25 * hbar**2 * (e4 * (1.0 - a * C + C * C) + e2 * C * inner + C * C)
+    return np.where(asymptotic, 0.25 * hbar**2 * C * C, sigma)
 
 
 def short_time_uncertainty_determinant(delta: float, r: float, params: OscillatorParams,
@@ -222,10 +260,23 @@ def degree_from_uncertainty(sigma: float, params: OscillatorParams,
                             thermal: ThermalParams, t: float) -> float:
     """Degree of decoherence from the value ``sigma`` of the uncertainty
     function at time t: hbar / (2*sqrt(sigma)), and exactly 1/C at
-    ``t = math.inf``."""
-    if math.isinf(t):
-        return 1.0 / thermal.C
-    return params.hbar / (2.0 * math.sqrt(sigma))
+    ``t = math.inf``.  A batch of one of :func:`degrees_from_uncertainty`."""
+    return float(degrees_from_uncertainty(sigma, params, thermal.C, t))
+
+
+def degrees_from_uncertainty(sigma, params: OscillatorParams, C, t) -> np.ndarray:
+    """:func:`degree_from_uncertainty` broadcast over arrays of sigma, C and t.
+
+    Nodes with ``t = +inf`` take 1/C and ignore sigma; every other node
+    needs sigma > 0.
+    """
+    sigma, C, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (sigma, C, t)))
+    _require_times(t)
+    asymptotic = t == math.inf
+    bad = ~(asymptotic | (sigma > 0.0))
+    if bad.any():
+        raise ParameterError(f"sigma must be > 0, got {sigma[bad][0].item()!r}")
+    return np.where(asymptotic, 1.0 / C, params.hbar / (2.0 * np.sqrt(sigma)))
 
 
 def decoherence_coefficients(state: GaussianState1D) -> DecoherenceCoefficients:
@@ -239,17 +290,20 @@ def decoherence_coefficients(state: GaussianState1D) -> DecoherenceCoefficients:
     return DecoherenceCoefficients(alpha=alpha, beta=beta, gamma=gamma)
 
 
-def density_matrix_element(state: GaussianState1D, x: float, xp: float) -> complex:
+def density_matrix_element(state: GaussianState1D, x, xp):
     """Coordinate-representation matrix element <x| rho |x'>.
 
     Gaussian in the half-sum and difference of (x, x'), with diagonal
     width set by sxx, off-diagonal width by the covariance determinant,
-    and phases carried by sxp and the first moments.
+    and phases carried by sxp and the first moments.  Broadcasts over
+    arrays of x and x' (returning a complex array); scalar arguments
+    return a complex.
     """
     det = state.det
     if det <= 0.0:
         raise StateError(f"covariance determinant must be > 0, got {det!r}")
     hbar, sxx = state.hbar, state.sxx
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     half_sum = 0.5 * (x + xp) - state.mean_x
     diff = x - xp
     prefactor = math.sqrt(1.0 / (2.0 * math.pi * sxx))
@@ -259,17 +313,24 @@ def density_matrix_element(state: GaussianState1D, x: float, xp: float) -> compl
         + 1j * (state.sxp / (hbar * sxx)) * half_sum * diff
         + 1j * state.mean_p * diff / hbar
     )
-    return prefactor * cmath.exp(exponent)
+    value = prefactor * np.exp(exponent)
+    return complex(value) if value.ndim == 0 else value
 
 
 def stationary_density_matrix_element(params: OscillatorParams, thermal: ThermalParams,
-                                      x: float, xp: float) -> float:
-    """Infinite-time thermal matrix element <x| rho(inf) |x'> (real)."""
+                                      x, xp):
+    """Infinite-time thermal matrix element <x| rho(inf) |x'> (real).
+
+    Broadcasts over arrays of x and x' (returning a float array); scalar
+    arguments return a float.
+    """
     mw = params.m * params.omega
     C, hbar = thermal.C, params.hbar
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     pref = math.sqrt(mw / (math.pi * hbar * C))
     expo = -(mw / (4.0 * hbar)) * ((x + xp) ** 2 / C + (x - xp) ** 2 * C)
-    return pref * math.exp(expo)
+    value = pref * _exp(expo)
+    return float(value) if value.ndim == 0 else value
 
 
 def short_time_coherence_coefficient(delta: float, r: float, params: OscillatorParams,

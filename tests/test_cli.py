@@ -155,6 +155,55 @@ class TestDecoGridCommand:
                 for t in t_grid for c in np.linspace(1.5, 9.3, 7).tolist()]
         assert [r["delta_qd"] for r in parse_csv(out)] == want
 
+    def test_negative_t_min_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FIG1)
+        code, out, err = run(capsys, ["deco-grid", "--config", cfg,
+                                      "--t-min", "-1", "--t-max", "3", "--t-steps", "5",
+                                      "--c-min", "2", "--c-max", "4", "--c-steps", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: t must be >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--asymptotic"]])
+    def test_invalid_c_mid_grid_names_the_first_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, flags):
+        failing = {3.0, 4.0}  # C = 2, 3, 4, 5, 6: the second and third fail
+        real = cli.validate_single_mode
+
+        def validate(env, thermal):
+            report = real(env, thermal)
+            if thermal.C in failing:
+                report = type(report)(tuple(type(c)(c.name, False, c.slack)
+                                            for c in report.checks))
+            return report
+
+        monkeypatch.setattr(cli, "validate_single_mode", validate)
+        cfg = write_config(tmp_path, FIG1)
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, ["deco-grid", "--config", cfg, *flags,
+                                      "--out", str(out_path),
+                                      "--c-min", "2", "--c-max", "6", "--c-steps", "5"])
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err == ("invalid thermal coefficients at C=3.0 "
+                       "(rerun with --skip-invalid to keep going)\n")
+
+    def test_asymptotic_skip_invalid_rows(self, tmp_path, capsys):
+        # the per-node text: 1/4 C**2 and exactly 1/C, nan for invalid C
+        cfg = write_config(tmp_path, FIG1)
+        code, out, _ = run(capsys, ["deco-grid", "--config", cfg, "--asymptotic",
+                                    "--skip-invalid",
+                                    "--c-min", "1", "--c-max", "9.3", "--c-steps", "12"])
+        assert code == 0
+        rows = ["t,C,sigma_det,delta_qd,status"]
+        for c in np.linspace(1.0, 9.3, 12).tolist():
+            if (0.2**2 - 0.1**2) * c**2 >= 0.2**2:
+                rows.append(f"inf,{c:.14e},{0.25 * c * c:.14e},{1.0 / c:.14e},ok")
+            else:
+                rows.append(f"inf,{c:.14e},nan,nan,invalid")
+        assert out == "\n".join(rows) + "\n"
+        assert out.count(",invalid\n") == 1
+
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG1)
         argv = ["deco-grid", "--config", cfg,
@@ -432,9 +481,11 @@ class TestCsvTable:
     def test_render_matches_per_value_reference(self):
         rng = random.Random(5)
         table = cli.CsvTable(["a", "b", "c"])
+        rows = []
         for _ in range(500):  # every column mixes types from row to row
-            table.add(*(rng.choice(CELL_VALUES) for _ in range(3)))
-        want = "\n".join(["a,b,c"] + [",".join(_fmt(v) for v in row) for row in table.rows])
+            rows.append(tuple(rng.choice(CELL_VALUES) for _ in range(3)))
+            table.add(*rows[-1])
+        want = "\n".join(["a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows])
         assert table.render() == want + "\n"
 
     def test_add_columns_takes_array_columns(self):
@@ -443,11 +494,52 @@ class TestCsvTable:
         table = cli.CsvTable("abcd")
         table.add_columns(*columns)
         assert len(table.rows) == 3
-        assert table.render() == (
-            "a,b,c,d\n5.00000000000000e-01,true,x,1\n"
-            "-0.00000000000000e+00,false,ok,2\ninf,true,invalid,3\n")
+        text = ("a,b,c,d\n5.00000000000000e-01,true,x,1\n"
+                "-0.00000000000000e+00,false,ok,2\ninf,true,invalid,3\n")
+        assert table.render() == text
         with pytest.raises(ValueError):
             table.add_columns(*columns[:3])
         with pytest.raises(ValueError):
             table.add_columns(*columns[:3], [1, 2])
         assert len(table.rows) == 3
+        assert table.render() == text
+
+    @staticmethod
+    def _columns(rng, n):
+        """Float, bool, object-text and int columns of n rows."""
+        floats = np.array([rng.choice(CELL_VALUES[:13]) for _ in range(n)], dtype=float)
+        return (floats, np.array([rng.random() < 0.5 for _ in range(n)]),
+                np.array([rng.choice(["ok", "invalid", ""]) for _ in range(n)], dtype=object),
+                np.arange(n) - 7)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_blocks_across_the_render_slices(self, n):
+        rng = random.Random(n)
+        columns = self._columns(rng, n)
+        table = cli.CsvTable(["f", "b", "s", "i"])
+        table.add_columns(*columns)
+        rows = list(zip(*(c.tolist() for c in columns)))
+        want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
+        assert table.render() == want + "\n"
+        assert len(table.rows) == n and repr(list(table.rows)) == repr(rows)  # nan != nan
+
+    def test_empty_table_is_the_header_line(self):
+        assert cli.CsvTable(["x", "y"]).render() == "x,y\n"
+        table = cli.CsvTable(["x", "y"])
+        table.add_columns(np.array([]), np.array([], dtype=object))
+        assert table.render() == "x,y\n"
+
+    def test_add_and_add_columns_interleave(self):
+        rng = random.Random(11)
+        table = cli.CsvTable(["f", "b", "s", "i"])
+        rows = []
+        for n in (3, 0, 1500, 1):
+            row = tuple(rng.choice(CELL_VALUES) for _ in range(4))
+            table.add(*row)
+            rows.append(row)
+            columns = self._columns(rng, n)
+            table.add_columns(*columns)
+            rows.extend(zip(*(c.tolist() for c in columns)))
+        want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
+        assert table.render() == want + "\n"
+        assert len(table.rows) == len(rows)

@@ -1,5 +1,6 @@
 """Tests for one-mode dynamics, decoherence measures, and time scales."""
 
+import cmath
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from lindosc.single_mode import (
     decoherence_coefficients,
     decoherence_degree,
     decoherence_time,
+    degree_from_uncertainty,
+    degrees_from_uncertainty,
     density_matrix_element,
     drift_matrix,
     moment_propagator,
@@ -33,6 +36,7 @@ from lindosc.single_mode import (
     stationary_density_matrix_element,
     thermal_fluctuation_time,
     uncertainty_determinant,
+    uncertainty_determinants,
 )
 
 from . import oracles
@@ -235,6 +239,119 @@ class TestDecoherenceDegree:
         assert q20 < q5 < q1 < 1.0
 
 
+def _sigma_per_node(delta, r, params, C, t):
+    """The closed form for one node with the math module, as the scalar
+    evaluator computed it before the arrays-first kernel."""
+    if t == math.inf:
+        return 0.25 * params.hbar**2 * C * C
+    lam, mu, omega = params.lam, params.mu, params.omega
+    W = params.effective_frequency
+    W2 = W * W
+    a = delta + 1.0 / (delta * (1.0 - r * r))
+    b = delta - 1.0 / (delta * (1.0 - r * r))
+    c2, s2 = math.cos(2.0 * W * t), math.sin(2.0 * W * t)
+    e2, e4 = math.exp(-2.0 * lam * t), math.exp(-4.0 * lam * t)
+    inner = ((a - 2.0 * C) * (omega * omega - mu * mu * c2) / W2
+             + b * mu * s2 / W
+             + 2.0 * r * mu * omega * (1.0 - c2) / (W2 * math.sqrt(1.0 - r * r)))
+    return 0.25 * params.hbar**2 * (e4 * (1.0 - a * C + C * C) + e2 * C * inner + C * C)
+
+
+class TestUncertaintyDeterminants:
+    PARAMS = OscillatorParams(lam=0.2, mu=0.12, m=0.7, omega=1.3, hbar=0.9)
+    C = np.geomspace(1.0, 1e3, 37)
+    T = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 40), [math.inf]])
+
+    def test_matches_per_node_closed_form(self):
+        t, C = np.meshgrid(self.T, self.C, indexing="ij")
+        for delta, r in ((3.0, 0.4), (0.7, -0.65)):
+            got = uncertainty_determinants(delta, r, self.PARAMS, C, t)
+            want = [[_sigma_per_node(delta, r, self.PARAMS, c, tt) for c in self.C.tolist()]
+                    for tt in self.T.tolist()]
+            # exp, cos and sin round as the C library's: the same digits, not just close
+            np.testing.assert_array_equal(got, want)
+
+    def test_scalar_call_is_a_batch_of_one(self):
+        got = uncertainty_determinants(3.0, 0.4, self.PARAMS, self.C[None, :], self.T[:, None])
+        for i, t in enumerate(self.T.tolist()):
+            for j in (0, 17, 36):
+                value = uncertainty_determinant(3.0, 0.4, self.PARAMS,
+                                                ThermalParams(C=float(self.C[j])), t)
+                assert type(value) is float and value == got[i, j]
+
+    def test_t_zero_is_minimum_uncertainty(self):
+        for delta, r in ((3.0, 0.4), (0.7, -0.65), (1.0, 0.0)):
+            sigma = uncertainty_determinants(delta, r, self.PARAMS, self.C, 0.0)
+            # terms of size C**2 cancel, so the rounding grows like C**2
+            np.testing.assert_allclose(sigma / (0.25 * self.PARAMS.hbar**2), 1.0,
+                                       rtol=0.0, atol=1e-14 * self.C.max()**2)
+        sigma = uncertainty_determinants(3.0, 0.4, self.PARAMS, 1.0, 0.0)
+        assert sigma == pytest.approx(0.25 * self.PARAMS.hbar**2, rel=1e-15)
+
+    def test_asymptotic_nodes_are_exact(self):
+        sigma = uncertainty_determinants(3.0, 0.4, self.PARAMS, self.C, math.inf)
+        assert np.array_equal(sigma, 0.25 * self.PARAMS.hbar**2 * self.C * self.C)
+
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan])
+    def test_rejects_negative_and_nonfinite_t(self, bad):
+        t = np.array([0.0, 2.0, bad, math.inf, -3.0])
+        with pytest.raises(ParameterError, match=f"t must be >= 0, got {bad!r}"):
+            uncertainty_determinants(3.0, 0.4, self.PARAMS, 2.0, t)
+
+    def test_domain_checked_once_even_without_nodes(self):
+        with pytest.raises(ParameterError, match="lam > mu"):
+            uncertainty_determinants(4.0, 0.0, OscillatorParams(lam=0.2, mu=0.25),
+                                     np.array([]), np.array([]))
+
+
+class TestDegreesFromUncertainty:
+    def test_matches_per_node_formula(self):
+        sigma = np.array([0.25, 1.0, 7.3, 0.3])
+        C = np.array([2.0, 3.0, 4.0, 5.0])
+        t = np.array([0.0, 1.0, 2.0, math.inf])
+        got = degrees_from_uncertainty(sigma, FIG_PARAMS, C, t)
+        assert got.tolist() == [1.0 / (2.0 * math.sqrt(0.25)), 1.0 / (2.0 * math.sqrt(1.0)),
+                                1.0 / (2.0 * math.sqrt(7.3)), 1.0 / 5.0]
+        assert degree_from_uncertainty(7.3, FIG_PARAMS, ThermalParams(C=4.0), 2.0) == got[2]
+
+    def test_rejects_nonpositive_sigma_at_finite_t(self):
+        with pytest.raises(ParameterError, match="sigma must be > 0"):
+            degrees_from_uncertainty(np.array([0.25, 0.0]), FIG_PARAMS, 2.0, 1.0)
+        # sigma is not used at t = inf
+        assert degrees_from_uncertainty(math.nan, FIG_PARAMS, 4.0, math.inf) == 0.25
+
+
+class TestNegativeInfinityIsNotAsymptotic:
+    """Only t = +inf selects the asymptotic branch; -inf and nan are rejected."""
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_scalar_evaluators_raise(self, bad):
+        th = ThermalParams(C=2.0)
+        with pytest.raises(ParameterError, match="t must be >= 0"):
+            uncertainty_determinant(4.0, 0.0, FIG_PARAMS, th, bad)
+        with pytest.raises(ParameterError, match="t must be >= 0"):
+            decoherence_degree(4.0, 0.0, FIG_PARAMS, th, bad)
+        with pytest.raises(ParameterError, match="t must be >= 0"):
+            degree_from_uncertainty(1.0, FIG_PARAMS, th, bad)
+
+    def test_plus_inf_still_asymptotic(self):
+        th = ThermalParams(C=2.0)
+        assert uncertainty_determinant(4.0, 0.0, FIG_PARAMS, th, math.inf) == 1.0
+        assert decoherence_degree(4.0, 0.0, FIG_PARAMS, th, math.inf) == 0.5
+
+
+def _density_per_node(state, x, xp):
+    """<x|rho|x'> for one node with cmath, as the scalar evaluator computed it."""
+    hbar, sxx, det = state.hbar, state.sxx, state.det
+    half_sum = 0.5 * (x + xp) - state.mean_x
+    diff = x - xp
+    exponent = (-half_sum * half_sum / (2.0 * sxx)
+                - det * diff * diff / (2.0 * hbar**2 * sxx)
+                + 1j * (state.sxp / (hbar * sxx)) * half_sum * diff
+                + 1j * state.mean_p * diff / hbar)
+    return math.sqrt(1.0 / (2.0 * math.pi * sxx)) * cmath.exp(exponent)
+
+
 class TestDensityMatrixElement:
     def test_coherent_state_origin(self):
         state = correlated_coherent_state(1.0, 0.0, OscillatorParams(lam=0.2))
@@ -278,6 +395,19 @@ class TestDensityMatrixElement:
             )
             assert density_matrix_element(state, x, xp) == pytest.approx(complex(expected), rel=1e-12)
 
+    def test_broadcasts_over_grids_like_per_node_calls(self):
+        state = propagate_moments(
+            correlated_coherent_state(4.0, 0.3, FIG_PARAMS, x0=0.7, p0=-0.4),
+            gibbs_coefficients(FIG_PARAMS, ThermalParams(C=2.0)), FIG_PARAMS, 1.5)
+        grid = np.linspace(-5.0, 5.0, 61)
+        x, xp = np.meshgrid(grid, grid, indexing="ij")
+        got = density_matrix_element(state, x, xp)
+        assert got.shape == x.shape and got.dtype == complex
+        want = [[_density_per_node(state, a, b) for b in grid.tolist()] for a in grid.tolist()]
+        np.testing.assert_array_equal(got, want)  # the same digits as the cmath route
+        scalar = density_matrix_element(state, 0.5, -1.25)
+        assert type(scalar) is complex and scalar == _density_per_node(state, 0.5, -1.25)
+
     def test_rejects_nonpositive_determinant(self):
         bad = GaussianState1D(sxx=0.5, sxp=1.0, spp=0.5)
         with pytest.raises(StateError):
@@ -301,6 +431,20 @@ class TestStationaryDensityMatrix:
             assert general.imag == pytest.approx(0.0, abs=1e-15)
             assert general.real == pytest.approx(
                 stationary_density_matrix_element(params, th, x, xp), rel=1e-12)
+
+    def test_broadcasts_over_grids_like_per_node_calls(self):
+        params, th = OscillatorParams(lam=0.2, mu=0.1, m=0.8, omega=1.2), ThermalParams(C=3.5)
+        grid = np.linspace(-5.0, 5.0, 61)
+        got = stationary_density_matrix_element(params, th, grid[:, None], grid[None, :])
+        assert got.shape == (61, 61)
+        mw = params.m * params.omega
+        want = [[math.sqrt(mw / (math.pi * th.C)) * math.exp(
+                    -(mw / 4.0) * ((a + b) ** 2 / th.C + (a - b) ** 2 * th.C))
+                 for b in grid.tolist()] for a in grid.tolist()]
+        # numpy squares with one rounding where ** 2 on a float calls pow()
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        scalar = stationary_density_matrix_element(params, th, grid[7], grid[50])
+        assert type(scalar) is float and scalar == got[7, 50]
 
     def test_offdiagonal_decay_ratio(self):
         params = OscillatorParams(lam=0.2, mu=0.1)
