@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import single_mode
+from . import lyapunov, single_mode
 from .config import RunConfig, load_config
 from .core import (
     NODE_BLOCK,
@@ -29,7 +29,6 @@ from .core import (
     validate_two_mode,
 )
 from .errors import ConfigError, LindoscError, ParameterError
-from .lyapunov import residual as lyapunov_residual
 from .separability import (
     is_separable,
     scan_separability,
@@ -37,11 +36,11 @@ from .separability import (
     simon_score_closed_form,
 )
 from .two_mode import (
+    _block_diagonal,
     det_cross_block,
     diffusion_matrix,
     drift_matrix,
     propagate_covariance,
-    steady_covariance,
 )
 
 EXIT_OK = 0
@@ -305,8 +304,8 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
     _warn_env_validity(env)
     Y = drift_matrix(params)
     D = diffusion_matrix(env)
-    s_inf = steady_covariance(Y, D)
-    resid = lyapunov_residual(Y, s_inf, D)
+    s_inf = lyapunov.steady_covariance(Y, D)
+    resid = lyapunov.residual(Y, s_inf, D)
     score = simon_score(s_inf)
     verdict = is_separable(s_inf).verdict
     det_c = det_cross_block(env, params)
@@ -350,10 +349,7 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     )
     state1 = correlated_coherent_state(initial.delta, initial.r, params,
                                        x0=initial.x0, p0=initial.p0)
-    block = state1.covariance()
-    sigma0 = np.zeros((4, 4))
-    sigma0[:2, :2] = block
-    sigma0[2:, 2:] = block
+    sigma0 = _block_diagonal(state1.covariance())
 
     table = CsvTable(["t"] + [name for name, _, _ in COV_ENTRIES] + ["simon_score"])
     cov_i, cov_j = [i for _, i, _ in COV_ENTRIES], [j for _, _, j in COV_ENTRIES]

@@ -34,7 +34,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import OscillatorParams, ThermalParams, TwoModeEnvironment
+from .core import (OscillatorParams, ThermalParams, TwoModeEnvironment,
+                   require_coherent_state_params)
 from .errors import ConfigError
 
 __all__ = ["InitialConditions", "RunConfig", "load_config"]
@@ -59,6 +60,9 @@ class InitialConditions:
     r: float
     x0: float = 0.0
     p0: float = 0.0
+
+    def __post_init__(self):
+        require_coherent_state_params(self.delta, self.r)
 
 
 @dataclass(frozen=True)

@@ -398,6 +398,14 @@ def validate_two_mode(env: TwoModeEnvironment, hbar: float = 1.0) -> ValidationR
                                   for name, ok, value in zip(GRAM_CHECKS, passed, slack)))
 
 
+def require_coherent_state_params(delta: float, r: float):
+    """Require a finite squeezing delta > 0 and a finite correlation |r| < 1."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ParameterError(f"delta must be > 0, got {delta!r}")
+    if not (math.isfinite(r) and abs(r) < 1.0):
+        raise ParameterError(f"correlation r must satisfy |r| < 1, got {r!r}")
+
+
 def correlated_coherent_state(delta: float, r: float, params: OscillatorParams,
                               x0: float = 0.0, p0: float = 0.0) -> GaussianState1D:
     """Minimum-uncertainty Gaussian with squeezing ``delta`` and correlation ``r``.
@@ -409,10 +417,7 @@ def correlated_coherent_state(delta: float, r: float, params: OscillatorParams,
     The covariance determinant equals hbar**2/4 identically; delta = 1 and
     r = 0 give the ordinary (Glauber) coherent state.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ParameterError(f"delta must be > 0, got {delta!r}")
-    if not (math.isfinite(r) and abs(r) < 1.0):
-        raise ParameterError(f"correlation r must satisfy |r| < 1, got {r!r}")
+    require_coherent_state_params(delta, r)
     hbar, m, omega = params.hbar, params.m, params.omega
     return GaussianState1D(
         sxx=hbar * delta / (2.0 * m * omega),

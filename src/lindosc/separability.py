@@ -38,7 +38,9 @@ from .core import (  # noqa: F401
 )
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 from .two_mode import (
+    J,
     require_covariance4,
+    require_hbar_one,
     require_matching_lam,
     scalar_or_array,
     steady_covariance_symmetric,
@@ -62,8 +64,6 @@ BOUNDARY_ATOL = 1e-12
 #: Scan points closer than this (relative to the window scale) to a window
 #: endpoint are reported as boundary-indeterminate.
 ENDPOINT_MARGIN = 1e-9
-
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def simon_score(sigma: np.ndarray):
     blocks = block_decompose(sigma)
     A, B, C = blocks.A, blocks.B, blocks.C
     det_a, det_b, det_c = np.linalg.det(A), np.linalg.det(B), np.linalg.det(C)
-    chain = A @ _J @ C @ _J @ B @ _J @ np.swapaxes(C, -1, -2) @ _J
+    chain = A @ J @ C @ J @ B @ J @ np.swapaxes(C, -1, -2) @ J
     cross = np.trace(chain, axis1=-2, axis2=-1)
     score = det_a * det_b + (0.25 - np.abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
     return scalar_or_array(score)
@@ -178,8 +178,7 @@ def simon_score_closed_form(env: TwoModeEnvironment, params: OscillatorParams) -
     Matches :func:`simon_score` of the asymptotic covariance whenever the
     cross-block determinant is <= 0 (always the case for Dxy = 0).
     """
-    if params.hbar != 1.0:
-        raise ParameterError(f"separability analysis requires hbar = 1, got {params.hbar!r}")
+    require_hbar_one(params)
     require_matching_lam(env, params)
     _require_special_family(env, params)
     m, w, lam = params.m, params.omega, params.lam
@@ -205,8 +204,7 @@ def entanglement_window(Dxx: float, params: OscillatorParams) -> tuple[float, fl
     bound on the asymptotic state).  ``Dxx`` may be an array, giving
     arrays of endpoints.
     """
-    if params.hbar != 1.0:
-        raise ParameterError(f"separability analysis requires hbar = 1, got {params.hbar!r}")
+    require_hbar_one(params)
     ratio = _window_ratio(Dxx, params)
     if np.any(ratio < 0.5):
         low = float(np.min(ratio))
@@ -232,8 +230,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     window endpoint ("boundary-indeterminate").  A node status never
     aborts the scan.
     """
-    if params.hbar != 1.0:
-        raise ParameterError(f"separability analysis requires hbar = 1, got {params.hbar!r}")
+    require_hbar_one(params)
     require_matching_lam(env_template, params)
     dxx_values = np.asarray(dxx_values, dtype=float).ravel()
     dxpy_values = np.asarray(dxpy_values, dtype=float).ravel()

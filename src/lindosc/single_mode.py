@@ -14,7 +14,8 @@ exp(-lam*t) * (cos(W*t)*I + sin(W*t)/W * B) with B = Y + lam*I and
 W = sqrt(omega**2 - mu**2).  The infinite-time state is the solution of
 the Lyapunov equation Y S + S Y^T = -2 D.
 
-The closed forms take arrays first: :func:`uncertainty_determinants` and
+The closed forms take arrays first: :func:`moment_propagator` takes an
+array of t, :func:`uncertainty_determinants` and
 :func:`degrees_from_uncertainty` broadcast over arrays of C and t, and
 :func:`density_matrix_element` and :func:`stationary_density_matrix_element`
 over arrays of (x, x').  The scalar calls are batches of one.
@@ -40,6 +41,7 @@ from .core import (
     OscillatorParams,
     SingleModeEnv,
     ThermalParams,
+    require_coherent_state_params,
     validate_single_mode,
 )
 from .errors import ParameterError, StateError
@@ -48,6 +50,7 @@ __all__ = [
     "DecoherenceCoefficients",
     "drift_matrix",
     "moment_propagator",
+    "relaxed_covariance",
     "propagate_moments",
     "asymptotic_state",
     "uncertainty_determinant",
@@ -96,18 +99,30 @@ def drift_matrix(params: OscillatorParams) -> np.ndarray:
     ])
 
 
-def moment_propagator(params: OscillatorParams, t: float) -> np.ndarray:
-    """Closed-form propagator exp(t*Y) of the moment equations."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ParameterError(f"t must be finite and >= 0, got {t!r}")
+def moment_propagator(params: OscillatorParams, t) -> np.ndarray:
+    """Closed-form propagator exp(t*Y) of the moment equations; an array
+    ``t`` of finite times >= 0 gives shape t.shape + (2, 2)."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t >= 0.0)
+    if not ok.all():
+        raise ParameterError(f"t must be finite and >= 0, got {t[~ok][0].item()!r}")
     W = params.effective_frequency
+    # B = Y + lam*I written out: adding lam back to the drift's diagonal rounds mu.
     B = np.array([
         [params.mu, 1.0 / params.m],
         [-params.m * params.omega**2, -params.mu],
     ])
-    return math.exp(-params.lam * t) * (
-        math.cos(W * t) * np.eye(2) + (math.sin(W * t) / W) * B
-    )
+    decay = _exp(-params.lam * t)[..., None, None]
+    cos = np.cos(W * t)[..., None, None]
+    sin = (np.sin(W * t) / W)[..., None, None]
+    return decay * (cos * np.eye(2) + sin * B)
+
+
+def relaxed_covariance(M: np.ndarray, s0: np.ndarray, s_inf: np.ndarray) -> np.ndarray:
+    """Covariance M (s0 - s_inf) M^T + s_inf, symmetrized, at the propagator
+    M = exp(t*Y), or at each of a stack (..., n, n) of them."""
+    s = M @ (s0 - s_inf) @ np.swapaxes(M, -1, -2) + s_inf
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def _require_env_matches(env: SingleModeEnv, params: OscillatorParams):
@@ -154,10 +169,7 @@ def propagate_moments(state0: GaussianState1D, env: SingleModeEnv,
     M = moment_propagator(params, t)
     Y = drift_matrix(params)
     D = np.array([[env.Dxx, env.Dxp], [env.Dxp, env.Dpp]])
-    s_inf = lyapunov.steady_covariance(Y, D)
-    s0 = state0.covariance()
-    s = M @ (s0 - s_inf) @ M.T + s_inf
-    s = 0.5 * (s + s.T)
+    s = relaxed_covariance(M, state0.covariance(), lyapunov.steady_covariance(Y, D))
     mean = M @ np.array([state0.mean_x, state0.mean_p])
     return GaussianState1D(sxx=float(s[0, 0]), sxp=float(s[0, 1]), spp=float(s[1, 1]),
                            mean_x=float(mean[0]), mean_p=float(mean[1]),
@@ -167,10 +179,7 @@ def propagate_moments(state0: GaussianState1D, env: SingleModeEnv,
 def _require_closed_form_domain(delta: float, r: float, params: OscillatorParams):
     if params.lam <= params.mu:
         raise ParameterError(f"need lam > mu, got lam={params.lam}, mu={params.mu}")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ParameterError(f"delta must be > 0, got {delta!r}")
-    if not (math.isfinite(r) and abs(r) < 1.0):
-        raise ParameterError(f"correlation r must satisfy |r| < 1, got {r!r}")
+    require_coherent_state_params(delta, r)
     params.effective_frequency  # rejects omega <= |mu|
 
 

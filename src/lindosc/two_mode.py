@@ -7,16 +7,17 @@ canonical ordering (x, p_x, y, p_y), which evolves as
 
     dS/dt = Y S + S Y^T + 2 D,
 
-with a block-diagonal drift Y (two copies of [[-lam, 1/m],
-[-m*omega**2, -lam]]; the single-mode friction asymmetry mu has no place
-in this model) and the symmetric diffusion matrix D of the environment
-coefficients.  The exact solution is
+with a block-diagonal drift Y (two copies of the drift of
+:mod:`lindosc.single_mode` at mu = 0; the single-mode friction asymmetry
+mu has no place in this model) and the symmetric diffusion matrix D of
+the environment coefficients.  The exact solution is
 
     S(t) = M(t) (S(0) - S_inf) M(t)^T + S_inf,   M(t) = exp(t*Y),
 
-where S_inf solves the Lyapunov equation Y S + S Y^T = -2 D.  For
-mirror-symmetric environments every entry of S_inf also has a closed
-form, which doubles as an independent cross-check of the Lyapunov route.
+where S_inf solves the Lyapunov equation Y S + S Y^T = -2 D.  M(t) and
+the relaxation step are single_mode's.  For mirror-symmetric environments
+every entry of S_inf also has a closed form, which doubles as an
+independent cross-check of the Lyapunov route.
 
 The kernels take arrays first: :func:`propagator` and
 :func:`propagate_covariance` accept an array of times and return one 4x4
@@ -33,10 +34,11 @@ it is normalized that way).
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from . import lyapunov
+from . import lyapunov, single_mode
 from .core import OscillatorParams, TwoModeEnvironment, stack_matrices
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 
@@ -44,20 +46,23 @@ __all__ = [
     "drift_matrix",
     "diffusion_matrix",
     "propagator",
-    "steady_covariance",
     "steady_covariance_closed_form",
     "steady_covariance_symmetric",
     "propagate_covariance",
     "det_cross_block",
     "physicality_min_eigenvalue",
     "require_covariance4",
+    "require_hbar_one",
     "require_matching_lam",
 ]
 
 SYMMETRY_ATOL = 1e-12
 
+#: The 2x2 symplectic form; its block diagonal is the two-mode form Omega.
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-def _require_hbar_one(params: OscillatorParams):
+
+def require_hbar_one(params: OscillatorParams):
     if params.hbar != 1.0:
         raise ParameterError(
             f"two-mode operations are normalized to hbar = 1, got hbar={params.hbar!r}"
@@ -97,16 +102,13 @@ def _block_diagonal(block: np.ndarray) -> np.ndarray:
 
 
 def _drift(params: OscillatorParams) -> np.ndarray:
-    return _block_diagonal(np.array([
-        [-params.lam, 1.0 / params.m],
-        [-params.m * params.omega**2, -params.lam],
-    ]))
+    return _block_diagonal(single_mode.drift_matrix(replace(params, mu=0.0)))
 
 
 def drift_matrix(params: OscillatorParams) -> np.ndarray:
     """Block-diagonal 4x4 drift; eigenvalues -lam +/- i*omega, twice."""
     _warn_mu_ignored(params)
-    _require_hbar_one(params)
+    require_hbar_one(params)
     return _drift(params)
 
 
@@ -127,28 +129,15 @@ def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
 
 
 def propagator(params: OscillatorParams, t) -> np.ndarray:
-    """Closed-form M(t) = exp(t*Y), per 2x2 block
+    """Closed-form M(t) = exp(t*Y): :func:`single_mode.moment_propagator` at
+    mu = 0 on both diagonal blocks, each
     exp(-lam*t) * (cos(omega*t)*I + sin(omega*t)/omega * [[0, 1/m], [-m*omega**2, 0]]).
 
     ``t`` may be an array of times; the result then has shape t.shape + (4, 4).
     """
-    _require_hbar_one(params)
+    require_hbar_one(params)
     _warn_mu_ignored(params)
-    t = np.asarray(t, dtype=float)
-    ok = np.isfinite(t) & (t >= 0.0)
-    if not ok.all():
-        raise ParameterError(f"t must be finite and >= 0, got {float(t[~ok].flat[0])!r}")
-    m, omega = params.m, params.omega
-    rot = np.array([[0.0, 1.0 / m], [-m * omega**2, 0.0]])
-    decay = np.exp(-params.lam * t)[..., None, None]
-    cos = np.cos(omega * t)[..., None, None]
-    sin = (np.sin(omega * t) / omega)[..., None, None]
-    return _block_diagonal(decay * (cos * np.eye(2) + sin * rot))
-
-
-def steady_covariance(Y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance from the Lyapunov equation Y S + S Y^T = -2 D."""
-    return lyapunov.steady_covariance(Y, D)
+    return _block_diagonal(single_mode.moment_propagator(replace(params, mu=0.0), t))
 
 
 def _require_symmetric_env(env: TwoModeEnvironment):
@@ -173,7 +162,7 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
     Checks the environment and evaluates :func:`steady_covariance_symmetric`
     on its coefficients.
     """
-    _require_hbar_one(params)
+    require_hbar_one(params)
     _require_symmetric_env(env)
     require_matching_lam(env, params)
     return steady_covariance_symmetric(env.Dxx, env.Dxpx, env.Dpxpx,
@@ -230,9 +219,8 @@ def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
     sigma0 = require_covariance4(sigma0)
     require_matching_lam(env, params)
     M = propagator(params, t)
-    s_inf = steady_covariance(_drift(params), diffusion_matrix(env))
-    s = M @ (sigma0 - s_inf) @ np.swapaxes(M, -1, -2) + s_inf
-    return 0.5 * (s + np.swapaxes(s, -1, -2))
+    s_inf = lyapunov.steady_covariance(_drift(params), diffusion_matrix(env))
+    return single_mode.relaxed_covariance(M, sigma0, s_inf)
 
 
 def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
@@ -243,7 +231,7 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
 
     Negative values are the precondition for asymptotic entanglement.
     """
-    _require_hbar_one(params)
+    require_hbar_one(params)
     _require_symmetric_env(env)
     require_matching_lam(env, params)
     m, w, lam = params.m, params.omega, params.lam
@@ -263,8 +251,7 @@ def physicality_min_eigenvalue(sigma: np.ndarray):
     A float for one 4x4 matrix, an (N,) array for an (N, 4, 4) stack.
     """
     sigma = require_covariance4(sigma)
-    Omega = _block_diagonal(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    return scalar_or_array(np.linalg.eigvalsh(sigma + 0.5j * Omega)[..., 0])
+    return scalar_or_array(np.linalg.eigvalsh(sigma + 0.5j * _block_diagonal(J))[..., 0])
 
 
 def scalar_or_array(values: np.ndarray):

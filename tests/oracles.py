@@ -199,3 +199,18 @@ def random_special_family_env(rng, m=1.0, omega=1.0, require_detc_nonpos=True):
             Dxx=Dxx, Dxpx=0.0, Dpxpx=mw * mw * Dxx,
             Dxy=Dxy, Dxpy=Dxpy, Dpxpy=mw * mw * Dxy, lam=lam,
         )
+
+
+def random_two_mode_env(rng):
+    """Environment with all ten coefficients drawn independently.
+
+    Outside the mirror-symmetric family: the one-mode blocks differ and
+    Dxpy != Dypx.  Positivity is not imposed; the Lyapunov solve and the
+    propagation need only a Hurwitz drift.
+    """
+    lam = rng.uniform(0.05, 0.5)
+    Dxx, Dpxpx, Dyy, Dpypy = rng.uniform(0.05, 2.0, 4)
+    Dxpx, Dypy, Dxy, Dxpy, Dypx, Dpxpy = rng.uniform(-1.0, 1.0, 6)
+    return TwoModeEnvironment(Dxx=Dxx, Dxpx=Dxpx, Dpxpx=Dpxpx, Dyy=Dyy, Dypy=Dypy,
+                              Dpypy=Dpypy, Dxy=Dxy, Dxpy=Dxpy, Dypx=Dypx, Dpxpy=Dpxpy,
+                              lam=lam)

@@ -26,13 +26,13 @@ from lindosc.single_mode import (
     uncertainty_determinant,
 )
 from lindosc.separability import simon_score, simon_score_closed_form
+from lindosc.lyapunov import steady_covariance
 from lindosc.two_mode import (
     det_cross_block,
     diffusion_matrix,
     drift_matrix,
     propagate_covariance,
     propagator,
-    steady_covariance,
     steady_covariance_closed_form,
 )
 

@@ -117,6 +117,21 @@ class TestDecoGridCommand:
         assert code == 2
         assert "C=1.0" in err
 
+    @pytest.mark.parametrize("initial,message", [
+        ({"delta": -4.0, "r": 0.0}, "delta must be > 0, got -4.0"),
+        ({"delta": 4.0, "r": 1.0}, "correlation r must satisfy |r| < 1, got 1.0"),
+    ])
+    def test_invalid_initial_section_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                 initial, message):
+        # every C node fails validation, so no node evaluation would reject it
+        cfg = write_config(tmp_path, dict(FIG1, initial=initial))
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(capsys, ["deco-grid", "--config", cfg, "--skip-invalid",
+                                         "--c-min", "1", "--c-max", "1.1", "--out", str(out)])
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == "" and not out.exists()
+
     def test_skip_invalid_marks_nodes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG1)
         code, out, _ = run(capsys, ["deco-grid", "--config", cfg, "--skip-invalid",

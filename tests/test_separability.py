@@ -23,11 +23,11 @@ from lindosc.separability import (
     simon_score_closed_form,
 )
 from lindosc import validate_two_mode
+from lindosc.lyapunov import steady_covariance
 from lindosc.two_mode import (
     det_cross_block,
     diffusion_matrix,
     drift_matrix,
-    steady_covariance,
     steady_covariance_closed_form,
 )
 

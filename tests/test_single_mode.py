@@ -90,6 +90,21 @@ class TestMomentPropagator:
         with pytest.raises(ParameterError):
             moment_propagator(FIG_PARAMS, math.inf)
 
+    def test_time_array_matches_per_time_calls(self):
+        p = OscillatorParams(lam=0.3, mu=0.17, m=1.7, omega=0.8)
+        times = np.concatenate([[0.0], np.random.default_rng(5).uniform(0.0, 40.0, 60)])
+        batch = moment_propagator(p, times)
+        assert batch.shape == (61, 2, 2)
+        for t, M in zip(times, batch):
+            np.testing.assert_array_equal(M, moment_propagator(p, float(t)))
+        assert moment_propagator(p, times.reshape(61, 1)).shape == (61, 1, 2, 2)
+
+    @pytest.mark.parametrize("bad", [-0.5, -math.inf, math.nan])
+    def test_time_array_names_the_first_bad_time(self, bad):
+        times = np.array([0.0, 1.0, bad, -2.0, math.inf])
+        with pytest.raises(ParameterError, match=f"t must be finite and >= 0, got {bad!r}$"):
+            moment_propagator(FIG_PARAMS, times)
+
 
 class TestPropagateMoments:
     def test_t_zero_is_identity(self):

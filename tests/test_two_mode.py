@@ -1,6 +1,7 @@
 """Tests for two-oscillator covariance dynamics and asymptotics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from lindosc import (
     correlated_coherent_state,
 )
 from lindosc import lyapunov
+from lindosc.lyapunov import steady_covariance
+from lindosc.single_mode import moment_propagator
 from lindosc.two_mode import (
     det_cross_block,
     diffusion_matrix,
@@ -23,7 +26,6 @@ from lindosc.two_mode import (
     physicality_min_eigenvalue,
     propagate_covariance,
     propagator,
-    steady_covariance,
     steady_covariance_closed_form,
 )
 
@@ -114,6 +116,16 @@ class TestPropagator:
             M = propagator(p, float(t))
             assert np.abs(M).max() <= bound * math.exp(-p.lam * t) * (1.0 + 1e-12)
         assert np.abs(propagator(p, 200.0)).max() < 1e-17
+
+    def test_block_diagonal_of_one_mode_propagator(self):
+        p = OscillatorParams(lam=0.3, mu=0.17, m=1.7, omega=0.8)
+        times = np.linspace(0.0, 40.0, 81)
+        with pytest.warns(UserWarning, match="mu is ignored"):
+            M = propagator(p, times)
+        block = moment_propagator(replace(p, mu=0.0), times)
+        np.testing.assert_array_equal(M[:, :2, :2], block)
+        np.testing.assert_array_equal(M[:, 2:, 2:], block)
+        assert not M[:, :2, 2:].any() and not M[:, 2:, :2].any()
 
     def test_rejects_negative_t(self):
         with pytest.raises(ParameterError):
@@ -268,6 +280,42 @@ class TestPropagateCovariance:
                 lambda t: propagate_covariance(sigma0, WINDOW_ENV, PARAMS, t), times))
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
+
+
+#: Exchanges the two oscillators: (x, p_x, y, p_y) -> (y, p_y, x, p_x).
+SWAP = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                 [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+class TestAsymmetricEnvironments:
+    """Environments with unequal one-mode blocks and Dxpy != Dypx."""
+
+    def test_steady_covariance_matches_scipy(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            env = oracles.random_two_mode_env(rng)
+            p = OscillatorParams(lam=env.lam, m=rng.uniform(0.5, 2.0), omega=rng.uniform(0.5, 2.0))
+            Y, D = drift_matrix(p), diffusion_matrix(env)
+            S = steady_covariance(Y, D)
+            ref = scipy.linalg.solve_continuous_lyapunov(Y, -2.0 * D)
+            assert np.abs(S - ref).max() <= 1e-13 * np.abs(S).max()
+
+    def test_mode_swap_law(self):
+        rng = np.random.default_rng(32)
+        times = np.linspace(0.0, 30.0, 31)
+        for _ in range(50):
+            env = oracles.random_two_mode_env(rng)
+            p = OscillatorParams(lam=env.lam, m=rng.uniform(0.5, 2.0), omega=rng.uniform(0.5, 2.0))
+            S = steady_covariance(drift_matrix(p), diffusion_matrix(env))
+            S_swapped = steady_covariance(drift_matrix(p), diffusion_matrix(env.swapped()))
+            assert np.abs(S_swapped - SWAP @ S @ SWAP.T).max() <= 1e-13 * np.abs(S).max()
+
+            A = rng.uniform(-1.0, 1.0, (4, 4))
+            sigma0 = A @ A.T + np.eye(4)
+            sigmas = propagate_covariance(sigma0, env, p, times)
+            swapped = propagate_covariance(SWAP @ sigma0 @ SWAP.T, env.swapped(), p, times)
+            gap = np.abs(swapped - SWAP @ sigmas @ SWAP.T).max(axis=(1, 2))
+            assert (gap <= 1e-13 * np.abs(sigmas).max(axis=(1, 2))).all()
 
 
 class TestDetCrossBlock:
