@@ -19,7 +19,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import lyapunov, single_mode
-from .config import RunConfig, load_config
+from .config import SECTIONS, RunConfig, load_config
 from .core import (
     NODE_BLOCK,
     ThermalParams,
@@ -137,18 +137,22 @@ class CsvTable:
 
 
 def _emit(text: str, out_path):
+    try:
+        target = open(out_path, "w", newline="\n") if out_path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
     # Written in slices: encoding the whole text at once would hold a second
     # full copy of it, as bytes, at the command's peak memory.
-    with open(out_path, "w", newline="\n") if out_path else nullcontext(sys.stdout) as fh:
+    with target as fh:
         for start in range(0, len(text), 1 << 16):
             fh.write(text[start:start + (1 << 16)])
 
 
-def _grid_setting(cfg: RunConfig, section: str, key: str, flag_value, default):
-    """Precedence: CLI flag, then config grid section, then built-in default."""
-    if flag_value is not None:
-        return flag_value
-    return cfg.grids.get(section, {}).get(key, default)
+def _grid(cfg: RunConfig, args, section: str) -> dict:
+    """A grid section's settings: a given flag wins, then the config, then SECTIONS."""
+    values = cfg.grids.get(section, SECTIONS[section])
+    return {key: value if getattr(args, key) is None else getattr(args, key)
+            for key, value in values.items()}
 
 
 def _linspace(lo: float, hi: float, steps, what: str) -> np.ndarray:
@@ -186,21 +190,12 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 def cmd_deco_grid(cfg: RunConfig, args) -> int:
     initial = cfg.require("initial", "deco-grid")
     params = cfg.oscillator
-    c_grid = _linspace(
-        _grid_setting(cfg, "deco_grid", "c_min", args.c_min, 1.0),
-        _grid_setting(cfg, "deco_grid", "c_max", args.c_max, 10.0),
-        _grid_setting(cfg, "deco_grid", "c_steps", args.c_steps, 10),
-        "C grid",
-    )
+    grid = _grid(cfg, args, "deco_grid")
+    c_grid = _linspace(grid["c_min"], grid["c_max"], grid["c_steps"], "C grid")
     if args.asymptotic:
         t_grid = np.array([math.inf])
     else:
-        t_grid = _linspace(
-            _grid_setting(cfg, "deco_grid", "t_min", args.t_min, 0.0),
-            _grid_setting(cfg, "deco_grid", "t_max", args.t_max, 20.0),
-            _grid_setting(cfg, "deco_grid", "t_steps", args.t_steps, 21),
-            "t grid",
-        )
+        t_grid = _linspace(grid["t_min"], grid["t_max"], grid["t_steps"], "t grid")
 
     valid = []
     for c in c_grid.tolist():
@@ -236,15 +231,10 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
 def cmd_density(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     thermal = cfg.require("thermal", "density")
-    n = int(_grid_setting(cfg, "density", "n", args.n, 41))
-    if n < 2:
-        raise ConfigError(f"density grid needs n >= 2, got {n}")
-    x_grid = _linspace(
-        _grid_setting(cfg, "density", "x_min", args.x_min, -5.0),
-        _grid_setting(cfg, "density", "x_max", args.x_max, 5.0),
-        n,
-        "x grid",
-    )
+    grid = _grid(cfg, args, "density")
+    if grid["n"] < 2:
+        raise ConfigError(f"density grid needs n >= 2, got {grid['n']}")
+    x_grid = _linspace(grid["x_min"], grid["x_max"], grid["n"], "x grid")
 
     x, xp = (a.ravel() for a in np.meshgrid(x_grid, x_grid, indexing="ij"))
     table = CsvTable(["x", "xp", "re", "im"])
@@ -253,11 +243,10 @@ def cmd_density(cfg: RunConfig, args) -> int:
         table.add_columns(x, xp, value, np.zeros(value.size))
     else:
         initial = cfg.require("initial", "density")
-        t = float(_grid_setting(cfg, "density", "t", args.t, 0.0))
         env = gibbs_coefficients(params, thermal)
         state0 = correlated_coherent_state(initial.delta, initial.r, params,
                                            x0=initial.x0, p0=initial.p0)
-        state = single_mode.propagate_moments(state0, env, params, t)
+        state = single_mode.propagate_moments(state0, env, params, grid["t"])
         value = single_mode.density_matrix_element(state, x, xp)
         table.add_columns(x, xp, value.real, value.imag)
     _emit(table.render(), args.out)
@@ -341,12 +330,8 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     initial = cfg.require("initial", "propagate")
     env = cfg.require("two_mode_env", "propagate")
     _warn_env_validity(env)
-    t_grid = _linspace(
-        0.0,
-        _grid_setting(cfg, "propagate", "t_max", args.t_max, 50.0),
-        _grid_setting(cfg, "propagate", "steps", args.steps, 101),
-        "t grid",
-    )
+    grid = _grid(cfg, args, "propagate")
+    t_grid = _linspace(0.0, grid["t_max"], grid["steps"], "t grid")
     state1 = correlated_coherent_state(initial.delta, initial.r, params,
                                        x0=initial.x0, p0=initial.p0)
     sigma0 = _block_diagonal(state1.covariance())
@@ -364,18 +349,12 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
 def cmd_scan(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     env = cfg.require("two_mode_env", "scan")
-    dxx_grid = _linspace(
-        _grid_setting(cfg, "scan", "dxx_min", args.dxx_min, env.Dxx),
-        _grid_setting(cfg, "scan", "dxx_max", args.dxx_max, env.Dxx),
-        _grid_setting(cfg, "scan", "dxx_steps", args.dxx_steps, 1),
-        "Dxx grid",
-    )
-    dxpy_grid = _linspace(
-        _grid_setting(cfg, "scan", "dxpy_min", args.dxpy_min, 0.0),
-        _grid_setting(cfg, "scan", "dxpy_max", args.dxpy_max, 1.5),
-        _grid_setting(cfg, "scan", "dxpy_steps", args.dxpy_steps, 151),
-        "Dxpy grid",
-    )
+    grid = _grid(cfg, args, "scan")
+    dxx_grid = _linspace(env.Dxx if grid["dxx_min"] is None else grid["dxx_min"],
+                         env.Dxx if grid["dxx_max"] is None else grid["dxx_max"],
+                         grid["dxx_steps"], "Dxx grid")
+    dxpy_grid = _linspace(grid["dxpy_min"], grid["dxpy_max"], grid["dxpy_steps"],
+                          "Dxpy grid")
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
     separable = np.where(scan.boundary, "boundary", _bool_text(scan.separable))
     in_window = scan.in_window
@@ -404,52 +383,32 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Gaussian dynamics of damped quantum oscillators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, grid=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+        # one flag per key of the command's config grid section: t_min is --t-min
+        for key, default in SECTIONS.get(grid, {}).items():
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=int if isinstance(default, int) else float,
+                           help=f"overrides {grid}.{key}"
+                           + ("" if default is None else f" (default {default})"))
         p.set_defaults(func=func)
         return p
 
-    p = add("validate", cmd_validate, "check parameter validity, exit 2 on failure")
-
-    p = add("deco-grid", cmd_deco_grid, "decoherence degree over a (t, C) grid")
-    p.add_argument("--t-min", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--t-steps", type=int, default=None)
-    p.add_argument("--c-min", type=float, default=None)
-    p.add_argument("--c-max", type=float, default=None)
-    p.add_argument("--c-steps", type=int, default=None)
+    add("validate", cmd_validate, "check parameter validity, exit 2 on failure")
+    p = add("deco-grid", cmd_deco_grid, "decoherence degree over a (t, C) grid", "deco_grid")
     p.add_argument("--asymptotic", action="store_true",
                    help="emit the infinite-time values instead of the t grid")
     p.add_argument("--skip-invalid", action="store_true",
                    help="mark C nodes failing validation instead of aborting")
-
-    p = add("density", cmd_density, "density matrix on an (x, x') grid")
-    p.add_argument("--t", type=float, default=None, help="evolution time (default 0)")
+    p = add("density", cmd_density, "density matrix on an (x, x') grid", "density")
     p.add_argument("--stationary", action="store_true",
                    help="emit the infinite-time thermal state instead")
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="grid points per axis")
-
-    p = add("timescales", cmd_timescales, "characteristic time scales")
-
-    p = add("asymptotic", cmd_asymptotic,
-            "asymptotic two-mode covariance and separability")
-
-    p = add("propagate", cmd_propagate, "two-mode covariance trajectory")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-
-    p = add("scan", cmd_scan, "separability scan over (Dxx, Dxpy)")
-    p.add_argument("--dxx-min", type=float, default=None)
-    p.add_argument("--dxx-max", type=float, default=None)
-    p.add_argument("--dxx-steps", type=int, default=None)
-    p.add_argument("--dxpy-min", type=float, default=None)
-    p.add_argument("--dxpy-max", type=float, default=None)
-    p.add_argument("--dxpy-steps", type=int, default=None)
-
+    add("timescales", cmd_timescales, "characteristic time scales")
+    add("asymptotic", cmd_asymptotic, "asymptotic two-mode covariance and separability")
+    add("propagate", cmd_propagate, "two-mode covariance trajectory", "propagate")
+    add("scan", cmd_scan, "separability scan over (Dxx, Dxpy)", "scan")
     return parser
 
 

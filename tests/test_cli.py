@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, CSV contracts, reference values, determinism."""
 
+import argparse
 import json
 import math
 import random
@@ -453,6 +454,98 @@ class TestOutputFile:
         assert out == ""
         text = out_path.read_text()
         assert text.startswith("name,value")
+
+    @pytest.mark.filterwarnings("ignore:thermal_fluctuation_time")
+    def test_unwritable_out_path_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FIG1)
+        out_path = tmp_path / "missing" / "result.csv"
+        code, out, err = run(capsys, ["timescales", "--config", cfg, "--out", str(out_path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"config error: cannot write {out_path}: No such file or directory\n"
+        assert not out_path.parent.exists()
+
+
+class TestLoadTimeChecks:
+    """A config value that is not a finite number, or a fraction for an integer
+    key, fails every command at load, before any output."""
+
+    @pytest.mark.parametrize("section,key,value,argv", [
+        ("density", "n", math.nan, ["density", "--stationary"]),
+        ("propagate", "steps", math.inf, ["propagate"]),
+        ("deco_grid", "t_steps", 3.5, ["deco-grid", "--c-min", "2"]),
+        ("initial", "x0", math.nan, ["deco-grid", "--c-min", "2", "--c-max", "3",
+                                     "--c-steps", "2", "--t-steps", "2"]),
+        ("oscillator", "lambda", math.nan, ["deco-grid", "--c-min", "2"]),
+        ("deco_grid", "t_steps", 2.5, ["validate"]),
+        pytest.param("thermal", "C", 10**400, ["validate"], id="int-past-float-range"),
+    ])
+    def test_exits_one_naming_the_key_and_writes_nothing(self, tmp_path, capsys,
+                                                         section, key, value, argv):
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=WINDOW_ENV)))
+        body.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, body)  # json writes the NaN and Infinity literals
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, [argv[0], "--config", cfg, "--out", str(out_path),
+                                      *argv[1:]])
+        assert code == 1
+        assert err.startswith(f"config error: '{section}.{key}' must be ")
+        assert err.count("\n") == 1
+        assert out == "" and not out_path.exists()
+
+    def test_whole_float_is_an_integer(self, tmp_path, capsys):
+        body = dict(FIG1, two_mode_env=WINDOW_ENV)
+        body["oscillator"] = dict(FIG1["oscillator"], mu=0.0)
+        from_config = write_config(tmp_path, dict(body, propagate={"steps": 3.0}), "a.json")
+        from_flag = write_config(tmp_path, body, "b.json")
+        code, out, _ = run(capsys, ["propagate", "--config", from_config, "--t-max", "2"])
+        assert code == 0 and len(parse_csv(out)) == 3
+        _, want, _ = run(capsys, ["propagate", "--config", from_flag, "--t-max", "2",
+                                  "--steps", "3"])
+        assert out == want
+
+    def test_finite_unphysical_value_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(FIG1, thermal={"C": 0.5}))
+        code, out, err = run(capsys, ["validate", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err == "error: C = coth(...) must be >= 1, got 0.5\n"
+
+
+def _surface(parser):
+    """{command: {(option strings, dest, type, default)}} of every subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {(tuple(a.option_strings), a.dest, a.type, a.default) for a in p._actions}
+            for name, p in sub.choices.items()}
+
+
+class TestCliSurface:
+    COMMON = {(("-h", "--help"), "help", None, argparse.SUPPRESS),
+              (("--config",), "config", None, None),
+              (("--out",), "out", None, None)}
+    EXPECTED = {
+        "validate": set(),
+        "deco-grid": {(("--t-min",), "t_min", float, None), (("--t-max",), "t_max", float, None),
+                      (("--t-steps",), "t_steps", int, None), (("--c-min",), "c_min", float, None),
+                      (("--c-max",), "c_max", float, None), (("--c-steps",), "c_steps", int, None),
+                      (("--asymptotic",), "asymptotic", None, False),
+                      (("--skip-invalid",), "skip_invalid", None, False)},
+        "density": {(("--t",), "t", float, None), (("--stationary",), "stationary", None, False),
+                    (("--x-min",), "x_min", float, None), (("--x-max",), "x_max", float, None),
+                    (("--n",), "n", int, None)},
+        "timescales": set(),
+        "asymptotic": set(),
+        "propagate": {(("--t-max",), "t_max", float, None), (("--steps",), "steps", int, None)},
+        "scan": {(("--dxx-min",), "dxx_min", float, None), (("--dxx-max",), "dxx_max", float, None),
+                 (("--dxx-steps",), "dxx_steps", int, None),
+                 (("--dxpy-min",), "dxpy_min", float, None),
+                 (("--dxpy-max",), "dxpy_max", float, None),
+                 (("--dxpy-steps",), "dxpy_steps", int, None)},
+    }
+
+    def test_every_subcommand_has_exactly_these_options(self):
+        assert _surface(cli.build_parser()) == {
+            name: self.COMMON | options for name, options in self.EXPECTED.items()}
 
 
 class TestGridBounds:
