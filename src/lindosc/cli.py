@@ -95,6 +95,8 @@ class CsvTable:
     column renders by its dtype: floats as ``%.14e`` (15 significant
     digits), bools as ``true``/``false``, everything else through ``str``.
     :meth:`add` types each value on its own, so a column may mix types.
+    A float column that repeats its values, such as a grid coordinate,
+    formats each distinct value once; the text is the same.
     """
 
     def __init__(self, columns):
@@ -123,17 +125,42 @@ class CsvTable:
         width = len(self.columns)
         chunks = [",".join(self.columns)]
         for cells in self._blocks:
-            line = ",".join("%.14e" if c.dtype.kind == "f" else "%s" for c in cells)
-            size = len(cells[0])
+            # one function per column, from a slice of rows to its cell values
+            formats, cell_values = [], []
+            for c in cells:
+                texts = _repeated_float_text(c) if c.dtype.kind == "f" else None
+                formats.append("%.14e" if c.dtype.kind == "f" and texts is None else "%s")
+                cell_values.append(texts or (_bool_text(c) if c.dtype == bool else c).__getitem__)
+            line, size = ",".join(formats), len(cells[0])
             for start in range(0, size, NODE_BLOCK):
                 k = min(NODE_BLOCK, size - start)
                 flat = [None] * (k * width)  # row-major cells of k rows
-                for j, c in enumerate(cells):
-                    part = c[start:start + k]
-                    flat[j::width] = (_bool_text(part) if part.dtype == bool else part).tolist()
+                for j, values in enumerate(cell_values):
+                    flat[j::width] = values(slice(start, start + k)).tolist()
                 chunks.append("\n".join([line] * k) % tuple(flat))
         chunks.append("")  # the final newline, without a second copy of the text
         return "\n".join(chunks)
+
+
+def _repeated_float_text(c: np.ndarray):
+    """Texts of a float column that repeats its values, else None.
+
+    A column with at most a quarter as many distinct values as rows (a grid
+    coordinate) formats each distinct value once.  The result maps a slice
+    of rows to their texts.  Values are keyed on their bit pattern, so -0.0
+    and 0.0 stay apart; wider floats than 8 bytes carry padding bits and
+    are not keyed.
+    """
+    if c.itemsize > 8:
+        return None
+    keys = c.view(f"i{c.itemsize}")
+    ordered = np.sort(keys)
+    new = ordered[1:] != ordered[:-1]
+    if 4 * (1 + np.count_nonzero(new)) > c.size:
+        return None
+    distinct = ordered[np.concatenate(([True], new))]
+    texts = np.array(["%.14e" % v for v in distinct.view(c.dtype).tolist()], dtype=object)
+    return lambda rows: texts[np.searchsorted(distinct, keys[rows])]
 
 
 def _emit(text: str, out_path):
@@ -338,10 +365,11 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
 
     table = CsvTable(["t"] + [name for name, _, _ in COV_ENTRIES] + ["simon_score"])
     cov_i, cov_j = [i for _, i, _ in COV_ENTRIES], [j for _, _, j in COV_ENTRIES]
+    sigma = propagate_covariance(sigma0, env, params, t_grid)
     for start in range(0, t_grid.size, NODE_BLOCK):
-        t = t_grid[start:start + NODE_BLOCK]
-        sigma = propagate_covariance(sigma0, env, params, t)
-        table.add_columns(t, *sigma[:, cov_i, cov_j].T, simon_score(sigma))
+        block = slice(start, start + NODE_BLOCK)
+        table.add_columns(t_grid[block], *sigma[block, cov_i, cov_j].T, simon_score(sigma[block]))
+    del sigma  # the table holds copies of its entries; rendering is the peak of memory
     _emit(table.render(), args.out)
     return EXIT_OK
 

@@ -39,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import lyapunov, single_mode
-from .core import OscillatorParams, TwoModeEnvironment, stack_matrices
+from .core import NODE_BLOCK, OscillatorParams, TwoModeEnvironment, stack_matrices
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 
 __all__ = [
@@ -212,15 +212,23 @@ def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
                          params: OscillatorParams, t) -> np.ndarray:
     """Exact covariance at time t >= 0 from the initial covariance sigma0.
 
-    ``t`` may be an array of times: M(t) is built for all of them in one
-    broadcast and the result has shape t.shape + (4, 4).  The stationary
-    covariance is solved once per call.
+    ``t`` may be an array of times; the result has shape t.shape + (4, 4).
+    The stationary covariance is solved once per call, and the propagators
+    are built in one broadcast per NODE_BLOCK times, so the temporaries stay
+    small however many times the call covers.
     """
     sigma0 = require_covariance4(sigma0)
     require_matching_lam(env, params)
-    M = propagator(params, t)
+    require_hbar_one(params)
     s_inf = lyapunov.steady_covariance(_drift(params), diffusion_matrix(env))
-    return single_mode.relaxed_covariance(M, sigma0, s_inf)
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape + (4, 4))
+    times, stack = t.reshape(-1), out.reshape(-1, 4, 4)
+    for start in range(0, times.size, NODE_BLOCK):
+        block = slice(start, start + NODE_BLOCK)
+        stack[block] = single_mode.relaxed_covariance(propagator(params, times[block]),
+                                                      sigma0, s_inf)
+    return out
 
 
 def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:

@@ -405,6 +405,19 @@ class TestPropagateCommand:
         assert float(final["simon_score"]) == pytest.approx(-0.18259985, abs=1e-6)
 
 
+    def test_one_lyapunov_solve_per_call(self, tmp_path, capsys, monkeypatch):
+        from lindosc import lyapunov
+
+        solves = []
+        solve = lyapunov.steady_covariance
+        monkeypatch.setattr(lyapunov, "steady_covariance",
+                            lambda *args: solves.append(args) or solve(*args))
+        code, out, _ = run(capsys, ["propagate", "--config", self._window_config(tmp_path),
+                                    "--steps", "2500"])
+        assert code == 0 and len(parse_csv(out)) == 2500
+        assert len(solves) == 1
+
+
 class TestScanCommand:
     def _config(self, tmp_path, dxx=0.1):
         body = json.loads(json.dumps(dict(FIG1, two_mode_env=dict(WINDOW_ENV, Dxx=dxx, Dpxpx=dxx))))
@@ -651,3 +664,124 @@ class TestCsvTable:
         want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
         assert table.render() == want + "\n"
         assert len(table.rows) == len(rows)
+
+    @staticmethod
+    def _reference(columns, rows):
+        return "\n".join([",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+    @staticmethod
+    def _bits(*patterns):
+        return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+    def _assert_repeated_column_renders(self, column):
+        """``column`` takes the repeated-value path and renders as ``_fmt`` does."""
+        assert cli._repeated_float_text(column) is not None
+        table = cli.CsvTable(["v", "i"])
+        table.add_columns(column, np.arange(column.size))
+        assert table.render() == self._reference(["v", "i"], zip(column.tolist(), range(column.size)))
+
+    def test_repeated_signed_zeros_stay_apart(self):
+        rng = np.random.default_rng(1)
+        self._assert_repeated_column_renders(rng.choice([-0.0, 0.0], 400))
+        texts = cli._repeated_float_text(np.array([-0.0, 0.0] * 4))
+        assert texts(slice(0, 2)).tolist() == ["-0.00000000000000e+00", "0.00000000000000e+00"]
+
+    def test_repeated_nans_of_any_payload_and_sign(self):
+        nans = self._bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                          0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)
+        assert np.isnan(nans).all()
+        column = np.concatenate([np.tile(nans, 40), [1.5, -2.5] * 20])
+        np.random.default_rng(2).shuffle(column)
+        self._assert_repeated_column_renders(column)
+
+    def test_repeated_infinities_and_subnormals(self):
+        values = [math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+                  -1.7976931348623157e308]
+        column = np.array(values * 30)
+        np.random.default_rng(3).shuffle(column)
+        self._assert_repeated_column_renders(column)
+
+    @pytest.mark.parametrize("distinct, repeated", [(100, True), (101, False)])
+    def test_quarter_threshold(self, distinct, repeated):
+        rng = np.random.default_rng(distinct)
+        values = rng.standard_normal(distinct)
+        column = np.concatenate([values, rng.choice(values, 400 - distinct)])
+        assert (cli._repeated_float_text(column) is not None) == repeated
+        table = cli.CsvTable(["v"])
+        table.add_columns(column)
+        assert table.render() == self._reference(["v"], ((v,) for v in column.tolist()))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_repeated_column_of_another_width(self, dtype):
+        column = np.tile(np.array([0.1, -0.0, 0.0, 1e-40, np.nan, np.inf], dtype=dtype), 50)
+        if column.itemsize > 8:  # padding bits: rendered value by value
+            assert cli._repeated_float_text(column) is None
+            table = cli.CsvTable(["v"])
+            table.add_columns(column)
+            assert table.render() == self._reference(["v"], ((v,) for v in column.tolist()))
+        else:
+            self._assert_repeated_column_renders(column)
+
+    def test_repeated_column_across_blocks_and_slices(self):
+        rng = np.random.default_rng(4)
+        grid = np.array([-0.0, 0.0, 0.25, math.nan, -math.inf, 1.0 / 3.0, 5e-324])
+        table = cli.CsvTable(["x", "y"])
+        rows = []
+        for n in (1, 2500, 3, 1024, 0, 1025):
+            if n == 1:
+                row = (float(rng.choice(grid)), float(rng.standard_normal()))
+                table.add(*row)
+                rows.append(row)
+                continue
+            x, y = rng.choice(grid, n), rng.standard_normal(n)
+            table.add_columns(x, y)
+            rows.extend(zip(x.tolist(), y.tolist()))
+        assert table.render() == self._reference(["x", "y"], rows)
+
+
+class TestRenderAtTheCli:
+    """Each grid command's table renders as the per-value reference does."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        tables = []
+
+        class Recording(cli.CsvTable):
+            def render(self):
+                tables.append(self)
+                return super().render()
+
+        monkeypatch.setattr(cli, "CsvTable", Recording)
+        return tables
+
+    @staticmethod
+    def _check(tables, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(tables) == 1
+        table = tables[0]
+        want = "\n".join([",".join(table.columns)]
+                         + [",".join(_fmt(v) for v in row) for row in table.rows]) + "\n"
+        assert out == table.render() == want
+
+    @pytest.mark.parametrize("flags", [
+        ["--c-min", "2", "--c-max", "8", "--t-steps", "30", "--c-steps", "40"],
+        ["--c-min", "1", "--c-max", "1.2", "--t-steps", "30", "--c-steps", "40", "--skip-invalid"],
+        ["--asymptotic", "--c-min", "2", "--c-max", "8", "--c-steps", "40"],
+        ["--asymptotic", "--c-min", "1", "--c-max", "1.2", "--c-steps", "40", "--skip-invalid"],
+    ])
+    def test_deco_grid(self, tmp_path, capsys, tables, flags):
+        self._check(tables, capsys, ["deco-grid", "--config", write_config(tmp_path, FIG1), *flags])
+
+    @pytest.mark.parametrize("flags", [["--t", "3.5"], ["--stationary"]])
+    def test_density(self, tmp_path, capsys, tables, flags):
+        body = json.loads(json.dumps(FIG1))
+        body["initial"].update(x0=0.7, p0=-0.4)
+        self._check(tables, capsys, ["density", "--config", write_config(tmp_path, body),
+                                     "--n", "45", *flags])
+
+    def test_scan(self, tmp_path, capsys, tables):
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=WINDOW_ENV)))
+        body["oscillator"]["mu"] = 0.0
+        self._check(tables, capsys, ["scan", "--config", write_config(tmp_path, body),
+                                     "--dxx-min", "0.05", "--dxx-max", "0.3", "--dxx-steps", "6",
+                                     "--dxpy-min", "0", "--dxpy-max", "1.5", "--dxpy-steps", "40"])

@@ -17,6 +17,7 @@ from lindosc import (
     correlated_coherent_state,
 )
 from lindosc import lyapunov
+from lindosc.core import NODE_BLOCK
 from lindosc.lyapunov import steady_covariance
 from lindosc.single_mode import moment_propagator
 from lindosc.two_mode import (
@@ -268,6 +269,21 @@ class TestPropagateCovariance:
             for t, sigma in zip(times, batch):
                 np.testing.assert_array_equal(sigma, propagate_covariance(sigma0, env, p, float(t)))
             assert propagate_covariance(sigma0, env, p, times.reshape(3, 17)).shape == (3, 17, 4, 4)
+
+    def test_one_lyapunov_solve_across_node_blocks(self, monkeypatch):
+        solves = []
+        solve = lyapunov.steady_covariance
+        monkeypatch.setattr(lyapunov, "steady_covariance",
+                            lambda *args: solves.append(args) or solve(*args))
+        sigma0 = _product_initial(2.0, 0.3, PARAMS)
+        times = np.linspace(0.0, 40.0, 2 * NODE_BLOCK + 5)
+        batch = propagate_covariance(sigma0, WINDOW_ENV, PARAMS, times)
+        assert len(solves) == 1
+        for start in range(0, times.size, NODE_BLOCK):
+            block = slice(start, start + NODE_BLOCK)
+            np.testing.assert_array_equal(
+                batch[block], propagate_covariance(sigma0, WINDOW_ENV, PARAMS, times[block]))
+        assert propagate_covariance(sigma0, WINDOW_ENV, PARAMS, np.array([])).shape == (0, 4, 4)
 
     def test_concurrent_calls_agree_with_serial(self):
         from concurrent.futures import ThreadPoolExecutor
