@@ -30,10 +30,10 @@ from .core import (
 )
 from .errors import ConfigError, LindoscError, ParameterError
 from .separability import (
-    is_separable,
+    closed_form_route,
     scan_separability,
     simon_score,
-    simon_score_closed_form,
+    simon_verdicts,
 )
 from .two_mode import (
     _block_diagonal,
@@ -322,31 +322,33 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
     D = diffusion_matrix(env)
     s_inf = lyapunov.steady_covariance(Y, D)
     resid = lyapunov.residual(Y, s_inf, D)
-    score = simon_score(s_inf)
-    verdict = is_separable(s_inf).verdict
+    full = simon_verdicts(s_inf)
     det_c = det_cross_block(env, params)
 
+    # The closed form takes det C where the criterion takes -|det C|, so the
+    # two routes give the same S only where det C <= 0; there they must
+    # agree within the sum of their rounding bounds.
     closed_score = None
     try:
-        candidate = simon_score_closed_form(env, params)
+        closed_score, closed_bound = closed_form_route(env, params)
     except LindoscError:
-        candidate = None
-    if candidate is not None and det_c <= 1e-12:
-        closed_score = candidate
-        if abs(closed_score - score) > 1e-10 * max(1.0, abs(score)):
-            raise ParameterError(
-                f"closed-form and full separability scores disagree: "
-                f"{closed_score!r} vs {score!r}"
-            )
+        pass
+    if det_c > 0.0:
+        closed_score = None
+    if closed_score is not None and abs(closed_score - full.score) > closed_bound + full.bound:
+        raise ParameterError(
+            f"closed-form and full separability scores disagree: "
+            f"{closed_score!r} vs {full.score!r}"
+        )
 
     table = CsvTable(["name", "value"])
     for name, i, j in COV_ENTRIES:
         table.add(name, float(s_inf[i, j]))
     table.add("det_cross_block", det_c)
-    table.add("simon_score", score)
+    table.add("simon_score", full.score)
     if closed_score is not None:
         table.add("simon_score_closed_form", closed_score)
-    table.add("separable", verdict)
+    table.add("separable", full.verdict)
     table.add("lyapunov_residual", resid)
     _emit(table.render(), args.out)
     return EXIT_OK

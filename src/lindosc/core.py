@@ -41,8 +41,51 @@ __all__ = [
     "gram_checks",
 ]
 
-#: Relative tolerance used when an exact inequality is checked in floats.
+# Tolerance policy.  Every float comparison against a tolerance in the
+# package takes its tolerance from this block; no other module holds one.
+#
+# * Equal up to the input's scale: two quantities built from the same
+#   inputs agree when they differ by at most SCALE_RTOL times the input's
+#   scale, max(1, |inputs|) (:func:`negligible`).  This rule checks the
+#   ``symmetric`` flag of TwoModeEnvironment, the symmetry of covariance
+#   matrices, Dxp = 0 of Gibbs-type coefficients and the constraints of the
+#   closed-form separability family.
+# * GIBBS_RTOL: the looser rule for the product of Gibbs-type coefficients,
+#   Dxx*Dpp = (lam^2 - mu^2) hbar^2 C^2 / 4, whose two sides come from
+#   different formulas.
+# * PSD_RTOL: the minimum eigenvalue of a Gram matrix passes at
+#   >= -PSD_RTOL * max|G| of its own matrix.
+# * ENDPOINT_MARGIN: a scan node closer than ENDPOINT_MARGIN * max(1, hi)
+#   to an edge of its entanglement window is boundary-indeterminate.
+# * SCORE_RTOL: the Simon verdict.  S adds up products of at most four
+#   covariance entries.  Let Sigma be the sum of their magnitudes: S with
+#   every entry and every sign replaced by its magnitude.  Computing S from
+#   a stored matrix rounds at most 14 times along any of its products: 4 in
+#   the 2x2 LU determinant det C, 1 in 1/4 - |det C|, twice that plus 1 in
+#   its square, and 3 in summing the four terms (det A det B and the trace
+#   of the chain of three 2x2 products round fewer times).  With eps the
+#   machine epsilon, |fl(S) - S| <= 14 (eps/2) Sigma = 7 eps Sigma.  The
+#   matrix is rounded too: a relative error eta in each entry moves a
+#   product of four entries by at most 4 eta of its size, and
+#   SCORE_RTOL = 32 eps leaves eta up to 6 eps.  On both edges of the
+#   entanglement window, against a 60-digit reference, S of either route
+#   to the asymptotic covariance stayed within 14.2 eps Sigma.  Where
+#   |S| <= SCORE_RTOL * Sigma, or S is not finite, the sign of S is not
+#   resolved and the verdict is "boundary".  Two routes to S (the closed
+#   form has its own Sigma) agree when they differ by at most the sum of
+#   their bounds.  ``separability.simon_verdicts`` is the one place S meets
+#   this rule.
+SCALE_RTOL = 1e-12
+GIBBS_RTOL = 1e-9
 PSD_RTOL = 1e-10
+ENDPOINT_MARGIN = 1e-9
+SCORE_RTOL = 32 * np.finfo(float).eps
+
+
+def negligible(x: float, scale: float, rtol: float = SCALE_RTOL) -> bool:
+    """|x| is zero up to ``rtol`` times ``scale`` (see the tolerance policy)."""
+    return abs(x) <= rtol * scale
+
 
 #: Grid nodes go through the stacked kernels, and CSV rows through
 #: rendering, this many at a time; this bounds the memory their
@@ -181,7 +224,7 @@ class TwoModeEnvironment:
                                ("Dxx", "Dyy", "Dxpx", "Dypy", "Dpxpx", "Dpypy", "Dxpy", "Dypx")))
             for a, b in (("Dxx", "Dyy"), ("Dxpx", "Dypy"),
                          ("Dpxpx", "Dpypy"), ("Dxpy", "Dypx")):
-                if abs(getattr(self, a) - getattr(self, b)) > 1e-12 * scale:
+                if not negligible(getattr(self, a) - getattr(self, b), scale):
                     raise ParameterError(
                         f"symmetric flag set but {a} != {b}: "
                         f"{getattr(self, a)!r} vs {getattr(self, b)!r}"
@@ -307,7 +350,7 @@ def _is_gibbs_type(env: SingleModeEnv, thermal: ThermalParams) -> bool:
     target = 0.25 * (env.lam**2 - env.mu**2) * env.hbar**2 * thermal.C**2
     prod = env.Dxx * env.Dpp
     scale = max(1.0, abs(prod), abs(target))
-    return abs(env.Dxp) <= 1e-12 * scale and abs(prod - target) <= 1e-9 * scale
+    return negligible(env.Dxp, scale) and negligible(prod - target, scale, GIBBS_RTOL)
 
 
 def validate_single_mode(env: SingleModeEnv, thermal: ThermalParams | None = None) -> ValidationReport:

@@ -39,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import lyapunov, single_mode
-from .core import NODE_BLOCK, OscillatorParams, TwoModeEnvironment, stack_matrices
+from .core import NODE_BLOCK, SCALE_RTOL, OscillatorParams, TwoModeEnvironment, stack_matrices
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
     "require_matching_lam",
 ]
 
-SYMMETRY_ATOL = 1e-12
-
 #: The 2x2 symplectic form; its block diagonal is the two-mode form Omega.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -72,13 +70,13 @@ def require_hbar_one(params: OscillatorParams):
 def require_covariance4(sigma: np.ndarray) -> np.ndarray:
     """Check shape and symmetry of a 4x4 covariance matrix or an (N, 4, 4)
     stack of them, return as float array.  Each matrix is checked against
-    its own scale."""
+    its own scale (``core.SCALE_RTOL``)."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {sigma.shape}")
     scale = np.maximum(1.0, np.abs(sigma).max(axis=(-2, -1)))
     asym = np.abs(sigma - np.swapaxes(sigma, -1, -2)).max(axis=(-2, -1))
-    bad = asym > SYMMETRY_ATOL * scale
+    bad = asym > SCALE_RTOL * scale
     if bad.any():
         raise ShapeError("covariance matrix is not symmetric "
                          f"(max asymmetry {float(asym[bad].flat[0]):.3e})")

@@ -10,6 +10,7 @@ filters diagonalize the environment Gram matrix directly.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -211,6 +212,76 @@ def random_two_mode_env(rng):
     lam = rng.uniform(0.05, 0.5)
     Dxx, Dpxpx, Dyy, Dpypy = rng.uniform(0.05, 2.0, 4)
     Dxpx, Dypy, Dxy, Dxpy, Dypx, Dpxpy = rng.uniform(-1.0, 1.0, 6)
+    return TwoModeEnvironment(Dxx=Dxx, Dxpx=Dxpx, Dpxpx=Dpxpx, Dyy=Dyy, Dypy=Dypy,
+                              Dpypy=Dpypy, Dxy=Dxy, Dxpy=Dxpy, Dypx=Dypx, Dpxpy=Dpxpy,
+                              lam=lam)
+
+
+def exact_window_score(m, omega, lam, Dxx, Dxpy, digits=60):
+    """Simon score of the asymptotic state of the Dxy = 0 closed-form family,
+    factored as ((a - b)^2 - 1/4)((a + b)^2 - 1/4) with a = m w Dxx / lam and
+    b = Dxpy / sqrt(lam^2 + w^2), in ``digits``-digit decimal arithmetic on the
+    float inputs.  It stands in for exact arithmetic at the window edges,
+    where S cancels terms of size a^4."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        m, omega, lam, Dxx, Dxpy = map(Decimal, (m, omega, lam, Dxx, Dxpy))
+        a = m * omega * Dxx / lam
+        b = Dxpy / (lam * lam + omega * omega).sqrt()
+        quarter = Decimal(1) / 4
+        return ((a - b) ** 2 - quarter) * ((a + b) ** 2 - quarter)
+
+
+def _local_sp2(rng, max_squeeze):
+    """Random element of Sp(2): rotation, squeeze, rotation."""
+    def rotation(angle):
+        return np.array([[math.cos(angle), math.sin(angle)],
+                         [-math.sin(angle), math.cos(angle)]])
+    r = rng.uniform(-max_squeeze, max_squeeze)
+    return (rotation(rng.uniform(0.0, 2.0 * math.pi)) @ np.diag([math.exp(r), math.exp(-r)])
+            @ rotation(rng.uniform(0.0, 2.0 * math.pi)))
+
+
+def random_local_symplectic(rng, max_squeeze=1.0):
+    """Random element of Sp(2) + Sp(2) acting on (x, p_x, y, p_y): local
+    rotations and squeezers of each mode, squeeze factors up to
+    exp(max_squeeze)."""
+    S = np.zeros((4, 4))
+    S[:2, :2] = _local_sp2(rng, max_squeeze)
+    S[2:, 2:] = _local_sp2(rng, max_squeeze)
+    return S
+
+
+def random_physical_covariance(rng):
+    """A physical two-mode covariance (hbar = 1): symplectic eigenvalues
+    nu_1, nu_2 >= 1/2 transformed by local Sp(2) + Sp(2) maps, a beam
+    splitter and a two-mode squeezer, all written out here.  Entangled
+    and separable states both occur."""
+    nu1, nu2 = rng.uniform(0.5, 2.0, 2)
+    I, Z = np.eye(2), np.diag([1.0, -1.0])
+    r, theta = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+    two_mode_squeezer = np.block([[math.cosh(r) * I, math.sinh(r) * Z],
+                                  [math.sinh(r) * Z, math.cosh(r) * I]])
+    beam_splitter = np.block([[math.cos(theta) * I, math.sin(theta) * I],
+                              [-math.sin(theta) * I, math.cos(theta) * I]])
+    S = (random_local_symplectic(rng) @ beam_splitter @ two_mode_squeezer
+         @ random_local_symplectic(rng))
+    sigma = S @ np.diag([nu1, nu1, nu2, nu2]) @ S.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def random_window_env(rng):
+    """Environment near the Dxy = 0 entanglement window (m = omega = 1) with
+    the mirror symmetry broken: own-mode coefficients differ by up to 25%,
+    Dxpy and Dypx are drawn apart around the window, and Dxpx, Dypy, Dxy,
+    Dpxpy are small.  Many of its asymptotic states are physical and
+    entangled, though the environment is not completely positive."""
+    lam = rng.uniform(0.05, 0.5)
+    a = rng.uniform(0.6, 5.0)
+    Dxx = a * lam
+    Dpxpx, Dyy, Dpypy = Dxx * rng.uniform(0.8, 1.25, 3)
+    Dxpx, Dypy, Dxy, Dpxpy = Dxx * rng.uniform(-0.05, 0.05, 4)
+    Dxpy, Dypx = math.sqrt(lam * lam + 1.0) * (a + rng.uniform(-0.6, 0.6, 2))
     return TwoModeEnvironment(Dxx=Dxx, Dxpx=Dxpx, Dpxpx=Dpxpx, Dyy=Dyy, Dypy=Dypy,
                               Dpypy=Dpypy, Dxy=Dxy, Dxpy=Dxpy, Dypx=Dypx, Dpxpy=Dpxpy,
                               lam=lam)

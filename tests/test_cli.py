@@ -8,8 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from lindosc import OscillatorParams, ThermalParams, cli
+from lindosc import OscillatorParams, ThermalParams, TwoModeEnvironment, cli
+from lindosc.lyapunov import steady_covariance
+from lindosc.separability import closed_form_route, simon_score, simon_score_closed_form
 from lindosc.single_mode import decoherence_degree
+from lindosc.two_mode import diffusion_matrix, drift_matrix
 
 FIG1 = {
     "oscillator": {"lambda": 0.2, "mu": 0.1, "m": 1.0, "omega": 1.0, "hbar": 1.0},
@@ -350,6 +353,58 @@ class TestAsymptoticCommand:
         assert float(values["sigma_xy"]) == 0.0
         assert values["separable"] in ("separable", "separable-boundary")
 
+    @pytest.mark.parametrize("dxx, dxpy", [
+        (10.0, 51.5000970873),
+        (1000.0, math.sqrt(1.04) * (1000.0 / 0.2 + 0.5)),
+    ])
+    def test_window_edge_is_no_disagreement(self, tmp_path, capsys, dxx, dxpy):
+        # at the upper window edge S cancels terms of size (Dxx/lam)^4, and
+        # the closed-form and full scores differ by rounding only
+        env = dict(WINDOW_ENV, Dxx=dxx, Dpxpx=dxx, Dxpy=dxpy)
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=env)))
+        body["oscillator"]["mu"] = 0.0
+        cfg = write_config(tmp_path, body)
+        code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+        assert code == 0
+        assert "disagree" not in err
+        values = {r["name"]: r["value"] for r in parse_csv(out)}
+        assert values["separable"] == "separable-boundary"
+        p = OscillatorParams(lam=0.2)
+        two_mode_env = TwoModeEnvironment.symmetric_env(lam=0.2, **env)
+        sigma = steady_covariance(drift_matrix(p), diffusion_matrix(two_mode_env))
+        assert values["simon_score"] == "%.14e" % simon_score(sigma)
+        assert values["simon_score_closed_form"] == \
+            "%.14e" % simon_score_closed_form(two_mode_env, p)
+
+    def test_positive_cross_determinant_omits_the_closed_form(self, tmp_path, capsys):
+        # with det C > 0 the closed form exceeds the full score by det C, far
+        # beyond rounding; it is not a second route there
+        env = dict(WINDOW_ENV, Dxy=0.3, Dpxpy=0.3, Dxpy=0.05)
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=env)))
+        body["oscillator"]["mu"] = 0.0
+        cfg = write_config(tmp_path, body)
+        code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+        assert code == 0
+        values = {r["name"]: r["value"] for r in parse_csv(out)}
+        assert float(values["det_cross_block"]) > 0.0
+        assert "simon_score_closed_form" not in values
+        assert values["separable"] == "separable"
+
+    def test_gap_beyond_the_rounding_bound_exits_two(self, tmp_path, capsys, monkeypatch):
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=WINDOW_ENV)))
+        body["oscillator"]["mu"] = 0.0
+        cfg = write_config(tmp_path, body)
+
+        def shifted(env, params):
+            score, bound = closed_form_route(env, params)
+            return score + 1e-9, bound
+
+        monkeypatch.setattr(cli, "closed_form_route", shifted)
+        code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+        assert code == 2
+        assert "closed-form and full separability scores disagree" in err
+        assert out == ""
+
     def test_requires_env_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG1)
         code, _, err = run(capsys, ["asymptotic", "--config", cfg])
@@ -438,6 +493,18 @@ class TestScanCommand:
         assert len(crossings) == 2
         assert crossings[0] == pytest.approx(0.0, abs=0.02)
         assert crossings[1] == pytest.approx(math.sqrt(1.04), abs=0.02)
+
+    def test_non_finite_score_is_boundary(self, tmp_path, capsys):
+        # S overflows to inf or nan at Dxx = 1e100; neither sign is a verdict
+        cfg = self._config(tmp_path)
+        with np.errstate(all="ignore"):
+            code, out, _ = run(capsys, ["scan", "--config", cfg, "--dxx-min", "1e100",
+                                        "--dxx-max", "1e100", "--dxpy-max", "1e100",
+                                        "--dxpy-steps", "3"])
+        assert code == 0
+        rows = parse_csv(out)
+        assert {r["S"] for r in rows} == {"inf", "nan"}
+        assert all(r["separable"] == "boundary" for r in rows)
 
     def test_low_dxx_marks_invalid_window(self, tmp_path, capsys):
         cfg = self._config(tmp_path, dxx=0.05)

@@ -1,6 +1,7 @@
 """Tests for the Simon separability criterion and the entanglement window."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,18 +17,23 @@ from lindosc import (
 )
 from lindosc.separability import (
     block_decompose,
+    closed_form_route,
     entanglement_window,
     is_separable,
     scan_separability,
     simon_score,
     simon_score_closed_form,
+    simon_verdicts,
 )
 from lindosc import validate_two_mode
+from lindosc.core import SCORE_RTOL
 from lindosc.lyapunov import steady_covariance
 from lindosc.two_mode import (
+    J,
     det_cross_block,
     diffusion_matrix,
     drift_matrix,
+    physicality_min_eigenvalue,
     steady_covariance_closed_form,
 )
 
@@ -160,6 +166,83 @@ class TestIsSeparable:
         with pytest.raises(ShapeError):
             is_separable(np.stack([np.eye(4), np.eye(4)]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_is_boundary(self, bad):
+        sigma = np.diag([0.5, 0.5, 0.5, 0.5])
+        sigma[0, 2] = sigma[2, 0] = bad
+        with np.errstate(invalid="ignore"):
+            result = is_separable(sigma)
+        assert not math.isfinite(result.score)
+        assert result.boundary
+        assert result.verdict == "separable-boundary"
+
+
+class TestSimonVerdicts:
+    def test_stack_matches_batches_of_one(self):
+        rng = np.random.default_rng(40)
+        stack = np.stack([oracles.random_physical_covariance(rng) for _ in range(60)]
+                         + [np.diag([0.5, 0.5, 0.5, 0.5])])
+        batch = simon_verdicts(stack)
+        np.testing.assert_array_equal(batch.score, simon_score(stack))
+        for k, sigma in enumerate(stack):
+            one = simon_verdicts(sigma)
+            assert one == (batch.score[k], batch.separable[k], batch.boundary[k], batch.bound[k])
+            assert one == is_separable(sigma)
+            assert type(one.score) is float and type(one.boundary) is bool
+        assert batch.boundary[-1] and not batch.boundary[:-1].any()
+        assert {True, False} <= set(batch.separable[:-1])
+
+    def test_bound_is_the_score_taken_by_magnitudes(self):
+        # S with every entry and every sign replaced by its magnitude, times
+        # SCORE_RTOL; the chain's |J| factors as matrices here
+        rng = np.random.default_rng(43)
+        stack = np.stack([oracles.random_physical_covariance(rng) for _ in range(50)])
+        A, B, C = (np.abs(m) for m in (stack[:, :2, :2], stack[:, 2:, 2:], stack[:, :2, 2:]))
+        P = np.abs(J)
+        cross = np.trace(A @ P @ C @ P @ B @ P @ np.swapaxes(C, -1, -2) @ P, axis1=1, axis2=2)
+        det_a, det_b, det_c = (m[:, 0, 0] * m[:, 1, 1] + m[:, 0, 1] * m[:, 1, 0]
+                               for m in (A, B, C))
+        size = det_a * det_b + (0.25 + det_c) ** 2 + cross + 0.25 * (det_a + det_b)
+        np.testing.assert_allclose(simon_verdicts(stack).bound, SCORE_RTOL * size,
+                                   rtol=1e-14, atol=0.0)
+
+    def test_local_symplectic_maps_keep_score_and_verdict(self):
+        # det A, det B, det C and the trace term of S are invariant under
+        # local Sp(2) + Sp(2) maps sigma -> L sigma L^T; the computed scores
+        # must agree within the sum of their rounding bounds
+        rng = np.random.default_rng(41)
+        verdicts = set()
+        for _ in range(300):
+            sigma = oracles.random_physical_covariance(rng)
+            L = oracles.random_local_symplectic(rng)
+            moved = L @ sigma @ L.T
+            before, after = simon_verdicts(sigma), simon_verdicts(0.5 * (moved + moved.T))
+            tol = before.bound + after.bound
+            assert abs(after.score - before.score) <= tol
+            if abs(before.score) > 2.0 * tol:
+                assert (after.separable, after.boundary) == (before.separable, False)
+                verdicts.add(before.verdict)
+        assert verdicts == {"separable", "entangled"}
+
+    def test_mode_swap_keeps_verdict(self):
+        rng = np.random.default_rng(42)
+        verdicts = set()
+        for k in range(400):
+            draw = oracles.random_window_env if k % 2 else oracles.random_two_mode_env
+            env = draw(rng)
+            p = OscillatorParams(lam=env.lam)
+            sigma = steady_covariance(drift_matrix(p), diffusion_matrix(env))
+            if physicality_min_eigenvalue(sigma) < 0.0:
+                continue
+            swapped = steady_covariance(drift_matrix(p), diffusion_matrix(env.swapped()))
+            before, after = simon_verdicts(sigma), simon_verdicts(swapped)
+            tol = before.bound + after.bound
+            assert abs(after.score - before.score) <= tol
+            if abs(before.score) > 2.0 * tol:
+                assert after.verdict == before.verdict
+                verdicts.add(before.verdict)
+        assert verdicts == {"separable", "entangled"}
+
 
 class TestSimonScoreClosedForm:
     def test_reference_values(self):
@@ -201,6 +284,10 @@ class TestSimonScoreClosedForm:
             sigma = steady_covariance(drift_matrix(p), diffusion_matrix(env))
             assert simon_score_closed_form(env, p) \
                 == pytest.approx(simon_score(sigma), rel=1e-10, abs=1e-10)
+            # and within the sum of the two routes' rounding bounds
+            closed, closed_bound = closed_form_route(env, p)
+            full = simon_verdicts(sigma)
+            assert abs(closed - full.score) <= closed_bound + full.bound
 
     def test_positive_cross_determinant_discrepancy_is_det_c(self):
         # with det C > 0 the closed form exceeds the full criterion by
@@ -219,6 +306,59 @@ class TestSimonScoreClosedForm:
             full = simon_score(sigma)
             closed = simon_score_closed_form(env, p)
             assert closed - full == pytest.approx(det_c, rel=1e-8)
+
+
+def _window_edge_nodes():
+    """Both window edges of the Dxy = 0 family at relative offsets 0, +-1e-12,
+    +-1e-9 and +-1e-6: (params, env, exact S).  a = m w Dxx / lam runs to
+    1e5, where S cancels terms of size a^4 = 1e20."""
+    for lam in (0.01, 0.2, 5.0):
+        for m, omega in ((1.0, 1.0), (1.5, 0.8), (0.7, 2.0)):
+            p = OscillatorParams(lam=lam, m=m, omega=omega)
+            mw2 = (m * omega) ** 2
+            for a in (0.6, 1.0, 3.7, 51.3, 1e3, 1e5):
+                dxx = a * lam / (m * omega)
+                for edge in (-0.5, 0.5):
+                    for offset in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
+                        dxpy = math.sqrt(lam * lam + omega * omega) * (a + edge) * (1.0 + offset)
+                        env = TwoModeEnvironment.symmetric_env(
+                            Dxx=dxx, Dxpx=0.0, Dpxpx=mw2 * dxx, Dxy=0.0, Dxpy=dxpy,
+                            Dpxpy=0.0, lam=lam)
+                        yield p, env, oracles.exact_window_score(m, omega, lam, dxx, dxpy)
+
+
+class TestWindowEdgeSweep:
+    """The verdict at the window edges, against a 60-digit reference."""
+
+    def test_bound_covers_the_rounding_of_both_covariance_routes(self):
+        resolved = boundary = 0
+        for p, env, exact in _window_edge_nodes():
+            lyap = steady_covariance(drift_matrix(p), diffusion_matrix(env))
+            for sigma in (lyap, steady_covariance_closed_form(env, p)):
+                got = simon_verdicts(sigma)
+                assert abs(Decimal(got.score) - exact) <= Decimal(got.bound)
+                if got.boundary:
+                    boundary += 1
+                else:
+                    resolved += 1
+                    assert got.separable == (exact >= 0)
+        assert resolved > 0 and boundary > 0
+
+    def test_routes_agree_within_their_bounds(self):
+        for p, env, exact in _window_edge_nodes():
+            full = simon_verdicts(steady_covariance(drift_matrix(p), diffusion_matrix(env)))
+            closed, closed_bound = closed_form_route(env, p)
+            assert abs(closed - full.score) <= closed_bound + full.bound
+            assert abs(Decimal(closed) - exact) <= Decimal(closed_bound)
+
+    def test_scan_verdicts_match_the_reference(self):
+        nodes = list(_window_edge_nodes())
+        for k in range(0, len(nodes), 14):  # one Dxx, both edges, seven offsets
+            p, env, _ = nodes[k]
+            block = nodes[k:k + 14]
+            scan = scan_separability(env, p, [env.Dxx], [e.Dxpy for _, e, _ in block])
+            for (_, _, exact), separable, boundary in zip(block, scan.separable, scan.boundary):
+                assert boundary or separable == (exact >= 0)
 
 
 class TestEntanglementWindow:
