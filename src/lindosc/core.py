@@ -59,19 +59,23 @@ __all__ = [
 #   to an edge of its entanglement window is boundary-indeterminate.
 # * SCORE_RTOL: the Simon verdict.  S adds up products of at most four
 #   covariance entries.  Let Sigma be the sum of their magnitudes: S with
-#   every entry and every sign replaced by its magnitude.  Computing S from
-#   a stored matrix rounds at most 14 times along any of its products: 4 in
-#   the 2x2 LU determinant det C, 1 in 1/4 - |det C|, twice that plus 1 in
-#   its square, and 3 in summing the four terms (det A det B and the trace
-#   of the chain of three 2x2 products round fewer times).  With eps the
-#   machine epsilon, |fl(S) - S| <= 14 (eps/2) Sigma = 7 eps Sigma.  The
-#   matrix is rounded too: a relative error eta in each entry moves a
+#   every entry and every sign replaced by its magnitude.  S is written out
+#   over the entries of the stored matrix, and Sigma is the same expression
+#   on their magnitudes.  Each product of S is rounded at most 10 times on
+#   its way to S: twice in a 2x2 determinant or in an entry of A J C or
+#   B J C^T (a product, then a sum); 7 times in (1/4 - |det C|)^2 (3 in its
+#   base, twice that plus 1 in the square), then 3 in the final sum of four
+#   terms; 5 times in a product of the trace term (2 + 2 + 1), then 3 in
+#   summing its four products and 2 in the final sum; det A det B 5 + 3
+#   times and (det A + det B)/4 3 + 1.  With eps the machine epsilon,
+#   |fl(S) - S| <= 10 (eps/2) Sigma = 5 eps Sigma.
+#   The matrix is rounded too: a relative error eta in each entry moves a
 #   product of four entries by at most 4 eta of its size, and
-#   SCORE_RTOL = 32 eps leaves eta up to 6 eps.  On both edges of the
-#   entanglement window, against a 60-digit reference, S of either route
-#   to the asymptotic covariance stayed within 14.2 eps Sigma.  Where
-#   |S| <= SCORE_RTOL * Sigma, or S is not finite, the sign of S is not
-#   resolved and the verdict is "boundary".  Two routes to S (the closed
+#   SCORE_RTOL = 32 eps leaves eta up to (32 - 5)/4 = 6.75 eps.  On both
+#   edges of the entanglement window, against a 60-digit reference, S of
+#   either route to the asymptotic covariance stayed within 1.27 eps Sigma.
+#   Where |S| <= SCORE_RTOL * Sigma, or S is not finite, the sign of S is
+#   not resolved and the verdict is "boundary".  Two routes to S (the closed
 #   form has its own Sigma) agree when they differ by at most the sum of
 #   their bounds.  ``separability.simon_verdicts`` is the one place S meets
 #   this rule.

@@ -19,8 +19,12 @@ full criterion wherever det C <= 0 (the regime the family is built to
 probe); for det C > 0 the two differ by exactly det C because of the
 absolute value above, and the state is separable regardless.
 
-S cancels terms of the fourth power of the covariance entries, so its
-sign is resolved only where |S| exceeds its rounding bound.
+S is written out once, over the entries of A, B and C read from the
+4x4 matrix (or an (N, 4, 4) stack), in plain elementwise arithmetic.  S
+cancels terms of the fourth power of the covariance entries, so its sign
+is resolved only where |S| exceeds its rounding bound; the bound is the
+same written-out S taken on the magnitudes of the entries with J
+replaced by |J|, so S and its bound come from the same products.
 :func:`simon_verdicts` gives the score, the verdict and that bound, and
 calls the node "boundary" inside it; the rule and its constant are the
 tolerance policy of :mod:`lindosc.core`.
@@ -48,7 +52,6 @@ from .core import (  # noqa: F401
 )
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 from .two_mode import (
-    J,
     require_covariance4,
     require_hbar_one,
     require_matching_lam,
@@ -57,10 +60,8 @@ from .two_mode import (
 )
 
 __all__ = [
-    "BlockDecomposition",
     "SeparabilityResult",
     "ScanColumns",
-    "block_decompose",
     "simon_score",
     "simon_verdicts",
     "is_separable",
@@ -69,21 +70,6 @@ __all__ = [
     "entanglement_window",
     "scan_separability",
 ]
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """2x2 blocks of a 4x4 covariance matrix (or of a stack of them):
-    one-mode A and B, cross C."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        top = np.concatenate([self.A, self.C], axis=-1)
-        bottom = np.concatenate([np.swapaxes(self.C, -1, -2), self.B], axis=-1)
-        return np.concatenate([top, bottom], axis=-2)
 
 
 class SeparabilityResult(NamedTuple):
@@ -113,8 +99,9 @@ class ScanColumns:
     """A separability scan over (Dxx, Dxpy), one array entry per node.
 
     ``in_window`` is None when the template has Dxy != 0 (no window).
-    ``status`` holds "ok", "invalid", "invalid-window" or
-    "boundary-indeterminate".
+    ``status`` holds "ok", "invalid", "invalid-window",
+    "boundary-indeterminate" or "indeterminate" (S is not finite, so the
+    node has no verdict).
     """
 
     Dxx: np.ndarray
@@ -126,13 +113,28 @@ class ScanColumns:
     status: np.ndarray
 
 
-def block_decompose(sigma: np.ndarray) -> BlockDecomposition:
-    """Split a symmetric 4x4 covariance (or an (N, 4, 4) stack) into its
-    (A, B, C) blocks."""
-    sigma = require_covariance4(sigma)
-    return BlockDecomposition(A=sigma[..., :2, :2].copy(),
-                              B=sigma[..., 2:, 2:].copy(),
-                              C=sigma[..., :2, 2:].copy())
+def _simon(sigma: np.ndarray, sign: float) -> np.ndarray:
+    """S of a (..., 4, 4) stack, written out over the entries of its blocks
+    A = sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:], with the
+    symplectic form J = [[0, 1], [sign, 0]].
+
+    sign = -1 gives S.  On ``np.abs(sigma)``, sign = +1 gives Sigma, S with
+    every entry and every sign replaced by its magnitude: the sum of the
+    magnitudes of the products S adds up, from the same products.
+    """
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = \
+        np.moveaxis(sigma, (-2, -1), (0, 1))
+    # U = A J C and V = B J C^T; J on the right swaps the columns and
+    # multiplies the new first one by sign
+    u00, u01 = sign * a01 * c00 + a00 * c10, sign * a01 * c01 + a00 * c11
+    u10, u11 = sign * a11 * c00 + a10 * c10, sign * a11 * c01 + a10 * c11
+    v00, v01 = sign * b01 * c00 + b00 * c01, sign * b01 * c10 + b00 * c11
+    v10, v11 = sign * b11 * c00 + b10 * c01, sign * b11 * c10 + b10 * c11
+    cross = sign * (u01 * v01 + u10 * v10) + u00 * v11 + u11 * v00  # sign * Tr(U J V J)
+    det_a, det_b = a00 * a11 + sign * a01 * a10, b00 * b11 + sign * b01 * b10
+    det_c = c00 * c11 + sign * c01 * c10
+    return (det_a * det_b + (0.25 + sign * np.abs(det_c)) ** 2 + cross
+            + sign * 0.25 * (det_a + det_b))
 
 
 def simon_score(sigma: np.ndarray):
@@ -142,35 +144,7 @@ def simon_score(sigma: np.ndarray):
     state with this covariance.  Takes one 4x4 matrix (returns a float) or
     an (N, 4, 4) stack (returns an (N,) array).
     """
-    return scalar_or_array(_score(block_decompose(sigma)))
-
-
-def _score(blocks: BlockDecomposition) -> np.ndarray:
-    A, B, C = blocks.A, blocks.B, blocks.C
-    det_a, det_b, det_c = np.linalg.det(A), np.linalg.det(B), np.linalg.det(C)
-    chain = A @ J @ C @ J @ B @ J @ np.swapaxes(C, -1, -2) @ J
-    cross = np.trace(chain, axis1=-2, axis2=-1)
-    return det_a * det_b + (0.25 - np.abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
-
-
-def _magnitude(blocks: BlockDecomposition) -> np.ndarray:
-    """S of the blocks with every entry and every sign replaced by its
-    magnitude: the sum of the magnitudes of the products S adds up.
-
-    Written out entry by entry, which on 1,024 nodes takes half the time
-    of the matmul chain.
-    """
-    (a00, a01), (a10, a11) = np.moveaxis(np.abs(blocks.A), (-2, -1), (0, 1))
-    (b00, b01), (b10, b11) = np.moveaxis(np.abs(blocks.B), (-2, -1), (0, 1))
-    (c00, c01), (c10, c11) = np.moveaxis(np.abs(blocks.C), (-2, -1), (0, 1))
-    # U = |A| |J| |C| and V = |B| |J| |C|^T; |J| swaps the columns on its left
-    u00, u01 = a01 * c00 + a00 * c10, a01 * c01 + a00 * c11
-    u10, u11 = a11 * c00 + a10 * c10, a11 * c01 + a10 * c11
-    v00, v01 = b01 * c00 + b00 * c01, b01 * c10 + b00 * c11
-    v10, v11 = b11 * c00 + b10 * c01, b11 * c10 + b10 * c11
-    cross = u01 * v01 + u00 * v11 + u11 * v00 + u10 * v10  # Tr(U |J| V |J|)
-    det_a, det_b = a00 * a11 + a01 * a10, b00 * b11 + b01 * b10
-    return det_a * det_b + (0.25 + c00 * c11 + c01 * c10) ** 2 + cross + 0.25 * (det_a + det_b)
+    return scalar_or_array(_simon(require_covariance4(sigma), -1.0))
 
 
 def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
@@ -182,9 +156,9 @@ def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
     it, or with a non-finite S, is on the boundary.  See the tolerance
     policy in :mod:`lindosc.core`.
     """
-    blocks = block_decompose(sigma)
-    score = _score(blocks)
-    bound = SCORE_RTOL * _magnitude(blocks)
+    sigma = require_covariance4(sigma)
+    score = _simon(sigma, -1.0)
+    bound = SCORE_RTOL * _simon(np.abs(sigma), 1.0)
     separable, boundary = score >= 0.0, ~(np.abs(score) > bound)
     if score.ndim == 0:
         return SeparabilityResult(float(score), bool(separable), bool(boundary), float(bound))
@@ -287,7 +261,9 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     Gram-positivity violations ("invalid"), nodes whose Dxx is below the
     one-mode uncertainty bound ("invalid-window"), and nodes within
     ``core.ENDPOINT_MARGIN`` of a window endpoint
-    ("boundary-indeterminate").  A node status never aborts the scan.
+    ("boundary-indeterminate").  A node whose S is not finite is
+    "indeterminate" unless it is "invalid" or "invalid-window", which are
+    facts about its inputs.  A node status never aborts the scan.
     """
     require_hbar_one(params)
     require_matching_lam(env_template, params)
@@ -326,5 +302,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
         status[np.minimum(np.abs(dxpy - lo), np.abs(dxpy - hi)) <= margin] = \
             "boundary-indeterminate"
         status[~has_window] = "invalid-window"
+    status[~np.isfinite(score) & np.isin(status, ("ok", "boundary-indeterminate"))] = \
+        "indeterminate"
     return ScanColumns(Dxx=dxx, Dxpy=dxpy, score=score, separable=separable,
                        boundary=boundary, in_window=in_window, status=status)

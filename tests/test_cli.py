@@ -505,6 +505,7 @@ class TestScanCommand:
         rows = parse_csv(out)
         assert {r["S"] for r in rows} == {"inf", "nan"}
         assert all(r["separable"] == "boundary" for r in rows)
+        assert all(r["status"] == "indeterminate" for r in rows)
 
     def test_low_dxx_marks_invalid_window(self, tmp_path, capsys):
         cfg = self._config(tmp_path, dxx=0.05)

@@ -16,7 +16,6 @@ from lindosc import (
     TwoModeEnvironment,
 )
 from lindosc.separability import (
-    block_decompose,
     closed_form_route,
     entanglement_window,
     is_separable,
@@ -51,32 +50,22 @@ def _sigma_from_blocks(A, B, C):
 
 
 class TestBlockDecompose:
-    def test_block_diagonal_has_zero_cross(self):
-        sigma = np.diag([1.0, 2.0, 3.0, 4.0])
-        blocks = block_decompose(sigma)
-        np.testing.assert_allclose(blocks.C, 0.0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(31)
-        M = rng.uniform(-1.0, 1.0, (4, 4))
-        sigma = M + M.T + 4.0 * np.eye(4)
-        blocks = block_decompose(sigma)
-        np.testing.assert_allclose(blocks.reassemble(), sigma, atol=0.0)
-
     def test_symmetric_environment_gives_equal_blocks(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
             env = oracles.random_valid_symmetric_env(rng)
             S = steady_covariance_closed_form(env, OscillatorParams(lam=env.lam))
-            blocks = block_decompose(S)
-            np.testing.assert_allclose(blocks.A, blocks.B, atol=1e-15)
-            np.testing.assert_allclose(blocks.C, blocks.C.T, atol=1e-15)
+            A, B, C = S[:2, :2], S[2:, 2:], S[:2, 2:]
+            np.testing.assert_allclose(A, B, atol=1e-15)
+            np.testing.assert_allclose(C, C.T, atol=1e-15)
 
     def test_rejects_asymmetric(self):
         bad = np.eye(4)
         bad[1, 2] = 1e-6
         with pytest.raises(ShapeError):
-            block_decompose(bad)
+            simon_score(bad)
+        with pytest.raises(ShapeError):
+            simon_verdicts(bad)
 
 
 class TestSimonScore:
@@ -337,6 +326,8 @@ class TestWindowEdgeSweep:
             for sigma in (lyap, steady_covariance_closed_form(env, p)):
                 got = simon_verdicts(sigma)
                 assert abs(Decimal(got.score) - exact) <= Decimal(got.bound)
+                # the written-out S: within 8 eps Sigma = bound / 4
+                assert abs(Decimal(got.score) - exact) <= Decimal(got.bound) / 4
                 if got.boundary:
                     boundary += 1
                 else:
@@ -490,6 +481,8 @@ def _scan_reference(template, params, dxx_values, dxpy_values):
                         status = "boundary-indeterminate"
             if status == "ok" and not validate_two_mode(env).passed:
                 status = "invalid"
+            if status in ("ok", "boundary-indeterminate") and not math.isfinite(result.score):
+                status = "indeterminate"
             rows.append((dxx, dxpy, result.score, result.separable, result.boundary,
                          in_window, status))
     return rows
