@@ -200,18 +200,15 @@ def _linspace(lo: float, hi: float, steps, what: str) -> np.ndarray:
 def cmd_validate(cfg: RunConfig, args) -> int:
     thermal = cfg.require("thermal", "validate")
     env = gibbs_coefficients(cfg.oscillator, thermal)
-    report = validate_single_mode(env, thermal)
-    print("single_mode (thermal coefficients):")
-    for line in report.lines():
-        print("  " + line)
-    all_passed = report.passed
+    reports = [("single_mode (thermal coefficients)", validate_single_mode(env, thermal))]
     if cfg.two_mode_env is not None:
-        report2 = validate_two_mode(cfg.two_mode_env)
-        print("two_mode (environment Gram matrix):")
-        for line in report2.lines():
-            print("  " + line)
-        all_passed = all_passed and report2.passed
-    return EXIT_OK if all_passed else EXIT_INVALID
+        reports.append(("two_mode (environment Gram matrix)",
+                        validate_two_mode(cfg.two_mode_env)))
+    lines = []
+    for title, report in reports:
+        lines += [title + ":"] + ["  " + line for line in report.lines()]
+    _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK if all(report.passed for _, report in reports) else EXIT_INVALID
 
 
 def cmd_deco_grid(cfg: RunConfig, args) -> int:
@@ -416,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, grid=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+        p.add_argument("--out", default=None, help="write the output here instead of stdout")
         # one flag per key of the command's config grid section: t_min is --t-min
         for key, default in SECTIONS.get(grid, {}).items():
             p.add_argument("--" + key.replace("_", "-"),

@@ -55,8 +55,6 @@ __all__ = [
 #   different formulas.
 # * PSD_RTOL: the minimum eigenvalue of a Gram matrix passes at
 #   >= -PSD_RTOL * max|G| of its own matrix.
-# * ENDPOINT_MARGIN: a scan node closer than ENDPOINT_MARGIN * max(1, hi)
-#   to an edge of its entanglement window is boundary-indeterminate.
 # * SCORE_RTOL: the Simon verdict.  S adds up products of at most four
 #   covariance entries.  Let Sigma be the sum of their magnitudes: S with
 #   every entry and every sign replaced by its magnitude.  S is written out
@@ -78,11 +76,11 @@ __all__ = [
 #   not resolved and the verdict is "boundary".  Two routes to S (the closed
 #   form has its own Sigma) agree when they differ by at most the sum of
 #   their bounds.  ``separability.simon_verdicts`` is the one place S meets
-#   this rule.
+#   this rule; a window node of ``scan_separability`` with a "boundary"
+#   verdict is "boundary-indeterminate", the scan's only unresolved status.
 SCALE_RTOL = 1e-12
 GIBBS_RTOL = 1e-9
 PSD_RTOL = 1e-10
-ENDPOINT_MARGIN = 1e-9
 SCORE_RTOL = 32 * np.finfo(float).eps
 
 

@@ -14,10 +14,11 @@ For the mirror-symmetric environment family with
 m^2 w^2 Dxx = Dpxpx, Dxpx = 0 and m^2 w^2 Dxy = Dpxpy, the score of the
 *asymptotic* state collapses to a closed form in the diffusion
 coefficients, and with Dxy = 0 the entangled region is an explicit open
-window of the cross coefficient Dxpy.  The closed form agrees with the
-full criterion wherever det C <= 0 (the regime the family is built to
-probe); for det C > 0 the two differ by exactly det C because of the
-absolute value above, and the state is separable regardless.
+window of |Dxpy| (S is even in the cross coefficient Dxpy).  The closed
+form agrees with the full criterion wherever det C <= 0 (the regime the
+family is built to probe); for det C > 0 the two differ by exactly det C
+because of the absolute value above, and the state is separable
+regardless.
 
 S is written out once, over the entries of A, B and C read from the
 4x4 matrix (or an (N, 4, 4) stack), in plain elementwise arithmetic.  S
@@ -40,7 +41,6 @@ import numpy as np
 
 # validate_two_mode is also reached as separability.validate_two_mode.
 from .core import (  # noqa: F401
-    ENDPOINT_MARGIN,
     NODE_BLOCK,
     SCORE_RTOL,
     OscillatorParams,
@@ -99,9 +99,7 @@ class ScanColumns:
     """A separability scan over (Dxx, Dxpy), one array entry per node.
 
     ``in_window`` is None when the template has Dxy != 0 (no window).
-    ``status`` holds "ok", "invalid", "invalid-window",
-    "boundary-indeterminate" or "indeterminate" (S is not finite, so the
-    node has no verdict).
+    ``status`` holds each node's status, as :func:`scan_separability` lists.
     """
 
     Dxx: np.ndarray
@@ -113,6 +111,7 @@ class ScanColumns:
     status: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives a non-finite S: "boundary"
 def _simon(sigma: np.ndarray, sign: float) -> np.ndarray:
     """S of a (..., 4, 4) stack, written out over the entries of its blocks
     A = sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:], with the
@@ -225,9 +224,10 @@ def _window_ratio(Dxx, params: OscillatorParams):
 
 
 def entanglement_window(Dxx: float, params: OscillatorParams) -> tuple[float, float]:
-    """Open interval of Dxpy producing an entangled asymptotic state.
+    """Open interval of |Dxpy| producing an entangled asymptotic state.
 
-    Applies to the Dxy = 0 closed-form family.  The window is
+    Applies to the Dxy = 0 closed-form family.  S is even in Dxpy, and the
+    state is entangled exactly where lo < |Dxpy| < hi.  The window is
 
         (sqrt(lam^2 + w^2) * (m w Dxx/lam - 1/2),
          sqrt(lam^2 + w^2) * (m w Dxx/lam + 1/2)),
@@ -257,13 +257,15 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
 
     Nodes are in row-major order, Dxx slowest.  ``score``, ``separable``
     and ``boundary`` are :func:`simon_verdicts` of the nodes.  ``in_window``
-    is reported only for Dxy = 0 templates; the status column marks
-    Gram-positivity violations ("invalid"), nodes whose Dxx is below the
-    one-mode uncertainty bound ("invalid-window"), and nodes within
-    ``core.ENDPOINT_MARGIN`` of a window endpoint
-    ("boundary-indeterminate").  A node whose S is not finite is
-    "indeterminate" unless it is "invalid" or "invalid-window", which are
-    facts about its inputs.  A node status never aborts the scan.
+    is reported only for Dxy = 0 templates: m w Dxx / lam >= 1/2 and
+    lo < |Dxpy| < hi of :func:`entanglement_window`.  A node's status is
+    the first that holds of "invalid-window" (Dxy = 0 and Dxx below the
+    one-mode uncertainty bound: no window), "invalid" (Gram positivity
+    fails), "indeterminate" (S is not finite: no verdict),
+    "boundary-indeterminate" (Dxy = 0 and ``boundary``: the sign of S, and
+    so its agreement with ``in_window``, is not resolved) and "ok".  The
+    first two are facts about the inputs.  A node status never aborts the
+    scan.
     """
     require_hbar_one(params)
     require_matching_lam(env_template, params)
@@ -290,19 +292,17 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
                              dxy, dxpy[k], dxpy[k], dpxpy, lam)
         gram_ok[k] = gram_checks(gram)[1].all(axis=-1)
 
-    status = np.full(dxx.size, "ok", dtype=object)
-    status[~gram_ok] = "invalid"
+    windowed = dxy == 0.0
+    has_window = _window_ratio(dxx, params) >= 0.5
     in_window = None
-    if dxy == 0.0:
-        has_window = _window_ratio(dxx, params) >= 0.5
+    if windowed:
         lo, hi = np.full(dxx.size, np.nan), np.full(dxx.size, np.nan)
         lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
-        in_window = (lo < dxpy) & (dxpy < hi)
-        margin = ENDPOINT_MARGIN * np.maximum(1.0, hi)
-        status[np.minimum(np.abs(dxpy - lo), np.abs(dxpy - hi)) <= margin] = \
-            "boundary-indeterminate"
-        status[~has_window] = "invalid-window"
-    status[~np.isfinite(score) & np.isin(status, ("ok", "boundary-indeterminate"))] = \
-        "indeterminate"
+        in_window = (lo < np.abs(dxpy)) & (np.abs(dxpy) < hi)
+    # the first status whose condition holds, in the documented order
+    first = np.select([windowed & ~has_window, ~gram_ok, ~np.isfinite(score),
+                       windowed & boundary], [0, 1, 2, 3], 4)
+    status = np.array(["invalid-window", "invalid", "indeterminate",
+                       "boundary-indeterminate", "ok"], dtype=object)[first]
     return ScanColumns(Dxx=dxx, Dxpy=dxpy, score=score, separable=separable,
                        boundary=boundary, in_window=in_window, status=status)

@@ -92,6 +92,16 @@ class TestValidateCommand:
         assert code == 2  # the entangling window regime is not completely positive
         assert "FAIL gram_matrix_psd" in out
 
+    @pytest.mark.parametrize("body", [FIG1, dict(FIG1, two_mode_env=WINDOW_ENV)])
+    def test_out_flag_writes_the_report(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path, body)
+        code, want, _ = run(capsys, ["validate", "--config", cfg])
+        out_path = tmp_path / "report.txt"
+        got_code, out, _ = run(capsys, ["validate", "--config", cfg, "--out", str(out_path)])
+        assert out == ""
+        assert out_path.read_text() == want
+        assert got_code == code
+
 
 class TestDecoGridCommand:
     def test_single_node_at_t_zero(self, tmp_path, capsys):
@@ -494,14 +504,16 @@ class TestScanCommand:
         assert crossings[0] == pytest.approx(0.0, abs=0.02)
         assert crossings[1] == pytest.approx(math.sqrt(1.04), abs=0.02)
 
-    def test_non_finite_score_is_boundary(self, tmp_path, capsys):
-        # S overflows to inf or nan at Dxx = 1e100; neither sign is a verdict
+    def test_non_finite_score_is_boundary(self, tmp_path, capsys, recwarn):
+        # S overflows to inf or nan at Dxx = 1e100; neither sign is a verdict,
+        # and the overflow is not reported as a numpy warning
         cfg = self._config(tmp_path)
-        with np.errstate(all="ignore"):
-            code, out, _ = run(capsys, ["scan", "--config", cfg, "--dxx-min", "1e100",
-                                        "--dxx-max", "1e100", "--dxpy-max", "1e100",
-                                        "--dxpy-steps", "3"])
+        code, out, err = run(capsys, ["scan", "--config", cfg, "--dxx-min", "1e100",
+                                      "--dxx-max", "1e100", "--dxpy-max", "1e100",
+                                      "--dxpy-steps", "3"])
         assert code == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
         rows = parse_csv(out)
         assert {r["S"] for r in rows} == {"inf", "nan"}
         assert all(r["separable"] == "boundary" for r in rows)

@@ -316,6 +316,21 @@ def _window_edge_nodes():
                         yield p, env, oracles.exact_window_score(m, omega, lam, dxx, dxpy)
 
 
+def _random_near_edge_nodes(rng, count):
+    """``count`` nodes (params, Dxx, Dxpy) of the Dxy = 0 family near a window
+    edge or its mirror at -Dxpy: lam, m and omega over two decades, a = m w
+    Dxx / lam in 1/2 + [1e-8, 1e5], relative offsets down to 1e-15 and then
+    up to 8 ulps either way."""
+    for _ in range(count):
+        lam, m, omega = 10.0 ** rng.uniform(-1.0, 1.0, 3)
+        a = 0.5 + 10.0 ** rng.uniform(-8.0, 5.0)
+        edge = math.sqrt(lam * lam + omega * omega) * (a + rng.choice((-0.5, 0.5)))
+        offset = rng.choice((0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6))
+        dxpy = edge * (1.0 + offset) + int(rng.integers(-8, 9)) * math.ulp(edge)
+        yield (OscillatorParams(lam=lam, m=m, omega=omega), a * lam / (m * omega),
+               rng.choice((-1.0, 1.0)) * dxpy)
+
+
 class TestWindowEdgeSweep:
     """The verdict at the window edges, against a 60-digit reference."""
 
@@ -350,6 +365,23 @@ class TestWindowEdgeSweep:
             scan = scan_separability(env, p, [env.Dxx], [e.Dxpy for _, e, _ in block])
             for (_, _, exact), separable, boundary in zip(block, scan.separable, scan.boundary):
                 assert boundary or separable == (exact >= 0)
+
+    def test_in_window_agrees_with_the_sign_of_s(self):
+        # two routes to one verdict: the closed-form window edges give
+        # in_window, S gives separable; they agree wherever S is resolved
+        nodes = [(p, env.Dxx, sign * env.Dxpy)
+                 for p, env, _ in _window_edge_nodes() for sign in (1.0, -1.0)]
+        nodes += _random_near_edge_nodes(np.random.default_rng(41), 1200)
+        resolved = 0
+        for p, dxx, dxpy in nodes:
+            mw2 = (p.m * p.omega) ** 2
+            template = TwoModeEnvironment.symmetric_env(
+                Dxx=dxx, Dxpx=0.0, Dpxpx=mw2 * dxx, Dxy=0.0, Dxpy=0.0, Dpxpy=0.0, lam=p.lam)
+            scan = scan_separability(template, p, [dxx], [dxpy])
+            if not scan.boundary[0] and p.m * p.omega * dxx / p.lam >= 0.5:
+                resolved += 1
+                assert scan.in_window[0] == (not scan.separable[0]), (p, dxx, dxpy)
+        assert resolved > len(nodes) // 2
 
 
 class TestEntanglementWindow:
@@ -440,11 +472,12 @@ class TestScanSeparability:
             Dxx=0.3, Dxpx=0.0, Dpxpx=mw2 * 0.3, Dxy=dxy, Dxpy=0.0, Dpxpy=mw2 * dxy,
             lam=params.lam)
         # the first Dxx row sits below the one-mode bound (invalid-window);
-        # Dxpy crosses both window edges of the third row, and hits them
+        # Dxpy crosses both window edges of the third row and of its mirror
+        # at -Dxpy, and hits them
         dxx_grid = np.array([0.4, 0.5, 1.5, 3.0, 6.0]) * params.lam / (params.m * params.omega)
         lo, hi = entanglement_window(float(dxx_grid[2]), params)
-        dxpy_grid = np.concatenate([np.linspace(-1.0, 4.0, 41),
-                                    [lo, hi, lo + 1e-10, hi - 5e-10, hi + 1e-6]])
+        dxpy_grid = np.concatenate([np.linspace(-4.0, 4.0, 65),
+                                    [lo, hi, lo + 1e-10, hi - 5e-10, hi + 1e-6, -lo, -hi]])
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
         want = _scan_reference(template, params, dxx_grid, dxpy_grid)
         assert len(scan.score) == len(want)
@@ -458,7 +491,8 @@ class TestScanSeparability:
 
 
 def _scan_reference(template, params, dxx_values, dxpy_values):
-    """The scan node by node through the public scalar functions."""
+    """The scan node by node through the public scalar functions, with the
+    statuses in their documented order."""
     mw2 = (params.m * params.omega) ** 2
     rows = []
     for dxx in map(float, dxx_values):
@@ -470,19 +504,20 @@ def _scan_reference(template, params, dxx_values, dxpy_values):
                 Dxx=dxx, Dxpx=0.0, Dpxpx=mw2 * dxx, Dxy=template.Dxy, Dxpy=dxpy,
                 Dpxpy=mw2 * template.Dxy, lam=template.lam)
             result = is_separable(steady_covariance_closed_form(env, params))
-            in_window, status = None, "ok"
-            if template.Dxy == 0.0:
-                if window is None:
-                    in_window, status = False, "invalid-window"
-                else:
-                    lo, hi = window
-                    in_window = lo < dxpy < hi
-                    if min(abs(dxpy - lo), abs(dxpy - hi)) <= 1e-9 * max(1.0, hi):
-                        status = "boundary-indeterminate"
-            if status == "ok" and not validate_two_mode(env).passed:
+            windowed = template.Dxy == 0.0
+            in_window = None
+            if windowed:
+                in_window = window is not None and window[0] < abs(dxpy) < window[1]
+            if windowed and window is None:
+                status = "invalid-window"
+            elif not validate_two_mode(env).passed:
                 status = "invalid"
-            if status in ("ok", "boundary-indeterminate") and not math.isfinite(result.score):
+            elif not math.isfinite(result.score):
                 status = "indeterminate"
+            elif windowed and result.boundary:
+                status = "boundary-indeterminate"
+            else:
+                status = "ok"
             rows.append((dxx, dxpy, result.score, result.separable, result.boundary,
                          in_window, status))
     return rows
