@@ -202,7 +202,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     env = gibbs_coefficients(cfg.oscillator, thermal)
     reports = [("single_mode (thermal coefficients)", validate_single_mode(env, thermal))]
     if cfg.two_mode_env is not None:
-        reports.append(("two_mode (environment Gram matrix)",
+        reports.append(("two_mode (environment complete positivity)",
                         validate_two_mode(cfg.two_mode_env)))
     lines = []
     for title, report in reports:
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Gaussian dynamics of damped quantum oscillators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, grid=None):
+    def add(name, help_text, grid=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="write the output here instead of stdout")
@@ -420,31 +420,34 @@ def build_parser() -> argparse.ArgumentParser:
                            type=int if isinstance(default, int) else float,
                            help=f"overrides {grid}.{key}"
                            + ("" if default is None else f" (default {default})"))
-        p.set_defaults(func=func)
         return p
 
-    add("validate", cmd_validate, "check parameter validity, exit 2 on failure")
-    p = add("deco-grid", cmd_deco_grid, "decoherence degree over a (t, C) grid", "deco_grid")
+    add("validate", "check parameter validity, exit 2 on failure")
+    p = add("deco-grid", "decoherence degree over a (t, C) grid", "deco_grid")
     p.add_argument("--asymptotic", action="store_true",
                    help="emit the infinite-time values instead of the t grid")
     p.add_argument("--skip-invalid", action="store_true",
                    help="mark C nodes failing validation instead of aborting")
-    p = add("density", cmd_density, "density matrix on an (x, x') grid", "density")
+    p = add("density", "density matrix on an (x, x') grid", "density")
     p.add_argument("--stationary", action="store_true",
                    help="emit the infinite-time thermal state instead")
-    add("timescales", cmd_timescales, "characteristic time scales")
-    add("asymptotic", cmd_asymptotic, "asymptotic two-mode covariance and separability")
-    add("propagate", cmd_propagate, "two-mode covariance trajectory", "propagate")
-    add("scan", cmd_scan, "separability scan over (Dxx, Dxpy)", "scan")
+    add("timescales", "characteristic time scales")
+    add("asymptotic", "asymptotic two-mode covariance and separability")
+    add("propagate", "two-mode covariance trajectory", "propagate")
+    add("scan", "separability scan over (Dxx, Dxpy)", "scan")
     return parser
 
 
+#: Built once per process; each call parses into a fresh namespace.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.func(cfg, args)
+        # looked up at call time, so that a rebound cmd_* is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,6 +14,15 @@ outside the complete-positivity constraints, and the library must still
 be able to evaluate them.  ``validate_single_mode`` and
 ``validate_two_mode`` return itemized reports with the numeric slack of
 every inequality.
+
+Every verdict on a two-mode covariance sigma (hbar = 1) is a sign test on
+the invariants of :func:`invariants`: sigma_00, det A and the leading 3x3
+minor; Delta - 1/2, with Delta = det A + det B + 2 det C; U = det sigma -
+Delta/4 + 1/16; and Simon's S, which is U with (1/4 - |det C|)^2 in place
+of (1/4 - det C)^2.  sigma + (i/2) Omega >= 0 exactly when the first five
+are >= 0 (Simon, PRL 84, 2726 (2000); Serafini, Illuminati and De Siena,
+J. Phys. B 37, L21 (2004)), and an environment is completely positive
+exactly when its D/(hbar lam) is.
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ __all__ = [
     "validate_single_mode",
     "validate_two_mode",
     "correlated_coherent_state",
-    "gram_matrices",
-    "gram_checks",
+    "invariants",
+    "bona_fide_checks",
 ]
 
 # Tolerance policy.  Every float comparison against a tolerance in the
@@ -53,8 +62,6 @@ __all__ = [
 # * GIBBS_RTOL: the looser rule for the product of Gibbs-type coefficients,
 #   Dxx*Dpp = (lam^2 - mu^2) hbar^2 C^2 / 4, whose two sides come from
 #   different formulas.
-# * PSD_RTOL: the minimum eigenvalue of a Gram matrix passes at
-#   >= -PSD_RTOL * max|G| of its own matrix.
 # * SCORE_RTOL: the Simon verdict.  S adds up products of at most four
 #   covariance entries.  Let Sigma be the sum of their magnitudes: S with
 #   every entry and every sign replaced by its magnitude.  S is written out
@@ -78,9 +85,15 @@ __all__ = [
 #   their bounds.  ``separability.simon_verdicts`` is the one place S meets
 #   this rule; a window node of ``scan_separability`` with a "boundary"
 #   verdict is "boundary-indeterminate", the scan's only unresolved status.
+# * Every other sign test takes the same rule and constant: x >= 0 fails
+#   only where x < -SCORE_RTOL * Sigma_x, Sigma_x being x on the magnitudes
+#   (:func:`not_negative`).  A product is rounded at most twice in det A, 5
+#   times in the 3x3 minor (2 in a cofactor, 1 in its product, 2 in the sum
+#   of three), 5 in Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as
+#   in S), 4 in the one-mode constraint and 5 in the Gibbs constraint.  The
+#   entries of sigma = D/(hbar lam) are rounded by at most eps < 6.75 eps.
 SCALE_RTOL = 1e-12
 GIBBS_RTOL = 1e-9
-PSD_RTOL = 1e-10
 SCORE_RTOL = 32 * np.finfo(float).eps
 
 
@@ -242,16 +255,6 @@ class TwoModeEnvironment:
                    Dxy=Dxy, Dxpy=Dxpy, Dypx=Dxpy, Dpxpy=Dpxpy,
                    lam=lam, symmetric=True)
 
-    def coefficient_matrix(self, hbar: float = 1.0) -> np.ndarray:
-        """Hermitian 4x4 matrix of environment scalar products (Gram matrix).
-
-        Complete positivity of the dynamical semigroup is equivalent to
-        this matrix being positive semidefinite.
-        """
-        return gram_matrices(self.Dxx, self.Dxpx, self.Dpxpx, self.Dyy, self.Dypy,
-                             self.Dpypy, self.Dxy, self.Dxpy, self.Dypx, self.Dpxpy,
-                             self.lam, hbar)
-
     def swapped(self) -> "TwoModeEnvironment":
         """Exchange the roles of the two oscillators (x <-> y, p_x <-> p_y)."""
         return replace(self, Dxx=self.Dyy, Dxpx=self.Dypy, Dpxpx=self.Dpypy,
@@ -355,23 +358,33 @@ def _is_gibbs_type(env: SingleModeEnv, thermal: ThermalParams) -> bool:
     return negligible(env.Dxp, scale) and negligible(prod - target, scale, GIBBS_RTOL)
 
 
+def not_negative(value, magnitude):
+    """value >= 0 passes unless value < -SCORE_RTOL * magnitude (see the
+    tolerance policy); a non-finite value passes.  Floats or arrays."""
+    return np.logical_not(value < -SCORE_RTOL * magnitude)
+
+
 def validate_single_mode(env: SingleModeEnv, thermal: ThermalParams | None = None) -> ValidationReport:
     """Check the single-mode diffusion coefficients against their constraints.
 
     Always checks Dxx > 0, Dpp > 0 and the complete-positivity bound
     Dxx*Dpp - Dxp**2 >= (lam*hbar/2)**2.  When ``thermal`` is given and
     the coefficients are of thermal-equilibrium type, additionally checks
-    (lam**2 - mu**2) * C**2 >= lam**2.
+    (lam**2 - mu**2) * C**2 >= lam**2.  These two fail only where their
+    slack is resolved negative (:func:`not_negative`).
     """
     checks = [
         ValidationCheck("dxx_positive", env.Dxx > 0.0, env.Dxx),
         ValidationCheck("dpp_positive", env.Dpp > 0.0, env.Dpp),
     ]
-    slack = env.Dxx * env.Dpp - env.Dxp**2 - 0.25 * env.lam**2 * env.hbar**2
-    checks.append(ValidationCheck("fundamental_constraint", slack >= 0.0, slack))
+    quantum = 0.25 * env.lam**2 * env.hbar**2
+    slack = env.Dxx * env.Dpp - env.Dxp**2 - quantum
+    size = abs(env.Dxx * env.Dpp) + env.Dxp**2 + quantum
+    checks.append(ValidationCheck("fundamental_constraint", bool(not_negative(slack, size)), slack))
     if thermal is not None and _is_gibbs_type(env, thermal):
         g = (env.lam**2 - env.mu**2) * thermal.C**2 - env.lam**2
-        checks.append(ValidationCheck("gibbs_thermal_constraint", g >= 0.0, g))
+        size = (env.lam**2 + env.mu**2) * thermal.C**2 + env.lam**2
+        checks.append(ValidationCheck("gibbs_thermal_constraint", bool(not_negative(g, size)), g))
     return ValidationReport(tuple(checks))
 
 
@@ -382,65 +395,68 @@ def stack_matrices(rows) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
 
 
-def gram_matrices(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
-                  lam, hbar: float = 1.0) -> np.ndarray:
-    """Hermitian Gram matrices of environment coefficients, shape (..., 4, 4).
-
-    The coefficients may be arrays; they broadcast against each other.
-    See :meth:`TwoModeEnvironment.coefficient_matrix`.
-    """
-    il = 0.5j * hbar * lam
-    return stack_matrices([
-        [Dxx, -Dxpx - il, Dxy, -Dxpy],
-        [-Dxpx + il, Dpxpx, -Dypx, Dpxpy],
-        [Dxy, -Dypx, Dyy, -Dypy - il],
-        [-Dxpy, Dpxpy, -Dypy + il, Dpypy],
+def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
+    """Symmetric 4x4 diffusion matrix in (x, p_x, y, p_y) ordering; its
+    complete positivity is reported by :func:`validate_two_mode`, not enforced."""
+    return np.array([
+        [env.Dxx, env.Dxpx, env.Dxy, env.Dxpy],
+        [env.Dxpx, env.Dpxpx, env.Dypx, env.Dpxpy],
+        [env.Dxy, env.Dypx, env.Dyy, env.Dypy],
+        [env.Dxpy, env.Dpxpy, env.Dypy, env.Dpypy],
     ])
 
 
-#: Names of the Gram checks, in the order of the last axis of ``gram_checks``.
-GRAM_CHECKS = ("gram_matrix_psd", "cs_xx_yy", "cs_xx_pxpx", "cs_xx_pypy",
-               "cs_yy_pxpx", "cs_yy_pypy", "cs_pxpx_pypy")
-_MINOR_I = np.array([0, 0, 0, 1, 2, 1])
-_MINOR_J = np.array([2, 1, 3, 2, 3, 3])
+#: The invariants of :func:`invariants`, in the order of its last axis; the
+#: first five are the bona fide checks of value >= 0.
+INVARIANTS = ("sigma_xx_positive", "det_a_positive", "minor_3_positive",
+              "delta_at_least_half", "uncertainty_relation", "simon_score")
 
 
-def gram_checks(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slack and pass flag of each positivity check of Gram matrices (..., 4, 4).
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives a non-finite value: unresolved
+def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
+    """sigma_00, det A, the leading 3x3 minor, Delta - 1/2, U and S of a
+    (..., 4, 4) stack, shape (..., 6), written out over the entries of A =
+    sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:] with the
+    symplectic form J = [[0, 1], [sign, 0]].
 
-    Both results have shape (..., 7), ordered as ``GRAM_CHECKS``.  The first
-    check is the minimum eigenvalue, which passes at >= -PSD_RTOL * max|G|
-    of its own matrix; the other six are the 2x2 principal minors, which
-    pass at >= 0.
+    sign = -1 gives the invariants.  On ``np.abs(sigma)``, sign = +1 gives
+    each one's magnitude sum: the invariant with every entry and every sign
+    replaced by its magnitude, from the same products.
     """
-    min_eig = np.linalg.eigvalsh(gram)[..., 0]
-    tol = PSD_RTOL * np.abs(gram).max(axis=(-2, -1))
-    a, b = gram[..., _MINOR_I, _MINOR_I], gram[..., _MINOR_J, _MINOR_J]
-    c, d = gram[..., _MINOR_I, _MINOR_J], gram[..., _MINOR_J, _MINOR_I]
-    # Re(a b - c d) in real arithmetic: numpy's vectorized complex product
-    # rounds differently from the scalar one the slacks were defined with.
-    minors = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
-    slack = np.concatenate([min_eig[..., None], minors], axis=-1)
-    passed = np.concatenate([(min_eig >= -tol)[..., None], minors >= 0.0], axis=-1)
-    return slack, passed
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = \
+        np.moveaxis(sigma, (-2, -1), (0, 1))
+    # U = A J C and V = B J C^T; J on the right swaps the columns and
+    # multiplies the new first one by sign
+    u00, u01 = sign * a01 * c00 + a00 * c10, sign * a01 * c01 + a00 * c11
+    u10, u11 = sign * a11 * c00 + a10 * c10, sign * a11 * c01 + a10 * c11
+    v00, v01 = sign * b01 * c00 + b00 * c01, sign * b01 * c10 + b00 * c11
+    v10, v11 = sign * b11 * c00 + b10 * c01, sign * b11 * c10 + b10 * c11
+    cross = sign * (u01 * v01 + u10 * v10) + u00 * v11 + u11 * v00  # sign * Tr(U J V J)
+    det_a, det_b = a00 * a11 + sign * a01 * a10, b00 * b11 + sign * b01 * b10
+    det_c = c00 * c11 + sign * c01 * c10
+    # the leading 3x3 block is [[a00, a01, c00], [a10, a11, c10], [c00, c10, b00]]
+    minor_3 = (a00 * (a11 * b00 + sign * c10 * c10) + sign * a01 * (a10 * b00 + sign * c10 * c00)
+               + c00 * (a10 * c10 + sign * a11 * c00))
+    head, quarter = det_a * det_b, sign * 0.25 * (det_a + det_b)
+    return np.stack([a00, det_a, minor_3, det_a + det_b + 2.0 * det_c + sign * 0.5,
+                     head + (0.25 + sign * det_c) ** 2 + cross + quarter,
+                     head + (0.25 + sign * np.abs(det_c)) ** 2 + cross + quarter], axis=-1)
+
+
+def bona_fide_checks(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and pass flag, (..., 5) each, of the first five ``INVARIANTS``
+    of a (..., 4, 4) stack: sigma + (i/2) Omega >= 0 where all pass."""
+    values = invariants(sigma)[..., :5]
+    return values, not_negative(values, invariants(np.abs(sigma), 1.0)[..., :5])
 
 
 def validate_two_mode(env: TwoModeEnvironment, hbar: float = 1.0) -> ValidationReport:
-    """Check positivity of the two-mode environment Gram matrix.
-
-    Reports the minimum eigenvalue of the Hermitian coefficient matrix
-    (positive semidefinite for a completely positive semigroup) and the
-    six Cauchy-Schwarz minor inequalities it implies.  Pass tolerance for
-    the eigenvalue check is relative to the largest matrix entry.  The
-    determinant of each 2x2 principal minor is the slack of the
-    corresponding coefficient inequality; for the own-mode pairs it
-    already carries the (lam*hbar/2)**2 offset through the imaginary
-    off-diagonal entries.  :func:`gram_checks` runs the same checks on
-    stacks of Gram matrices.
-    """
-    slack, passed = gram_checks(env.coefficient_matrix(hbar=hbar))
+    """Check complete positivity of the two-mode environment: the five
+    :func:`bona_fide_checks` of D/(hbar lam), D being :func:`diffusion_matrix`,
+    each with its invariant as the slack."""
+    slack, passed = bona_fide_checks(diffusion_matrix(env) / (hbar * env.lam))
     return ValidationReport(tuple(ValidationCheck(name, bool(ok), float(value))
-                                  for name, ok, value in zip(GRAM_CHECKS, passed, slack)))
+                                  for name, ok, value in zip(INVARIANTS, passed, slack)))
 
 
 def require_coherent_state_params(delta: float, r: float):

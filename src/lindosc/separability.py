@@ -20,15 +20,15 @@ family is built to probe); for det C > 0 the two differ by exactly det C
 because of the absolute value above, and the state is separable
 regardless.
 
-S is written out once, over the entries of A, B and C read from the
-4x4 matrix (or an (N, 4, 4) stack), in plain elementwise arithmetic.  S
-cancels terms of the fourth power of the covariance entries, so its sign
-is resolved only where |S| exceeds its rounding bound; the bound is the
-same written-out S taken on the magnitudes of the entries with J
-replaced by |J|, so S and its bound come from the same products.
-:func:`simon_verdicts` gives the score, the verdict and that bound, and
-calls the node "boundary" inside it; the rule and its constant are the
-tolerance policy of :mod:`lindosc.core`.
+S is the last of the invariants that :func:`lindosc.core.invariants`
+writes out over the entries of A, B and C, on one 4x4 matrix or an
+(N, 4, 4) stack.  S cancels terms of the fourth power of the covariance
+entries, so its sign is resolved only where |S| exceeds its rounding
+bound; the bound is the same written-out S taken on the magnitudes of
+the entries with J replaced by |J|, so S and its bound come from the same
+products.  :func:`simon_verdicts` gives the score, the verdict and that
+bound, and calls the node "boundary" inside it; the rule and its constant
+are the tolerance policy of :mod:`lindosc.core`.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from .core import (  # noqa: F401
     SCORE_RTOL,
     OscillatorParams,
     TwoModeEnvironment,
-    gram_checks,
-    gram_matrices,
+    bona_fide_checks,
+    invariants,
     negligible,
+    stack_matrices,
     validate_two_mode,
 )
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
@@ -111,31 +112,6 @@ class ScanColumns:
     status: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow gives a non-finite S: "boundary"
-def _simon(sigma: np.ndarray, sign: float) -> np.ndarray:
-    """S of a (..., 4, 4) stack, written out over the entries of its blocks
-    A = sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:], with the
-    symplectic form J = [[0, 1], [sign, 0]].
-
-    sign = -1 gives S.  On ``np.abs(sigma)``, sign = +1 gives Sigma, S with
-    every entry and every sign replaced by its magnitude: the sum of the
-    magnitudes of the products S adds up, from the same products.
-    """
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = \
-        np.moveaxis(sigma, (-2, -1), (0, 1))
-    # U = A J C and V = B J C^T; J on the right swaps the columns and
-    # multiplies the new first one by sign
-    u00, u01 = sign * a01 * c00 + a00 * c10, sign * a01 * c01 + a00 * c11
-    u10, u11 = sign * a11 * c00 + a10 * c10, sign * a11 * c01 + a10 * c11
-    v00, v01 = sign * b01 * c00 + b00 * c01, sign * b01 * c10 + b00 * c11
-    v10, v11 = sign * b11 * c00 + b10 * c01, sign * b11 * c10 + b10 * c11
-    cross = sign * (u01 * v01 + u10 * v10) + u00 * v11 + u11 * v00  # sign * Tr(U J V J)
-    det_a, det_b = a00 * a11 + sign * a01 * a10, b00 * b11 + sign * b01 * b10
-    det_c = c00 * c11 + sign * c01 * c10
-    return (det_a * det_b + (0.25 + sign * np.abs(det_c)) ** 2 + cross
-            + sign * 0.25 * (det_a + det_b))
-
-
 def simon_score(sigma: np.ndarray):
     """Separability score S of a two-mode covariance matrix (hbar = 1).
 
@@ -143,7 +119,7 @@ def simon_score(sigma: np.ndarray):
     state with this covariance.  Takes one 4x4 matrix (returns a float) or
     an (N, 4, 4) stack (returns an (N,) array).
     """
-    return scalar_or_array(_simon(require_covariance4(sigma), -1.0))
+    return scalar_or_array(invariants(require_covariance4(sigma))[..., -1])
 
 
 def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
@@ -156,8 +132,8 @@ def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
     policy in :mod:`lindosc.core`.
     """
     sigma = require_covariance4(sigma)
-    score = _simon(sigma, -1.0)
-    bound = SCORE_RTOL * _simon(np.abs(sigma), 1.0)
+    score = invariants(sigma)[..., -1]
+    bound = SCORE_RTOL * invariants(np.abs(sigma), 1.0)[..., -1]
     separable, boundary = score >= 0.0, ~(np.abs(score) > bound)
     if score.ndim == 0:
         return SeparabilityResult(float(score), bool(separable), bool(boundary), float(bound))
@@ -260,8 +236,9 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     is reported only for Dxy = 0 templates: m w Dxx / lam >= 1/2 and
     lo < |Dxpy| < hi of :func:`entanglement_window`.  A node's status is
     the first that holds of "invalid-window" (Dxy = 0 and Dxx below the
-    one-mode uncertainty bound: no window), "invalid" (Gram positivity
-    fails), "indeterminate" (S is not finite: no verdict),
+    one-mode uncertainty bound: no window), "invalid" (the environment is
+    not completely positive: D/lam fails :func:`lindosc.core.bona_fide_checks`),
+    "indeterminate" (S is not finite: no verdict),
     "boundary-indeterminate" (Dxy = 0 and ``boundary``: the sign of S, and
     so its agreement with ``in_window``, is not resolved) and "ok".  The
     first two are facts about the inputs.  A node status never aborts the
@@ -283,14 +260,15 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
             raise ParameterError(f"{name} must be finite, got {first!r}")
 
     score = np.empty(dxx.size)
-    separable, boundary, gram_ok = (np.empty(dxx.size, dtype=bool) for _ in range(3))
+    separable, boundary, positive = (np.empty(dxx.size, dtype=bool) for _ in range(3))
     for start in range(0, dxx.size, NODE_BLOCK):
         k = slice(start, start + NODE_BLOCK)
         sigma = steady_covariance_symmetric(dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
         score[k], separable[k], boundary[k], _ = simon_verdicts(sigma)
-        gram = gram_matrices(dxx[k], 0.0, dpxpx[k], dxx[k], 0.0, dpxpx[k],
-                             dxy, dxpy[k], dxpy[k], dpxpy, lam)
-        gram_ok[k] = gram_checks(gram)[1].all(axis=-1)
+        # D/lam of the node's environment, D as core.diffusion_matrix lays it out
+        env_sigma = stack_matrices([[dxx[k], 0.0, dxy, dxpy[k]], [0.0, dpxpx[k], dxpy[k], dpxpy],
+                                    [dxy, dxpy[k], dxx[k], 0.0], [dxpy[k], dpxpy, 0.0, dpxpx[k]]])
+        positive[k] = bona_fide_checks(env_sigma / lam)[1].all(axis=-1)
 
     windowed = dxy == 0.0
     has_window = _window_ratio(dxx, params) >= 0.5
@@ -300,7 +278,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
         lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
         in_window = (lo < np.abs(dxpy)) & (np.abs(dxpy) < hi)
     # the first status whose condition holds, in the documented order
-    first = np.select([windowed & ~has_window, ~gram_ok, ~np.isfinite(score),
+    first = np.select([windowed & ~has_window, ~positive, ~np.isfinite(score),
                        windowed & boundary], [0, 1, 2, 3], 4)
     status = np.array(["invalid-window", "invalid", "indeterminate",
                        "boundary-indeterminate", "ok"], dtype=object)[first]

@@ -27,6 +27,9 @@ coefficients.  A scalar argument is a batch of one and gives a plain 4x4
 matrix.  Nothing is cached: each call solves for S_inf once, whatever the
 number of times it covers.
 
+:func:`is_physical` tests a covariance with core's invariants, not with
+eigenvalues.
+
 This module requires hbar = 1 (the separability analysis built on top of
 it is normalized that way).
 """
@@ -39,7 +42,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import lyapunov, single_mode
-from .core import NODE_BLOCK, SCALE_RTOL, OscillatorParams, TwoModeEnvironment, stack_matrices
+# diffusion_matrix is core's, where validate_two_mode builds D too
+from .core import (
+    NODE_BLOCK,
+    SCALE_RTOL,
+    OscillatorParams,
+    TwoModeEnvironment,
+    bona_fide_checks,
+    diffusion_matrix,
+    stack_matrices,
+)
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 
 __all__ = [
@@ -50,14 +62,11 @@ __all__ = [
     "steady_covariance_symmetric",
     "propagate_covariance",
     "det_cross_block",
-    "physicality_min_eigenvalue",
+    "is_physical",
     "require_covariance4",
     "require_hbar_one",
     "require_matching_lam",
 ]
-
-#: The 2x2 symplectic form; its block diagonal is the two-mode form Omega.
-J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def require_hbar_one(params: OscillatorParams):
@@ -108,22 +117,6 @@ def drift_matrix(params: OscillatorParams) -> np.ndarray:
     _warn_mu_ignored(params)
     require_hbar_one(params)
     return _drift(params)
-
-
-def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
-    """Symmetric 4x4 diffusion matrix in (x, p_x, y, p_y) ordering.
-
-    Gram-positivity of the environment is reported by
-    ``core.validate_two_mode`` and deliberately not enforced here: the
-    cross-diffusion regimes that entangle the asymptotic state generally
-    violate it, and evaluating them is the point of the analysis.
-    """
-    return np.array([
-        [env.Dxx, env.Dxpx, env.Dxy, env.Dxpy],
-        [env.Dxpx, env.Dpxpx, env.Dypx, env.Dpxpy],
-        [env.Dxy, env.Dypx, env.Dyy, env.Dypy],
-        [env.Dxpy, env.Dpxpy, env.Dypy, env.Dpypy],
-    ])
 
 
 def propagator(params: OscillatorParams, t) -> np.ndarray:
@@ -247,17 +240,13 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
         / (4.0 * lam * lam * q)
 
 
-def physicality_min_eigenvalue(sigma: np.ndarray):
-    """Optional diagnostic: minimum eigenvalue of sigma + (i/2) Omega.
-
-    Omega is the symplectic form of the (x, p_x, y, p_y) ordering; a
-    nonnegative result (up to rounding) means sigma is a bona fide
-    two-mode quantum covariance matrix.  Nothing in this package enforces
-    it; callers concerned about complete positivity of their inputs can.
-    A float for one 4x4 matrix, an (N,) array for an (N, 4, 4) stack.
+def is_physical(sigma: np.ndarray):
+    """Whether sigma is a bona fide covariance, sigma + (i/2) Omega >= 0
+    (:func:`lindosc.core.bona_fide_checks`).  Nothing in this package
+    enforces it.  A bool for one 4x4 matrix, an (N,) array for a stack.
     """
-    sigma = require_covariance4(sigma)
-    return scalar_or_array(np.linalg.eigvalsh(sigma + 0.5j * _block_diagonal(J))[..., 0])
+    passed = bona_fide_checks(require_covariance4(sigma))[1].all(axis=-1)
+    return bool(passed) if passed.ndim == 0 else passed
 
 
 def scalar_or_array(values: np.ndarray):

@@ -4,13 +4,17 @@ Nothing here calls the production drift/propagator/Lyapunov code paths:
 drift and diffusion matrices are written out literally from the model
 coefficients, time evolution is a fixed-step 4th-order Runge-Kutta
 integration refined until successive step halvings agree, and positivity
-filters diagonalize the environment Gram matrix directly.
+filters diagonalize the environment Gram matrix directly.  The package
+decides positivity by sign tests on polynomial invariants; the Gram
+matrix's eigenvalues here and the exact ``fractions`` invariants below
+are the test-only references it is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -134,15 +138,60 @@ def random_gibbs_draw(rng):
     return delta, r, params, ThermalParams(C=C)
 
 
-def _gram_matrix(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, lam):
-    """Symmetric-family environment Gram matrix, written out independently."""
-    il = 0.5j * lam
-    return np.array([
+def gram_matrices(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy, lam, hbar=1.0):
+    """Hermitian Gram matrices of environment coefficients, shape (..., 4, 4),
+    written out independently; the coefficients broadcast together.  The
+    semigroup is completely positive exactly when the matrix is positive
+    semidefinite."""
+    il = 0.5j * hbar * np.asarray(lam)
+    rows = [
         [Dxx, -Dxpx - il, Dxy, -Dxpy],
-        [-Dxpx + il, Dpxpx, -Dxpy, Dpxpy],
-        [Dxy, -Dxpy, Dxx, -Dxpx - il],
-        [-Dxpy, Dpxpy, -Dxpx + il, Dpxpx],
-    ])
+        [-Dxpx + il, Dpxpx, -Dypx, Dpxpy],
+        [Dxy, -Dypx, Dyy, -Dypy - il],
+        [-Dxpy, Dpxpy, -Dypy + il, Dpypy],
+    ]
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for row in rows for e in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (4, 4))
+
+
+def env_gram_matrix(env, hbar=1.0):
+    """Gram matrix of one :class:`TwoModeEnvironment`."""
+    return gram_matrices(env.Dxx, env.Dxpx, env.Dpxpx, env.Dyy, env.Dypy, env.Dpypy,
+                         env.Dxy, env.Dxpy, env.Dypx, env.Dpxpy, env.lam, hbar)
+
+
+def _gram_matrix(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, lam):
+    """Symmetric-family environment Gram matrix."""
+    return gram_matrices(Dxx, Dxpx, Dpxpx, Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dxpy, Dpxpy, lam)
+
+
+def gram_verdicts(gram):
+    """(positive, resolved) of a stack of Gram matrices: the sign of the
+    smallest eigenvalue, resolved where it exceeds 1e-12 of max|G|."""
+    min_eig = np.linalg.eigvalsh(gram)[..., 0]
+    return min_eig >= 0.0, np.abs(min_eig) > 1e-12 * np.abs(gram).max(axis=(-2, -1))
+
+
+def _det(m):
+    """Determinant of a square list of Fractions, by Laplace expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def exact_invariants(sigma):
+    """The invariants of ``core.invariants`` of one 4x4 covariance, exactly:
+    the float entries as Fractions, det sigma and the minors by Laplace
+    expansion, S = U + min(det C, 0)."""
+    s = [[Fraction(float(x)) for x in row] for row in np.asarray(sigma)]
+    det_a = _det([row[:2] for row in s[:2]])
+    det_b = _det([row[2:] for row in s[2:]])
+    det_c = _det([row[2:] for row in s[:2]])
+    delta = det_a + det_b + 2 * det_c
+    u = _det(s) - delta / 4 + Fraction(1, 16)
+    return (s[0][0], det_a, _det([row[:3] for row in s[:3]]), delta - Fraction(1, 2),
+            u, u + min(det_c, 0))
 
 
 def cross_block_det_formula(Dxy, Dxpy, Dpxpy, lam, m=1.0, omega=1.0):

@@ -90,7 +90,25 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, body)
         code, out, _ = run(capsys, ["validate", "--config", cfg])
         assert code == 2  # the entangling window regime is not completely positive
-        assert "FAIL gram_matrix_psd" in out
+        assert "FAIL delta_at_least_half" in out
+
+    @pytest.mark.parametrize("oscillator,C", [
+        # T = 0: Dxx*Dpp - Dxp^2 = (lam/2)^2 exactly, the slack is rounding
+        ({"lambda": 0.567266219538856, "mu": 0.0, "m": 0.35948907446999856,
+          "omega": 0.03470451824669471, "hbar": 1.0}, 1.0),
+        # the saturated C = lam/sqrt(lam^2 - mu^2) of the Gibbs constraint
+        ({"lambda": 0.1542320843456786, "mu": 0.022814830587515218, "m": 1.0, "omega": 1.0,
+          "hbar": 1.0}, 1.0111238450381421),
+    ])
+    def test_saturated_constraints_exit_zero(self, tmp_path, capsys, oscillator, C):
+        cfg = write_config(tmp_path, dict(FIG1, oscillator=oscillator, thermal={"C": C}))
+        code, out, _ = run(capsys, ["validate", "--config", cfg])
+        assert code == 0
+        assert "FAIL" not in out and "PASS fundamental_constraint" in out
+        code, out, _ = run(capsys, ["deco-grid", "--config", cfg, "--c-min", str(C),
+                                    "--c-max", str(C), "--c-steps", "1", "--t-steps", "2"])
+        assert code == 0
+        assert len(parse_csv(out)) == 2
 
     @pytest.mark.parametrize("body", [FIG1, dict(FIG1, two_mode_env=WINDOW_ENV)])
     def test_out_flag_writes_the_report(self, tmp_path, capsys, body):
@@ -519,6 +537,25 @@ class TestScanCommand:
         assert all(r["separable"] == "boundary" for r in rows)
         assert all(r["status"] == "indeterminate" for r in rows)
 
+    def test_saturated_window_edge_is_not_invalid(self, tmp_path, capsys):
+        # At m w Dxx/lam = 1/2 and Dxpy = 0 the environment is completely
+        # positive with equality (D/lam has symplectic eigenvalues 1/2), and
+        # S is 0 up to rounding: the node is boundary-indeterminate
+        rng = random.Random(5)
+        for k in range(40):
+            lam, m, w = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3))
+            dxx = lam / (2.0 * m * w)
+            while m * w * dxx / lam < 0.5:
+                dxx = math.nextafter(dxx, math.inf)
+            body = dict(FIG1, oscillator={"lambda": lam, "mu": 0.0, "m": m, "omega": w,
+                                          "hbar": 1.0},
+                        two_mode_env=dict(WINDOW_ENV, Dxx=dxx, Dpxpx=(m * w) ** 2 * dxx))
+            cfg = write_config(tmp_path, body, f"edge{k}.json")
+            code, out, _ = run(capsys, ["scan", "--config", cfg, "--dxpy-min", "0",
+                                        "--dxpy-max", "0", "--dxpy-steps", "1"])
+            assert code == 0
+            assert parse_csv(out)[0]["status"] == "boundary-indeterminate"
+
     def test_low_dxx_marks_invalid_window(self, tmp_path, capsys):
         cfg = self._config(tmp_path, dxx=0.05)
         code, out, _ = run(capsys, ["scan", "--config", cfg,
@@ -535,6 +572,31 @@ class TestScanCommand:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestMain:
+    def test_calls_do_not_share_parsed_state(self, tmp_path, capsys):
+        # the parser is built once per process; each call parses afresh
+        cfg = write_config(tmp_path, dict(FIG1, two_mode_env=WINDOW_ENV))
+        grid = ["--c-min", "1", "--c-max", "2", "--c-steps", "2", "--t-steps", "2"]
+        code, out, _ = run(capsys, ["deco-grid", "--config", cfg, "--skip-invalid", *grid])
+        assert code == 0 and "status" in out.splitlines()[0]
+        code, out, _ = run(capsys, ["scan", "--config", cfg, "--dxpy-steps", "3"])
+        assert code == 0 and len(parse_csv(out)) == 3
+        code, out, err = run(capsys, ["deco-grid", "--config", cfg, *grid])
+        assert code == 2 and out == "" and "C=1.0" in err
+
+    def test_command_is_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def cmd_scan(cfg, args):
+            calls.append(args.command)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_scan", cmd_scan)
+        cfg = write_config(tmp_path, dict(FIG1, two_mode_env=WINDOW_ENV))
+        assert cli.main(["scan", "--config", cfg]) == 7
+        assert calls == ["scan"]
 
 
 class TestOutputFile:

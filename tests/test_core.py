@@ -1,6 +1,7 @@
 """Tests for parameter types, thermal coefficients, and validity checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from lindosc import (
     validate_single_mode,
     validate_two_mode,
 )
-from lindosc.core import GRAM_CHECKS, GaussianState1D, gram_checks, gram_matrices
+from lindosc.core import (
+    INVARIANTS,
+    SCORE_RTOL,
+    GaussianState1D,
+    bona_fide_checks,
+    diffusion_matrix,
+    invariants,
+)
+
+from . import oracles
 
 
 class TestOscillatorParams:
@@ -121,6 +131,38 @@ class TestValidateSingleMode:
         if (lam**2 - mu**2) * C**2 >= lam**2:
             assert report.passed
 
+    def test_saturated_constraints_pass(self):
+        # At T = 0 and mu = 0 the fundamental constraint holds with equality,
+        # and at C = lam/sqrt(lam^2 - mu^2) both constraints do: their slack
+        # is rounding.  Against the exact slack of the same floats, the
+        # computed one is within its bound, and so is the exact one.
+        rng = np.random.default_rng(19)
+        cases = [(OscillatorParams(lam=0.567266219538856, m=0.35948907446999856,
+                                   omega=0.03470451824669471), ThermalParams(C=1.0)),
+                 (OscillatorParams(lam=0.1542320843456786, mu=0.022814830587515218),
+                  ThermalParams(C=1.0111238450381421))]
+        for _ in range(1000):
+            lam, m, w = 10.0 ** rng.uniform(-1.5, 1.5, 3)
+            cases.append((OscillatorParams(lam=lam, m=m, omega=w), ThermalParams(C=1.0)))
+            mu = lam * rng.uniform(0.01, 0.99)
+            cases.append((OscillatorParams(lam=lam, mu=mu, m=m, omega=w),
+                          ThermalParams(C=lam / math.sqrt(lam * lam - mu * mu))))
+        for params, th in cases:
+            env = gibbs_coefficients(params, th)
+            report = validate_single_mode(env, th)
+            assert report.passed, report
+            by_name = {c.name: c for c in report.checks}
+            lam, mu, C = map(Fraction, (params.lam, params.mu, th.C))
+            Dxx, Dpp = Fraction(env.Dxx), Fraction(env.Dpp)
+            exact = {"fundamental_constraint": Dxx * Dpp - lam * lam / 4,
+                     "gibbs_thermal_constraint": (lam * lam - mu * mu) * C * C - lam * lam}
+            sizes = {"fundamental_constraint": Dxx * Dpp + lam * lam / 4,
+                     "gibbs_thermal_constraint": (lam * lam + mu * mu) * C * C + lam * lam}
+            for name, want in exact.items():
+                bound = Fraction(SCORE_RTOL) * sizes[name]
+                assert abs(Fraction(by_name[name].slack) - want) <= bound
+                assert abs(want) <= bound
+
     def test_gibbs_check_needs_thermal(self):
         env = gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), ThermalParams(C=2.0))
         names = {c.name for c in validate_single_mode(env).checks}
@@ -138,34 +180,42 @@ def _diagonal_env(d, lam):
 
 
 class TestValidateTwoMode:
+    # sigma = D/lam of a diagonal environment is d/lam times the identity:
+    # both symplectic eigenvalues are d/lam, so Delta = 2 (d/lam)^2 and
+    # U = ((d/lam)^2 - 1/4)^2
     def test_diagonal_env_pass(self):
         report = validate_two_mode(_diagonal_env(0.2, 0.2))
         assert report.passed
+        assert [c.name for c in report.checks] == list(INVARIANTS[:5])
         by_name = {c.name: c for c in report.checks}
-        # 2x2 block eigenvalues are d -/+ lam/2
-        assert by_name["gram_matrix_psd"].slack == pytest.approx(0.1, abs=1e-12)
+        assert by_name["delta_at_least_half"].slack == pytest.approx(1.5, abs=1e-15)
+        assert by_name["uncertainty_relation"].slack == pytest.approx(0.5625, abs=1e-15)
 
     def test_diagonal_env_boundary(self):
-        # d exactly lam/2: minimum eigenvalue is 0, which the relative
-        # tolerance must accept
+        # d exactly lam/2: Delta - 1/2 and U are 0, which the rounding bound
+        # must accept
         report = validate_two_mode(_diagonal_env(0.1, 0.2))
         assert report.passed
 
     def test_diagonal_env_fail(self):
+        # both symplectic eigenvalues are 1/4: U = (1/16 - 1/4)^2 holds, and
+        # Delta >= 1/2 is the check that fails
         report = validate_two_mode(_diagonal_env(0.05, 0.2))
         by_name = {c.name: c for c in report.checks}
-        assert not by_name["gram_matrix_psd"].passed
-        assert by_name["gram_matrix_psd"].slack == pytest.approx(-0.05, abs=1e-12)
-        assert not by_name["cs_xx_pxpx"].passed
-        assert by_name["cs_xx_pxpx"].slack == pytest.approx(0.05**2 - 0.01, abs=1e-15)
+        assert not by_name["delta_at_least_half"].passed
+        assert by_name["delta_at_least_half"].slack == pytest.approx(-0.375, abs=1e-15)
+        assert by_name["uncertainty_relation"].passed
+        assert by_name["uncertainty_relation"].slack == pytest.approx(0.03515625, abs=1e-15)
+        assert not report.passed
 
     def test_all_zero_coefficients_fail(self):
         report = validate_two_mode(_diagonal_env(0.0, 0.2))
         by_name = {c.name: c for c in report.checks}
-        assert by_name["gram_matrix_psd"].slack == pytest.approx(-0.1, abs=1e-12)
+        assert by_name["delta_at_least_half"].slack == -0.5
         assert not report.passed
 
     def test_swap_invariance(self):
+        # Delta and U are invariant under the mode swap, and so is the verdict
         rng = np.random.default_rng(7)
         for _ in range(50):
             coeffs = rng.uniform(-0.5, 1.0, 10)
@@ -178,7 +228,8 @@ class TestValidateTwoMode:
             a = validate_two_mode(env)
             b = validate_two_mode(env.swapped())
             assert a.passed == b.passed
-            assert a.checks[0].slack == pytest.approx(b.checks[0].slack, abs=1e-12)
+            for k in (3, 4):
+                assert a.checks[k].slack == pytest.approx(b.checks[k].slack, abs=1e-12)
 
     def test_symmetric_flag_enforced(self):
         with pytest.raises(ParameterError):
@@ -249,51 +300,84 @@ def _random_env(rng):
     )
 
 
-def _gram_reference(env, hbar=1.0):
-    """Slacks and verdicts of the Gram checks for one environment, written
-    out with a per-node eigen-solve and np.ix_ minors."""
-    gram = env.coefficient_matrix(hbar=hbar)
-    min_eig = float(np.linalg.eigvalsh(gram)[0])
-    slacks = [min_eig]
-    passed = [min_eig >= -1e-10 * float(np.abs(gram).max())]
-    for i, j in ((0, 2), (0, 1), (0, 3), (1, 2), (2, 3), (1, 3)):
-        sub = gram[np.ix_((i, j), (i, j))]
-        slack = float(np.real(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]))
-        slacks.append(slack)
-        passed.append(slack >= 0.0)
-    return slacks, passed
+def _env_sigma(envs):
+    """Stack of D/lam of the environments (hbar = 1)."""
+    return np.stack([diffusion_matrix(env) / env.lam for env in envs])
 
 
 class TestGramChecks:
+    """The bona fide checks of D/(hbar lam) against the environment's Gram
+    matrix, whose positive semidefiniteness is complete positivity."""
+
     def test_stack_matches_validate_two_mode(self):
         rng = np.random.default_rng(8)
         n = 40
         envs = [_random_env(rng) for _ in range(n)]
         envs += [env.swapped() for env in envs]
-        # 0.1 - 5e-11 fails its own tolerance, but not the 1e3 node's
+        # 0.1 - 5e-11 is resolved below d = lam/2, at any scale of the stack
         envs += [_diagonal_env(d, 0.2) for d in (0.0, 0.05, 0.1, 0.1 - 5e-11, 0.2, 1e3)]
-        slack, passed = gram_checks(np.stack([env.coefficient_matrix() for env in envs]))
-        assert slack.shape == passed.shape == (len(envs), len(GRAM_CHECKS))
+        slack, passed = bona_fide_checks(_env_sigma(envs))
+        assert slack.shape == passed.shape == (len(envs), 5)
+        positive, resolved = oracles.gram_verdicts(
+            np.stack([oracles.env_gram_matrix(env) for env in envs]))
         for k, env in enumerate(envs):
             report = validate_two_mode(env)
-            assert tuple(c.name for c in report.checks) == GRAM_CHECKS
+            assert tuple(c.name for c in report.checks) == INVARIANTS[:5]
             assert slack[k].tolist() == [c.slack for c in report.checks]
             assert passed[k].tolist() == [c.passed for c in report.checks]
-            assert ([c.slack for c in report.checks],
-                    [c.passed for c in report.checks]) == _gram_reference(env)
-        assert not passed[-3, 0]
+            if resolved[k]:
+                assert report.passed == positive[k]
+        assert [row.all() for row in passed[-6:]] == [False, False, True, False, True, True]
         # the verdict is invariant under the mode swap
         np.testing.assert_array_equal(passed[:n].all(axis=1), passed[n:2 * n].all(axis=1))
 
-    def test_gram_matrices_broadcast_over_coefficients(self):
-        rng = np.random.default_rng(9)
-        envs = [_random_env(rng) for _ in range(20)]
-        names = ("Dxx", "Dxpx", "Dpxpx", "Dyy", "Dypy", "Dpypy", "Dxy", "Dxpy", "Dypx",
-                 "Dpxpy", "lam")
-        columns = [np.array([getattr(env, name) for env in envs]) for name in names]
-        stack = gram_matrices(*columns, hbar=0.7)
-        assert stack.shape == (20, 4, 4)
-        for env, gram in zip(envs, stack):
-            np.testing.assert_array_equal(gram, env.coefficient_matrix(hbar=0.7))
-            assert _gram_reference(env, 0.7) == tuple(
-                x.tolist() for x in gram_checks(gram))
+    def test_verdict_matches_gram_eigenvalues_across_scales(self):
+        # sigma = s W W^T / 4 - t I, a third each with t = 0 (positive
+        # semidefinite), t drawn up to s (often indefinite), and t placing
+        # the smallest eigenvalue of sigma + (i/2) Omega a relative 1e-12 to
+        # 1e-2 to either side of 0; lam spans four decades and s two and a
+        # half more
+        rng = np.random.default_rng(2024)
+        n = 100_000
+        lam = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        w = rng.standard_normal((n, 4, 4))
+        s = 10.0 ** rng.uniform(-1.25, 1.25, n)
+        base = s[:, None, None] * (w @ np.swapaxes(w, 1, 2)) * 0.25
+        base = 0.5 * (base + np.swapaxes(base, 1, 2))
+        omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        edge = np.linalg.eigvalsh(base + 0.5j * omega)[:, 0]
+        near = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, -2.0, n)
+        t = np.choose(rng.integers(0, 3, n), [0.0 * s, rng.uniform(0.0, 1.0, n) * s,
+                                              edge * (1.0 + near)])
+        D = lam[:, None, None] * (base - t[:, None, None] * np.eye(4))
+        entries = [D[:, i, j] for i, j in ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3),
+                                           (0, 2), (0, 3), (1, 2), (1, 3))]
+        positive, resolved = oracles.gram_verdicts(oracles.gram_matrices(*entries, lam))
+        passed = bona_fide_checks(D / lam[:, None, None])[1].all(axis=-1)
+        np.testing.assert_array_equal(passed[resolved], positive[resolved])
+        assert resolved.sum() > 0.95 * n
+        assert 0.2 * n < positive[resolved].sum() < 0.8 * n
+
+    def test_saturated_nodes_are_unresolved_and_pass(self):
+        # Nodes on the boundary of complete positivity: the diagonal
+        # environment with d = lam/2, and the a = 1/2 scan edge
+        # (m w Dxx/lam = 1/2, Dxpy = 0) over random (lam, m, w).  Each
+        # invariant is within its bound of the exact invariant of the same
+        # floats, and the saturated ones are zero up to that bound.
+        rng = np.random.default_rng(23)
+        envs = [_diagonal_env(0.5 * lam, lam) for lam in (0.2, 0.3, 1e-3, 7.0)]
+        for _ in range(60):
+            lam, m, w = 10.0 ** rng.uniform(-1.5, 1.5, 3)
+            dxx = lam / (2.0 * m * w)
+            envs.append(TwoModeEnvironment.symmetric_env(
+                Dxx=dxx, Dxpx=0.0, Dpxpx=(m * w) ** 2 * dxx, Dxy=0.0, Dxpy=0.0, Dpxpy=0.0,
+                lam=lam))
+        sigma = _env_sigma(envs)
+        values, bounds = invariants(sigma), SCORE_RTOL * invariants(np.abs(sigma), 1.0)
+        for k, env in enumerate(envs):
+            exact = oracles.exact_invariants(sigma[k])
+            for value, bound, want in zip(values[k], bounds[k], exact):
+                assert abs(Fraction(float(value)) - want) <= Fraction(float(bound))
+            for j in (3, 4):  # Delta - 1/2 and U
+                assert abs(exact[j]) <= Fraction(float(bounds[k, j]))
+            assert validate_two_mode(env).passed
