@@ -16,13 +16,14 @@ be able to evaluate them.  ``validate_single_mode`` and
 every inequality.
 
 Every verdict on a two-mode covariance sigma (hbar = 1) is a sign test on
-the invariants of :func:`invariants`: sigma_00, det A and the leading 3x3
-minor; Delta - 1/2, with Delta = det A + det B + 2 det C; U = det sigma -
-Delta/4 + 1/16; and Simon's S, which is U with (1/4 - |det C|)^2 in place
-of (1/4 - det C)^2.  sigma + (i/2) Omega >= 0 exactly when the first five
-are >= 0 (Simon, PRL 84, 2726 (2000); Serafini, Illuminati and De Siena,
-J. Phys. B 37, L21 (2004)), and an environment is completely positive
-exactly when its D/(hbar lam) is.
+the invariants of :func:`invariants`: sigma_00, det A - 1/4, the leading
+3x3 minor, Delta - 1/2 (Delta = det A + det B + 2 det C), U = det sigma -
+Delta/4 + 1/16, and Simon's S, U with |det C| in place of det C.  sigma +
+(i/2) Omega >= 0 exactly when the first five are >= 0 (Simon, PRL 84, 2726
+(2000); Serafini, Illuminati and De Siena, J. Phys. B 37, L21 (2004)):
+then A > 0 and det sigma >= 1/16, so sigma > 0 and both symplectic
+eigenvalues are >= 1/2.  An environment is completely positive exactly
+when its D/(hbar lam) is.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ __all__ = [
 #   verdict is "boundary-indeterminate", the scan's only unresolved status.
 # * Every other sign test takes the same rule and constant: x >= 0 fails
 #   only where x < -SCORE_RTOL * Sigma_x, Sigma_x being x on the magnitudes
-#   (:func:`not_negative`).  A product is rounded at most twice in det A, 5
-#   times in the 3x3 minor (2 in a cofactor, 1 in its product, 2 in the sum
-#   of three), 5 in Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as
-#   in S), 4 in the one-mode constraint and 5 in the Gibbs constraint.  The
-#   entries of sigma = D/(hbar lam) are rounded by at most eps < 6.75 eps.
+#   (:func:`not_negative`).  A product is rounded at most 3 times in
+#   det A - 1/4 (2 in det A, 1 in the difference), 5 times in the 3x3 minor
+#   (2 in a cofactor, 1 in its product, 2 in the sum of three), 5 in
+#   Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as in S), 4 in the
+#   one-mode constraint and 5 in the Gibbs constraint.  The entries of
+#   sigma = D/(hbar lam) are rounded by at most eps < 6.75 eps.  A
+#   non-finite x is unresolved: the itemized validate reports fail it, and
+#   a scan node with one reports it through its non-finite S.
 SCALE_RTOL = 1e-12
 GIBBS_RTOL = 1e-9
 SCORE_RTOL = 32 * np.finfo(float).eps
@@ -352,7 +356,8 @@ def gibbs_coefficients(params: OscillatorParams, thermal: ThermalParams) -> Sing
 def _is_gibbs_type(env: SingleModeEnv, thermal: ThermalParams) -> bool:
     # Gibbs coefficients satisfy Dxp = 0 and Dxx*Dpp = (lam^2-mu^2) hbar^2 C^2 / 4
     # for any m, omega (the masses cancel in the product).
-    target = 0.25 * (env.lam**2 - env.mu**2) * env.hbar**2 * thermal.C**2
+    target = (0.25 * (env.lam * env.lam - env.mu * env.mu) * (env.hbar * env.hbar)
+              * (thermal.C * thermal.C))
     prod = env.Dxx * env.Dpp
     scale = max(1.0, abs(prod), abs(target))
     return negligible(env.Dxp, scale) and negligible(prod - target, scale, GIBBS_RTOL)
@@ -364,6 +369,12 @@ def not_negative(value, magnitude):
     return np.logical_not(value < -SCORE_RTOL * magnitude)
 
 
+def _report_check(name: str, value: float, passed) -> ValidationCheck:
+    """A report line for value >= 0: ``passed`` is :func:`not_negative`'s
+    flag, and a non-finite value fails too."""
+    return ValidationCheck(name, bool(passed) and math.isfinite(value), float(value))
+
+
 def validate_single_mode(env: SingleModeEnv, thermal: ThermalParams | None = None) -> ValidationReport:
     """Check the single-mode diffusion coefficients against their constraints.
 
@@ -371,20 +382,22 @@ def validate_single_mode(env: SingleModeEnv, thermal: ThermalParams | None = Non
     Dxx*Dpp - Dxp**2 >= (lam*hbar/2)**2.  When ``thermal`` is given and
     the coefficients are of thermal-equilibrium type, additionally checks
     (lam**2 - mu**2) * C**2 >= lam**2.  These two fail only where their
-    slack is resolved negative (:func:`not_negative`).
+    slack is resolved negative (:func:`not_negative`) or not finite.
     """
     checks = [
         ValidationCheck("dxx_positive", env.Dxx > 0.0, env.Dxx),
         ValidationCheck("dpp_positive", env.Dpp > 0.0, env.Dpp),
     ]
-    quantum = 0.25 * env.lam**2 * env.hbar**2
-    slack = env.Dxx * env.Dpp - env.Dxp**2 - quantum
-    size = abs(env.Dxx * env.Dpp) + env.Dxp**2 + quantum
-    checks.append(ValidationCheck("fundamental_constraint", bool(not_negative(slack, size)), slack))
+    # products, not powers: a float ** 2 that overflows raises, a product gives inf
+    quantum = 0.25 * (env.lam * env.lam) * (env.hbar * env.hbar)
+    slack = env.Dxx * env.Dpp - env.Dxp * env.Dxp - quantum
+    size = abs(env.Dxx * env.Dpp) + env.Dxp * env.Dxp + quantum
+    checks.append(_report_check("fundamental_constraint", slack, not_negative(slack, size)))
     if thermal is not None and _is_gibbs_type(env, thermal):
-        g = (env.lam**2 - env.mu**2) * thermal.C**2 - env.lam**2
-        size = (env.lam**2 + env.mu**2) * thermal.C**2 + env.lam**2
-        checks.append(ValidationCheck("gibbs_thermal_constraint", bool(not_negative(g, size)), g))
+        lam2, mu2, c2 = env.lam * env.lam, env.mu * env.mu, thermal.C * thermal.C
+        g = (lam2 - mu2) * c2 - lam2
+        size = (lam2 + mu2) * c2 + lam2
+        checks.append(_report_check("gibbs_thermal_constraint", g, not_negative(g, size)))
     return ValidationReport(tuple(checks))
 
 
@@ -396,25 +409,24 @@ def stack_matrices(rows) -> np.ndarray:
 
 
 def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
-    """Symmetric 4x4 diffusion matrix in (x, p_x, y, p_y) ordering; its
-    complete positivity is reported by :func:`validate_two_mode`, not enforced."""
-    return np.array([
-        [env.Dxx, env.Dxpx, env.Dxy, env.Dxpy],
-        [env.Dxpx, env.Dpxpx, env.Dypx, env.Dpxpy],
-        [env.Dxy, env.Dypx, env.Dyy, env.Dypy],
-        [env.Dxpy, env.Dpxpy, env.Dypy, env.Dpypy],
-    ])
+    """Symmetric diffusion matrix in (x, p_x, y, p_y) ordering; its complete
+    positivity is reported by :func:`validate_two_mode`, not enforced.  The
+    ten coefficients of ``env`` may be arrays that broadcast together,
+    giving a (..., 4, 4) stack."""
+    e = env
+    return stack_matrices([[e.Dxx, e.Dxpx, e.Dxy, e.Dxpy], [e.Dxpx, e.Dpxpx, e.Dypx, e.Dpxpy],
+                           [e.Dxy, e.Dypx, e.Dyy, e.Dypy], [e.Dxpy, e.Dpxpy, e.Dypy, e.Dpypy]])
 
 
 #: The invariants of :func:`invariants`, in the order of its last axis; the
 #: first five are the bona fide checks of value >= 0.
-INVARIANTS = ("sigma_xx_positive", "det_a_positive", "minor_3_positive",
+INVARIANTS = ("sigma_xx_positive", "det_a_at_least_quarter", "minor_3_positive",
               "delta_at_least_half", "uncertainty_relation", "simon_score")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives a non-finite value: unresolved
 def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
-    """sigma_00, det A, the leading 3x3 minor, Delta - 1/2, U and S of a
+    """sigma_00, det A - 1/4, the leading 3x3 minor, Delta - 1/2, U and S of a
     (..., 4, 4) stack, shape (..., 6), written out over the entries of A =
     sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:] with the
     symplectic form J = [[0, 1], [sign, 0]].
@@ -438,7 +450,7 @@ def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
     minor_3 = (a00 * (a11 * b00 + sign * c10 * c10) + sign * a01 * (a10 * b00 + sign * c10 * c00)
                + c00 * (a10 * c10 + sign * a11 * c00))
     head, quarter = det_a * det_b, sign * 0.25 * (det_a + det_b)
-    return np.stack([a00, det_a, minor_3, det_a + det_b + 2.0 * det_c + sign * 0.5,
+    return np.stack([a00, det_a + sign * 0.25, minor_3, det_a + det_b + 2.0 * det_c + sign * 0.5,
                      head + (0.25 + sign * det_c) ** 2 + cross + quarter,
                      head + (0.25 + sign * np.abs(det_c)) ** 2 + cross + quarter], axis=-1)
 
@@ -453,9 +465,9 @@ def bona_fide_checks(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def validate_two_mode(env: TwoModeEnvironment, hbar: float = 1.0) -> ValidationReport:
     """Check complete positivity of the two-mode environment: the five
     :func:`bona_fide_checks` of D/(hbar lam), D being :func:`diffusion_matrix`,
-    each with its invariant as the slack."""
+    each with its invariant as the slack; a non-finite one fails."""
     slack, passed = bona_fide_checks(diffusion_matrix(env) / (hbar * env.lam))
-    return ValidationReport(tuple(ValidationCheck(name, bool(ok), float(value))
+    return ValidationReport(tuple(_report_check(name, float(value), ok)
                                   for name, ok, value in zip(INVARIANTS, passed, slack)))
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +47,9 @@ from .core import (  # noqa: F401
     OscillatorParams,
     TwoModeEnvironment,
     bona_fide_checks,
+    diffusion_matrix,
     invariants,
     negligible,
-    stack_matrices,
     validate_two_mode,
 )
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
@@ -265,10 +266,9 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
         k = slice(start, start + NODE_BLOCK)
         sigma = steady_covariance_symmetric(dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
         score[k], separable[k], boundary[k], _ = simon_verdicts(sigma)
-        # D/lam of the node's environment, D as core.diffusion_matrix lays it out
-        env_sigma = stack_matrices([[dxx[k], 0.0, dxy, dxpy[k]], [0.0, dpxpx[k], dxpy[k], dpxpy],
-                                    [dxy, dxpy[k], dxx[k], 0.0], [dxpy[k], dpxpy, 0.0, dpxpx[k]]])
-        positive[k] = bona_fide_checks(env_sigma / lam)[1].all(axis=-1)
+        nodes = SimpleNamespace(Dxx=dxx[k], Dxpx=0.0, Dpxpx=dpxpx[k], Dyy=dxx[k], Dypy=0.0,
+                                Dpypy=dpxpx[k], Dxy=dxy, Dxpy=dxpy[k], Dypx=dxpy[k], Dpxpy=dpxpy)
+        positive[k] = bona_fide_checks(diffusion_matrix(nodes) / lam)[1].all(axis=-1)
 
     windowed = dxy == 0.0
     has_window = _window_ratio(dxx, params) >= 0.5

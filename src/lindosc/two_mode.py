@@ -42,7 +42,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import lyapunov, single_mode
-# diffusion_matrix is core's, where validate_two_mode builds D too
 from .core import (
     NODE_BLOCK,
     SCALE_RTOL,
@@ -242,10 +241,12 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
 
 def is_physical(sigma: np.ndarray):
     """Whether sigma is a bona fide covariance, sigma + (i/2) Omega >= 0
-    (:func:`lindosc.core.bona_fide_checks`).  Nothing in this package
-    enforces it.  A bool for one 4x4 matrix, an (N,) array for a stack.
+    (:func:`lindosc.core.bona_fide_checks`, a non-finite invariant failing).
+    Nothing in this package enforces it.  A bool for one 4x4 matrix, an
+    (N,) array for a stack.
     """
-    passed = bona_fide_checks(require_covariance4(sigma))[1].all(axis=-1)
+    values, passed = bona_fide_checks(require_covariance4(sigma))
+    passed = (passed & np.isfinite(values)).all(axis=-1)
     return bool(passed) if passed.ndim == 0 else passed
 
 

@@ -190,8 +190,8 @@ def exact_invariants(sigma):
     det_c = _det([row[2:] for row in s[:2]])
     delta = det_a + det_b + 2 * det_c
     u = _det(s) - delta / 4 + Fraction(1, 16)
-    return (s[0][0], det_a, _det([row[:3] for row in s[:3]]), delta - Fraction(1, 2),
-            u, u + min(det_c, 0))
+    return (s[0][0], det_a - Fraction(1, 4), _det([row[:3] for row in s[:3]]),
+            delta - Fraction(1, 2), u, u + min(det_c, 0))
 
 
 def cross_block_det_formula(Dxy, Dxpy, Dpxpy, lam, m=1.0, omega=1.0):

@@ -110,6 +110,15 @@ class TestValidateCommand:
         assert code == 0
         assert len(parse_csv(out)) == 2
 
+    def test_overflowing_invariants_exit_two(self, tmp_path, capsys):
+        # det A of D/lam is negative, but it overflows to nan: no PASS
+        env = {"Dxx": 1e160, "Dxpx": 2e160, "Dpxpx": 1e160, "Dxy": 0.0, "Dxpy": 0.0,
+               "Dpxpy": 0.0}
+        cfg = write_config(tmp_path, dict(FIG1, two_mode_env=env))
+        code, out, _ = run(capsys, ["validate", "--config", cfg])
+        assert code == 2
+        assert "FAIL det_a_at_least_quarter slack=+nan" in out
+
     @pytest.mark.parametrize("body", [FIG1, dict(FIG1, two_mode_env=WINDOW_ENV)])
     def test_out_flag_writes_the_report(self, tmp_path, capsys, body):
         cfg = write_config(tmp_path, body)
@@ -555,6 +564,19 @@ class TestScanCommand:
                                         "--dxpy-max", "0", "--dxpy-steps", "1"])
             assert code == 0
             assert parse_csv(out)[0]["status"] == "boundary-indeterminate"
+
+    def test_zero_dxx_cross_template_is_invalid(self, tmp_path, capsys):
+        # Dxy = 1 at Dxx = 0: sigma_00 and det A of D/lam are 0, and the
+        # environment is not completely positive
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=dict(WINDOW_ENV, Dxy=1.0,
+                                                                  Dpxpy=1.0))))
+        body["oscillator"]["mu"] = 0.0
+        cfg = write_config(tmp_path, body)
+        code, out, _ = run(capsys, ["scan", "--config", cfg, "--dxx-min", "0", "--dxx-max", "0",
+                                    "--dxx-steps", "1", "--dxpy-min", "0", "--dxpy-max", "1",
+                                    "--dxpy-steps", "3"])
+        assert code == 0
+        assert [r["status"] for r in parse_csv(out)] == ["invalid"] * 3
 
     def test_low_dxx_marks_invalid_window(self, tmp_path, capsys):
         cfg = self._config(tmp_path, dxx=0.05)

@@ -96,6 +96,13 @@ class TestGibbsCoefficients:
 
 
 class TestValidateSingleMode:
+    def test_overflowing_slack_fails(self):
+        # Dxx*Dpp and Dxp^2 overflow, and inf - inf is no verdict
+        report = validate_single_mode(SingleModeEnv(Dxx=1e160, Dpp=1e160, Dxp=2e160, lam=1.0))
+        check = {c.name: c for c in report.checks}["fundamental_constraint"]
+        assert math.isnan(check.slack)
+        assert not check.passed
+
     def test_pass_case_slacks(self):
         th = ThermalParams(C=2.0)
         report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), th), th)
@@ -231,6 +238,16 @@ class TestValidateTwoMode:
             for k in (3, 4):
                 assert a.checks[k].slack == pytest.approx(b.checks[k].slack, abs=1e-12)
 
+    def test_overflowing_invariants_fail(self):
+        # det A = 1e320 - 4e320 < 0, but it and the invariants built on it
+        # overflow to nan; a non-finite slack fails
+        env = TwoModeEnvironment.symmetric_env(Dxx=1e160, Dxpx=2e160, Dpxpx=1e160,
+                                               Dxy=0.0, Dxpy=0.0, Dpxpy=0.0, lam=1.0)
+        report = validate_two_mode(env)
+        unresolved = [c.name for c in report.checks if not math.isfinite(c.slack)]
+        assert unresolved == list(INVARIANTS[1:5])
+        assert [c.name for c in report.failures()] == unresolved
+
     def test_symmetric_flag_enforced(self):
         with pytest.raises(ParameterError):
             TwoModeEnvironment(Dxx=1.0, Dxpx=0.0, Dpxpx=1.0,
@@ -331,6 +348,37 @@ class TestGramChecks:
         # the verdict is invariant under the mode swap
         np.testing.assert_array_equal(passed[:n].all(axis=1), passed[n:2 * n].all(axis=1))
 
+    def test_zero_leading_minors_fail(self):
+        # Leading minors only at >= 0 would pass each of these: sigma_00,
+        # det A or the 3x3 minor of D/lam is exactly 0 while Delta >= 1/2
+        # and U >= 0 hold.  det A >= 1/4 excludes them, and the Gram matrix
+        # has a resolved negative eigenvalue at each.
+        def env(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy=0.0, Dxpy=0.0, Dypx=0.0, Dpxpy=0.0):
+            return TwoModeEnvironment(Dxx=Dxx, Dxpx=Dxpx, Dpxpx=Dpxpx, Dyy=Dyy, Dypy=Dypy,
+                                      Dpypy=Dpypy, Dxy=Dxy, Dxpy=Dxpy, Dypx=Dypx, Dpxpy=Dpxpy,
+                                      lam=1.0)
+        envs = [
+            # sigma_00 = det A = minor_3 = 0, Delta - 1/2 = 1.5, U = 0.5625
+            TwoModeEnvironment.symmetric_env(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, lam=1.0),
+            # det A = minor_3 = 0 with a {0, 2} minor of -3
+            TwoModeEnvironment.symmetric_env(1.0, 1.0, 1.0, 2.0, 2.0, 3.0, lam=1.0),
+            # scan nodes of a Dxy = 1 template at Dxx = 0, m = w = 1
+            TwoModeEnvironment.symmetric_env(0.0, 0.0, 0.0, 1.0, 0.5, 1.0, lam=1.0),
+            TwoModeEnvironment.symmetric_env(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, lam=1.0),
+            env(0.0, 0.0, 1.0, 1.0, 0.0, 1.0),  # sigma_00 = det A = 0
+            env(1.0, 1.0, 1.0, 1.0, 0.0, 1.0),  # det A = 0
+            env(1.0, 0.0, 1.0, 1.0, 0.0, 1.0, Dxy=1.0),  # minor_3 = 0
+        ]
+        values = invariants(_env_sigma(envs))
+        assert (values[:, :3] == 0.0).any(axis=1).all()
+        positive, resolved = oracles.gram_verdicts(
+            np.stack([oracles.env_gram_matrix(e) for e in envs]))
+        assert resolved.all() and not positive.any()
+        for e in envs:
+            assert not validate_two_mode(e).passed
+            assert not validate_two_mode(e.swapped()).passed
+        assert not bona_fide_checks(_env_sigma(envs))[1].all(axis=-1).any()
+
     def test_verdict_matches_gram_eigenvalues_across_scales(self):
         # sigma = s W W^T / 4 - t I, a third each with t = 0 (positive
         # semidefinite), t drawn up to s (often indefinite), and t placing
@@ -378,6 +426,6 @@ class TestGramChecks:
             exact = oracles.exact_invariants(sigma[k])
             for value, bound, want in zip(values[k], bounds[k], exact):
                 assert abs(Fraction(float(value)) - want) <= Fraction(float(bound))
-            for j in (3, 4):  # Delta - 1/2 and U
+            for j in (1, 3, 4):  # det A - 1/4, Delta - 1/2 and U
                 assert abs(exact[j]) <= Fraction(float(bounds[k, j]))
             assert validate_two_mode(env).passed

@@ -367,3 +367,9 @@ class TestPhysicalityDiagnostic:
         # and its asymptotic state dips below the physical bound
         S = steady_covariance_closed_form(WINDOW_ENV, PARAMS)
         assert not is_physical(S)
+
+    def test_overflowing_invariants_are_not_physical(self):
+        # det A = 1e320 - 4e320 < 0 overflows to nan: no verdict, so not physical
+        S = np.diag([1e160, 1e160, 1.0, 1.0])
+        S[0, 1] = S[1, 0] = 2e160
+        assert is_physical(np.stack([S, np.eye(4)])).tolist() == [False, True]
