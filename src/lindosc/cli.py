@@ -25,6 +25,9 @@ from .core import (
     ThermalParams,
     correlated_coherent_state,
     gibbs_coefficients,
+    gibbs_diffusion,
+    not_negative,
+    one_mode_checks,
     validate_single_mode,
     validate_two_mode,
 )
@@ -37,7 +40,7 @@ from .separability import (
 )
 from .two_mode import (
     _block_diagonal,
-    det_cross_block,
+    cross_block_route,
     diffusion_matrix,
     drift_matrix,
     propagate_covariance,
@@ -200,10 +203,10 @@ def _linspace(lo: float, hi: float, steps, what: str) -> np.ndarray:
 def cmd_validate(cfg: RunConfig, args) -> int:
     thermal = cfg.require("thermal", "validate")
     env = gibbs_coefficients(cfg.oscillator, thermal)
-    reports = [("single_mode (thermal coefficients)", validate_single_mode(env, thermal))]
+    reports = [("single_mode (thermal coefficients)", validate_single_mode(env))]
     if cfg.two_mode_env is not None:
         reports.append(("two_mode (environment complete positivity)",
-                        validate_two_mode(cfg.two_mode_env)))
+                        validate_two_mode(cfg.two_mode_env, cfg.oscillator.hbar)))
     lines = []
     for title, report in reports:
         lines += [title + ":"] + ["  " + line for line in report.lines()]
@@ -221,11 +224,10 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
     else:
         t_grid = _linspace(grid["t_min"], grid["t_max"], grid["t_steps"], "t grid")
 
-    valid = []
-    for c in c_grid.tolist():
-        thermal = ThermalParams(C=c)
-        valid.append(validate_single_mode(gibbs_coefficients(params, thermal), thermal).passed)
-    valid = np.array(valid, dtype=bool)
+    ThermalParams(C=float(c_grid[0]))  # rejects a smallest C below 1
+    # validate_single_mode's verdict, on all C nodes at once
+    valid = one_mode_checks(*gibbs_diffusion(params, c_grid), 0.0, params.lam,
+                            params.hbar)[1].all(axis=-1)
     if not (args.skip_invalid or valid.all()):
         print(f"invalid thermal coefficients at C={c_grid[~valid][0].item()!r} "
               "(rerun with --skip-invalid to keep going)", file=sys.stderr)
@@ -303,8 +305,8 @@ def cmd_timescales(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _warn_env_validity(env):
-    report = validate_two_mode(env)
+def _warn_env_validity(env, params):
+    report = validate_two_mode(env, params.hbar)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         print(f"warning: environment fails positivity checks ({names}); "
@@ -314,23 +316,23 @@ def _warn_env_validity(env):
 def cmd_asymptotic(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     env = cfg.require("two_mode_env", "asymptotic")
-    _warn_env_validity(env)
+    _warn_env_validity(env, params)
     Y = drift_matrix(params)
     D = diffusion_matrix(env)
     s_inf = lyapunov.steady_covariance(Y, D)
     resid = lyapunov.residual(Y, s_inf, D)
     full = simon_verdicts(s_inf)
-    det_c = det_cross_block(env, params)
+    det_c, det_c_size = cross_block_route(env, params)
 
-    # The closed form takes det C where the criterion takes -|det C|, so the
-    # two routes give the same S only where det C <= 0; there they must
-    # agree within the sum of their rounding bounds.
+    # The closed form takes det C where the criterion takes -|det C|: unless
+    # det C is resolved positive, the two routes to S must agree within the
+    # sum of their rounding bounds.
     closed_score = None
     try:
         closed_score, closed_bound = closed_form_route(env, params)
     except LindoscError:
         pass
-    if det_c > 0.0:
+    if not not_negative(-det_c, det_c_size):
         closed_score = None
     if closed_score is not None and abs(closed_score - full.score) > closed_bound + full.bound:
         raise ParameterError(
@@ -355,7 +357,7 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     initial = cfg.require("initial", "propagate")
     env = cfg.require("two_mode_env", "propagate")
-    _warn_env_validity(env)
+    _warn_env_validity(env, params)
     grid = _grid(cfg, args, "propagate")
     t_grid = _linspace(0.0, grid["t_max"], grid["steps"], "t grid")
     state1 = correlated_coherent_state(initial.delta, initial.r, params,

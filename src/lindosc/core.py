@@ -23,7 +23,9 @@ Delta/4 + 1/16, and Simon's S, U with |det C| in place of det C.  sigma +
 (2000); Serafini, Illuminati and De Siena, J. Phys. B 37, L21 (2004)):
 then A > 0 and det sigma >= 1/16, so sigma > 0 and both symplectic
 eigenvalues are >= 1/2.  An environment is completely positive exactly
-when its D/(hbar lam) is.
+when its D/(hbar lam) is, and a one-mode D1 when two copies, D1 (+) D1, are:
+there sigma_00 >= 0 and det A >= 1/4, Dxx Dpp - Dxp^2 >= (lam hbar/2)^2
+(Sandulescu and Scutaru, Ann. Phys. 173, 277 (1987)), imply the rest.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ __all__ = [
     "GaussianState1D",
     "ValidationCheck",
     "ValidationReport",
+    "gibbs_diffusion",
     "gibbs_coefficients",
+    "one_mode_checks",
     "validate_single_mode",
     "validate_two_mode",
     "correlated_coherent_state",
@@ -58,11 +62,7 @@ __all__ = [
 #   inputs agree when they differ by at most SCALE_RTOL times the input's
 #   scale, max(1, |inputs|) (:func:`negligible`).  This rule checks the
 #   ``symmetric`` flag of TwoModeEnvironment, the symmetry of covariance
-#   matrices, Dxp = 0 of Gibbs-type coefficients and the constraints of the
-#   closed-form separability family.
-# * GIBBS_RTOL: the looser rule for the product of Gibbs-type coefficients,
-#   Dxx*Dpp = (lam^2 - mu^2) hbar^2 C^2 / 4, whose two sides come from
-#   different formulas.
+#   matrices and the constraints of the closed-form separability family.
 # * SCORE_RTOL: the Simon verdict.  S adds up products of at most four
 #   covariance entries.  Let Sigma be the sum of their magnitudes: S with
 #   every entry and every sign replaced by its magnitude.  S is written out
@@ -91,13 +91,13 @@ __all__ = [
 #   (:func:`not_negative`).  A product is rounded at most 3 times in
 #   det A - 1/4 (2 in det A, 1 in the difference), 5 times in the 3x3 minor
 #   (2 in a cofactor, 1 in its product, 2 in the sum of three), 5 in
-#   Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as in S), 4 in the
-#   one-mode constraint and 5 in the Gibbs constraint.  The entries of
-#   sigma = D/(hbar lam) are rounded by at most eps < 6.75 eps.  A
-#   non-finite x is unresolved: the itemized validate reports fail it, and
-#   a scan node with one reports it through its non-finite S.
+#   Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as in S) and 15 in
+#   the det C of ``two_mode.cross_block_route`` (10 in its numerator, 4 in
+#   its denominator, 1 in the quotient).  The entries of sigma = D/(hbar lam)
+#   are rounded by at most eps < 6.75 eps.  A non-finite x is unresolved:
+#   the itemized validate reports fail it, and a scan node with one reports
+#   it through its non-finite S.
 SCALE_RTOL = 1e-12
-GIBBS_RTOL = 1e-9
 SCORE_RTOL = 32 * np.finfo(float).eps
 
 
@@ -326,12 +326,11 @@ class ValidationReport:
         return "\n".join(self.lines())
 
 
-def gibbs_coefficients(params: OscillatorParams, thermal: ThermalParams) -> SingleModeEnv:
-    """Diffusion coefficients whose stationary state is the thermal (Gibbs) state.
-
-    Dxx = (lam - mu)/2 * hbar/(m*omega) * C,
-    Dpp = (lam + mu)/2 * hbar*m*omega * C,
-    Dxp = 0.
+@np.errstate(over="ignore")  # an overflowing coefficient is inf, which the checks fail
+def gibbs_diffusion(params: OscillatorParams, C):
+    """Dxx = (lam - mu)/2 * hbar/(m*omega) * C and Dpp = (lam + mu)/2 *
+    hbar*m*omega * C of the thermal (Gibbs) environment, whose Dxp is 0, at
+    C a float or an array.
 
     Raises
     ------
@@ -342,25 +341,17 @@ def gibbs_coefficients(params: OscillatorParams, thermal: ThermalParams) -> Sing
         raise ParameterError(
             f"thermal coefficients need lam > mu, got lam={params.lam}, mu={params.mu}"
         )
-    scale = params.hbar * thermal.C
-    return SingleModeEnv(
-        Dxx=0.5 * (params.lam - params.mu) * scale / (params.m * params.omega),
-        Dpp=0.5 * (params.lam + params.mu) * scale * params.m * params.omega,
-        Dxp=0.0,
-        lam=params.lam,
-        mu=params.mu,
-        hbar=params.hbar,
-    )
+    scale = params.hbar * C
+    return (0.5 * (params.lam - params.mu) * scale / (params.m * params.omega),
+            0.5 * (params.lam + params.mu) * scale * params.m * params.omega)
 
 
-def _is_gibbs_type(env: SingleModeEnv, thermal: ThermalParams) -> bool:
-    # Gibbs coefficients satisfy Dxp = 0 and Dxx*Dpp = (lam^2-mu^2) hbar^2 C^2 / 4
-    # for any m, omega (the masses cancel in the product).
-    target = (0.25 * (env.lam * env.lam - env.mu * env.mu) * (env.hbar * env.hbar)
-              * (thermal.C * thermal.C))
-    prod = env.Dxx * env.Dpp
-    scale = max(1.0, abs(prod), abs(target))
-    return negligible(env.Dxp, scale) and negligible(prod - target, scale, GIBBS_RTOL)
+def gibbs_coefficients(params: OscillatorParams, thermal: ThermalParams) -> SingleModeEnv:
+    """The environment whose stationary state is the thermal (Gibbs) state:
+    :func:`gibbs_diffusion` at ``thermal.C``, with Dxp = 0."""
+    Dxx, Dpp = gibbs_diffusion(params, thermal.C)
+    return SingleModeEnv(Dxx=Dxx, Dpp=Dpp, Dxp=0.0, lam=params.lam, mu=params.mu,
+                         hbar=params.hbar)
 
 
 def not_negative(value, magnitude):
@@ -369,36 +360,12 @@ def not_negative(value, magnitude):
     return np.logical_not(value < -SCORE_RTOL * magnitude)
 
 
-def _report_check(name: str, value: float, passed) -> ValidationCheck:
-    """A report line for value >= 0: ``passed`` is :func:`not_negative`'s
-    flag, and a non-finite value fails too."""
-    return ValidationCheck(name, bool(passed) and math.isfinite(value), float(value))
-
-
-def validate_single_mode(env: SingleModeEnv, thermal: ThermalParams | None = None) -> ValidationReport:
-    """Check the single-mode diffusion coefficients against their constraints.
-
-    Always checks Dxx > 0, Dpp > 0 and the complete-positivity bound
-    Dxx*Dpp - Dxp**2 >= (lam*hbar/2)**2.  When ``thermal`` is given and
-    the coefficients are of thermal-equilibrium type, additionally checks
-    (lam**2 - mu**2) * C**2 >= lam**2.  These two fail only where their
-    slack is resolved negative (:func:`not_negative`) or not finite.
-    """
-    checks = [
-        ValidationCheck("dxx_positive", env.Dxx > 0.0, env.Dxx),
-        ValidationCheck("dpp_positive", env.Dpp > 0.0, env.Dpp),
-    ]
-    # products, not powers: a float ** 2 that overflows raises, a product gives inf
-    quantum = 0.25 * (env.lam * env.lam) * (env.hbar * env.hbar)
-    slack = env.Dxx * env.Dpp - env.Dxp * env.Dxp - quantum
-    size = abs(env.Dxx * env.Dpp) + env.Dxp * env.Dxp + quantum
-    checks.append(_report_check("fundamental_constraint", slack, not_negative(slack, size)))
-    if thermal is not None and _is_gibbs_type(env, thermal):
-        lam2, mu2, c2 = env.lam * env.lam, env.mu * env.mu, thermal.C * thermal.C
-        g = (lam2 - mu2) * c2 - lam2
-        size = (lam2 + mu2) * c2 + lam2
-        checks.append(_report_check("gibbs_thermal_constraint", g, not_negative(g, size)))
-    return ValidationReport(tuple(checks))
+def _report(values, passed) -> ValidationReport:
+    """The report of :func:`bona_fide_checks`' leading values and flags, one
+    line per check named from ``INVARIANTS``; a non-finite value fails too."""
+    return ValidationReport(tuple(
+        ValidationCheck(name, bool(ok) and math.isfinite(value), float(value))
+        for name, ok, value in zip(INVARIANTS, passed, values)))
 
 
 def stack_matrices(rows) -> np.ndarray:
@@ -462,13 +429,31 @@ def bona_fide_checks(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, not_negative(values, invariants(np.abs(sigma), 1.0)[..., :5])
 
 
+def one_mode_checks(Dxx, Dpp, Dxp, lam, hbar) -> tuple[np.ndarray, np.ndarray]:
+    """Value and pass flag, (..., 2) each, of the first two
+    :func:`bona_fide_checks` of D1 (+) D1 / (hbar lam), D1 = [[Dxx, Dxp],
+    [Dxp, Dpp]], the arguments broadcasting together.  The other three are
+    sigma_xx det A, 2 (det A - 1/4) and (det A - 1/4)^2, so D1 is completely
+    positive exactly where both pass; a non-finite value fails."""
+    xx, pp, xp = (d / (hbar * lam) for d in (Dxx, Dpp, Dxp))
+    values, passed = (x[..., :2] for x in bona_fide_checks(stack_matrices(
+        [[xx, xp, 0.0, 0.0], [xp, pp, 0.0, 0.0], [0.0, 0.0, xx, xp], [0.0, 0.0, xp, pp]])))
+    return values, passed & np.isfinite(values)
+
+
+def validate_single_mode(env: SingleModeEnv) -> ValidationReport:
+    """Check complete positivity of the one-mode environment: the two
+    :func:`one_mode_checks` of its D/(hbar lam), each with its invariant as
+    the slack.  On thermal coefficients, det A - 1/4 is
+    ((lam^2 - mu^2) C^2 - lam^2) / (4 lam^2)."""
+    return _report(*one_mode_checks(env.Dxx, env.Dpp, env.Dxp, env.lam, env.hbar))
+
+
 def validate_two_mode(env: TwoModeEnvironment, hbar: float = 1.0) -> ValidationReport:
     """Check complete positivity of the two-mode environment: the five
     :func:`bona_fide_checks` of D/(hbar lam), D being :func:`diffusion_matrix`,
     each with its invariant as the slack; a non-finite one fails."""
-    slack, passed = bona_fide_checks(diffusion_matrix(env) / (hbar * env.lam))
-    return ValidationReport(tuple(_report_check(name, float(value), ok)
-                                  for name, ok, value in zip(INVARIANTS, passed, slack)))
+    return _report(*bona_fide_checks(diffusion_matrix(env) / (hbar * env.lam)))
 
 
 def require_coherent_state_params(delta: float, r: float):

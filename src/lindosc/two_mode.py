@@ -61,6 +61,7 @@ __all__ = [
     "steady_covariance_symmetric",
     "propagate_covariance",
     "det_cross_block",
+    "cross_block_route",
     "is_physical",
     "require_covariance4",
     "require_hbar_one",
@@ -229,14 +230,22 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
 
     Negative values are the precondition for asymptotic entanglement.
     """
+    return cross_block_route(env, params)[0]
+
+
+def cross_block_route(env: TwoModeEnvironment, params: OscillatorParams) -> tuple[float, float]:
+    """:func:`det_cross_block` and its magnitude sum: the same products with
+    every coefficient and sign taken by its magnitude."""
     require_hbar_one(params)
     _require_symmetric_env(env)
     require_matching_lam(env, params)
     m, w, lam = params.m, params.omega, params.lam
     q = lam * lam + w * w
     lead = m * w * w * env.Dxy + env.Dpxpy / m
-    return (lead * lead + 4.0 * lam * lam * (env.Dxy * env.Dpxpy - env.Dxpy**2)) \
-        / (4.0 * lam * lam * q)
+    size = m * w * w * abs(env.Dxy) + abs(env.Dpxpy) / m
+    cross = env.Dxy * env.Dpxpy
+    return ((lead * lead + 4.0 * lam * lam * (cross - env.Dxpy**2)) / (4.0 * lam * lam * q),
+            (size * size + 4.0 * lam * lam * (abs(cross) + env.Dxpy**2)) / (4.0 * lam * lam * q))
 
 
 def is_physical(sigma: np.ndarray):

@@ -154,6 +154,12 @@ def gram_matrices(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy, la
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (4, 4))
 
 
+def one_mode_gram_matrices(Dxx, Dpp, Dxp, lam, hbar=1.0):
+    """Hermitian Gram matrices D - i (hbar lam/2) J of one-mode coefficients,
+    shape (..., 2, 2): the first block of :func:`gram_matrices`."""
+    return gram_matrices(Dxx, Dxp, Dpp, Dxx, Dxp, Dpp, 0.0, 0.0, 0.0, 0.0, lam, hbar)[..., :2, :2]
+
+
 def env_gram_matrix(env, hbar=1.0):
     """Gram matrix of one :class:`TwoModeEnvironment`."""
     return gram_matrices(env.Dxx, env.Dxpx, env.Dpxpx, env.Dyy, env.Dypy, env.Dpypy,

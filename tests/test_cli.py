@@ -47,7 +47,7 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, FIG1)
         code, out, _ = run(capsys, ["validate", "--config", cfg])
         assert code == 0
-        assert "PASS gibbs_thermal_constraint" in out
+        assert "PASS det_a_at_least_quarter" in out
 
     def test_unphysical_config_exits_two(self, tmp_path, capsys):
         body = json.loads(json.dumps(FIG1))
@@ -55,7 +55,7 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, body)
         code, out, _ = run(capsys, ["validate", "--config", cfg])
         assert code == 2
-        assert "FAIL gibbs_thermal_constraint" in out
+        assert "FAIL det_a_at_least_quarter" in out
 
     def test_missing_thermal_exits_one(self, tmp_path, capsys):
         body = {"oscillator": FIG1["oscillator"]}
@@ -92,11 +92,20 @@ class TestValidateCommand:
         assert code == 2  # the entangling window regime is not completely positive
         assert "FAIL delta_at_least_half" in out
 
+    def test_two_mode_section_checked_at_the_config_hbar(self, tmp_path, capsys):
+        # D/(hbar lam) = 0.375 I at hbar = 2: det A - 1/4 < 0, valid at hbar = 1
+        env = {"Dxx": 0.15, "Dxpx": 0, "Dpxpx": 0.15, "Dxy": 0, "Dxpy": 0, "Dpxpy": 0}
+        cfg = write_config(tmp_path, {"oscillator": {"lambda": 0.2, "hbar": 2.0},
+                                      "thermal": {"C": 2.0}, "two_mode_env": env})
+        code, out, _ = run(capsys, ["validate", "--config", cfg])
+        assert code == 2
+        assert "FAIL det_a_at_least_quarter slack=-1.09375000000000e-01" in out
+
     @pytest.mark.parametrize("oscillator,C", [
         # T = 0: Dxx*Dpp - Dxp^2 = (lam/2)^2 exactly, the slack is rounding
         ({"lambda": 0.567266219538856, "mu": 0.0, "m": 0.35948907446999856,
           "omega": 0.03470451824669471, "hbar": 1.0}, 1.0),
-        # the saturated C = lam/sqrt(lam^2 - mu^2) of the Gibbs constraint
+        # C = lam/sqrt(lam^2 - mu^2), where det A - 1/4 of D/(hbar lam) is 0
         ({"lambda": 0.1542320843456786, "mu": 0.022814830587515218, "m": 1.0, "omega": 1.0,
           "hbar": 1.0}, 1.0111238450381421),
     ])
@@ -104,11 +113,22 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, dict(FIG1, oscillator=oscillator, thermal={"C": C}))
         code, out, _ = run(capsys, ["validate", "--config", cfg])
         assert code == 0
-        assert "FAIL" not in out and "PASS fundamental_constraint" in out
+        assert "FAIL" not in out and "PASS det_a_at_least_quarter" in out
         code, out, _ = run(capsys, ["deco-grid", "--config", cfg, "--c-min", str(C),
                                     "--c-max", str(C), "--c-steps", "1", "--t-steps", "2"])
         assert code == 0
         assert len(parse_csv(out)) == 2
+
+    @pytest.mark.parametrize("command", ["asymptotic", "propagate"])
+    def test_two_mode_warning_at_the_config_hbar(self, tmp_path, capsys, command):
+        # D/(hbar lam) = 0.7 I at hbar = 0.5 is completely positive (0.35 I at
+        # hbar = 1 is not): no warning, only the hbar = 1 requirement
+        env = {"Dxx": 0.07, "Dxpx": 0, "Dpxpx": 0.07, "Dxy": 0, "Dxpy": 0, "Dpxpy": 0}
+        cfg = write_config(tmp_path, dict(FIG1, oscillator={"lambda": 0.2, "hbar": 0.5},
+                                          two_mode_env=env))
+        code, out, err = run(capsys, [command, "--config", cfg])
+        assert code == 2 and out == ""
+        assert err == "error: two-mode operations are normalized to hbar = 1, got hbar=0.5\n"
 
     def test_overflowing_invariants_exit_two(self, tmp_path, capsys):
         # det A of D/lam is negative, but it overflows to nan: no PASS
@@ -223,17 +243,15 @@ class TestDecoGridCommand:
     @pytest.mark.parametrize("flags", [[], ["--asymptotic"]])
     def test_invalid_c_mid_grid_names_the_first_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch, flags):
-        failing = {3.0, 4.0}  # C = 2, 3, 4, 5, 6: the second and third fail
-        real = cli.validate_single_mode
+        real = cli.one_mode_checks
 
-        def validate(env, thermal):
-            report = real(env, thermal)
-            if thermal.C in failing:
-                report = type(report)(tuple(type(c)(c.name, False, c.slack)
-                                            for c in report.checks))
-            return report
+        def checks(*args):
+            values, passed = real(*args)
+            passed = passed.copy()
+            passed[1:3] = False  # C = 2, 3, 4, 5, 6: the second and third fail
+            return values, passed
 
-        monkeypatch.setattr(cli, "validate_single_mode", validate)
+        monkeypatch.setattr(cli, "one_mode_checks", checks)
         cfg = write_config(tmp_path, FIG1)
         out_path = tmp_path / "grid.csv"
         code, out, err = run(capsys, ["deco-grid", "--config", cfg, *flags,
@@ -243,6 +261,56 @@ class TestDecoGridCommand:
         assert out == "" and not out_path.exists()
         assert err == ("invalid thermal coefficients at C=3.0 "
                        "(rerun with --skip-invalid to keep going)\n")
+
+    def test_c_below_one_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FIG1)
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, ["deco-grid", "--config", cfg, "--c-min", "0.5",
+                                      "--out", str(out_path)])
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err == "error: C = coth(...) must be >= 1, got 0.5\n"
+
+    def test_overflowing_coefficients_are_invalid_nodes(self, tmp_path, capsys):
+        # Dxx and Dpp overflow to inf at C = 5e307 and 1e308: no warning, no pass
+        body = dict(FIG1, oscillator={"lambda": 10.0, "mu": 0.1})
+        cfg = write_config(tmp_path, body)
+        argv = ["deco-grid", "--config", cfg, "--asymptotic", "--c-min", "2", "--c-max", "1e308",
+                "--c-steps", "3"]
+        code, out, err = run(capsys, argv + ["--skip-invalid"])
+        assert code == 0 and err == ""
+        assert [r["status"] for r in parse_csv(out)] == ["ok", "invalid", "invalid"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid thermal coefficients at C=5e+307 ")
+
+    def test_status_is_validate_single_mode_per_node(self, tmp_path, capsys):
+        # The batched check computes the floats of validate_single_mode at
+        # every node: on grids through [1, 2 C*], and on grids from 1e-14 below
+        # C* = lam/sqrt(lam^2 - mu^2) to 1e-15 above it (from 1 at mu = 0),
+        # where det A - 1/4 changes sign and then is rounding.
+        rng = np.random.default_rng(31)
+        statuses, near = set(), set()
+        for k in range(60):
+            lam, m, hbar = (10.0 ** rng.uniform(-1.5, 1.5, 3)).tolist()
+            mu = 0.0 if k % 3 == 0 else lam * float(rng.uniform(0.01, 0.99))
+            w = lam * 10.0 ** float(rng.uniform(0.05, 1.0))
+            c_star = lam / math.sqrt(lam * lam - mu * mu)
+            lo, hi = [(1.0, 2.0 * c_star), (max(1.0, c_star - 1e-14), c_star + 1e-15)][k % 2]
+            oscillator = {"lambda": lam, "mu": mu, "m": m, "omega": w, "hbar": hbar}
+            cfg = write_config(tmp_path, dict(FIG1, oscillator=oscillator))
+            code, out, _ = run(capsys, ["deco-grid", "--config", cfg, "--asymptotic",
+                                        "--skip-invalid", "--c-min", repr(lo), "--c-max",
+                                        repr(hi), "--c-steps", "21"])
+            assert code == 0
+            params = OscillatorParams(lam=lam, mu=mu, m=m, omega=w, hbar=hbar)
+            want = ["ok" if cli.validate_single_mode(cli.gibbs_coefficients(
+                params, ThermalParams(C=c))).passed else "invalid"
+                for c in np.linspace(lo, hi, 21).tolist()]
+            got = [r["status"] for r in parse_csv(out)]
+            assert got == want
+            (near if k % 2 else statuses).update(got)
+        assert statuses == near == {"ok", "invalid"}
 
     def test_asymptotic_skip_invalid_rows(self, tmp_path, capsys):
         # the per-node text: 1/4 C**2 and exactly 1/C, nan for invalid C
@@ -426,6 +494,39 @@ class TestAsymptoticCommand:
         assert float(values["det_cross_block"]) > 0.0
         assert "simon_score_closed_form" not in values
         assert values["separable"] == "separable"
+
+    @pytest.mark.parametrize("dxy", [0.47000000000000003, 0.3])
+    def test_zero_cross_determinant_keeps_the_closed_form(self, tmp_path, capsys, dxy):
+        # det C = 0 exactly: its float is rounding, of either sign, and only
+        # a det C resolved positive drops the closed form
+        env = dict(Dxx=1.0, Dxpx=0.0, Dpxpx=1.0, Dxy=dxy, Dxpy=dxy * math.sqrt(1.04) / 0.2,
+                   Dpxpy=dxy)
+        body = json.loads(json.dumps(dict(FIG1, two_mode_env=env)))
+        body["oscillator"]["mu"] = 0.0
+        cfg = write_config(tmp_path, body)
+        code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+        assert code == 0
+        assert "disagree" not in err
+        values = {r["name"]: r["value"] for r in parse_csv(out)}
+        assert 0.0 < abs(float(values["det_cross_block"])) < 1e-15
+        assert "simon_score_closed_form" in values
+
+    def test_zero_cross_determinant_routes_agree(self, tmp_path, capsys):
+        # random det C = 0 nodes of the closed-form family: Dxpy = m w Dxy
+        # sqrt(lam^2 + w^2)/lam; the two routes agree within their bounds
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            lam = rng.uniform(0.05, 0.5)
+            m, w = 10.0 ** rng.uniform(-0.5, 0.5, 2)
+            mw = m * w
+            dxx, dxy = rng.uniform(0.1, 3.0) * lam / mw, rng.uniform(-1.5, 1.5) * lam / mw
+            env = dict(Dxx=dxx, Dxpx=0.0, Dpxpx=mw * mw * dxx, Dxy=dxy,
+                       Dxpy=mw * dxy * math.sqrt(lam * lam + w * w) / lam, Dpxpy=mw * mw * dxy)
+            cfg = write_config(tmp_path, dict(oscillator={"lambda": lam, "m": m, "omega": w},
+                                              two_mode_env=env))
+            code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+            assert code == 0, err
+            assert "simon_score_closed_form" in {r["name"] for r in parse_csv(out)}
 
     def test_gap_beyond_the_rounding_bound_exits_two(self, tmp_path, capsys, monkeypatch):
         body = json.loads(json.dumps(dict(FIG1, two_mode_env=WINDOW_ENV)))

@@ -26,7 +26,9 @@ from lindosc.core import (
     GaussianState1D,
     bona_fide_checks,
     diffusion_matrix,
+    gibbs_diffusion,
     invariants,
+    one_mode_checks,
 )
 
 from . import oracles
@@ -94,36 +96,58 @@ class TestGibbsCoefficients:
         ref = gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), th)
         assert env.Dxx * env.Dpp == pytest.approx(ref.Dxx * ref.Dpp, rel=1e-14)
 
+    def test_bit_identical_to_the_batch(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            lam, m, w, hbar = 10.0 ** rng.uniform(-2.0, 2.0, 4)
+            params = OscillatorParams(lam=lam, mu=lam * rng.uniform(-2.0, 0.99), m=m, omega=w,
+                                      hbar=hbar)
+            c_grid = 10.0 ** rng.uniform(0.0, 3.0, 20)
+            Dxx, Dpp = gibbs_diffusion(params, c_grid)
+            for k, C in enumerate(c_grid.tolist()):
+                env = gibbs_coefficients(params, ThermalParams(C=C))
+                assert (env.Dxx, env.Dpp, env.Dxp) == (Dxx[k], Dpp[k], 0.0)
+                assert env.Dxx.hex() == float(Dxx[k]).hex()
+                assert env.Dpp.hex() == float(Dpp[k]).hex()
+
+    def test_batch_rejects_lam_not_above_mu(self):
+        with pytest.raises(ParameterError):
+            gibbs_diffusion(OscillatorParams(lam=0.2, mu=0.2), np.array([1.0, 2.0]))
+
 
 class TestValidateSingleMode:
     def test_overflowing_slack_fails(self):
         # Dxx*Dpp and Dxp^2 overflow, and inf - inf is no verdict
         report = validate_single_mode(SingleModeEnv(Dxx=1e160, Dpp=1e160, Dxp=2e160, lam=1.0))
-        check = {c.name: c for c in report.checks}["fundamental_constraint"]
+        check = {c.name: c for c in report.checks}["det_a_at_least_quarter"]
         assert math.isnan(check.slack)
         assert not check.passed
 
     def test_pass_case_slacks(self):
+        # sigma = D/lam = diag(0.5, 1.5): det A - 1/4 = 1/2
         th = ThermalParams(C=2.0)
-        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), th), th)
+        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), th))
         assert report.passed
+        assert [c.name for c in report.checks] == list(INVARIANTS[:2])
         by_name = {c.name: c for c in report.checks}
-        assert by_name["gibbs_thermal_constraint"].slack == pytest.approx(0.08, abs=1e-15)
+        assert by_name["sigma_xx_positive"].slack == pytest.approx(0.5, abs=1e-15)
+        assert by_name["det_a_at_least_quarter"].slack == pytest.approx(0.5, abs=1e-15)
 
     def test_fail_case_slacks(self):
+        # sigma = diag(0.25, 0.75): det A - 1/4 = ((lam^2 - mu^2) C^2 - lam^2)/(4 lam^2)
         th = ThermalParams(C=1.0)
-        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), th), th)
+        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), th))
         assert not report.passed
         by_name = {c.name: c for c in report.checks}
-        assert not by_name["gibbs_thermal_constraint"].passed
-        assert by_name["gibbs_thermal_constraint"].slack == pytest.approx(-0.01, abs=1e-15)
-        assert not by_name["fundamental_constraint"].passed
+        assert by_name["sigma_xx_positive"].passed
+        assert not by_name["det_a_at_least_quarter"].passed
+        assert by_name["det_a_at_least_quarter"].slack == pytest.approx(-0.0625, abs=1e-15)
 
     @settings(deadline=None)
     @given(C=st.floats(min_value=1.0, max_value=100.0))
     def test_mu_zero_always_passes(self, C):
         th = ThermalParams(C=C)
-        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2), th), th)
+        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=0.2), th))
         assert report.passed
 
     @settings(deadline=None, max_examples=200)
@@ -133,16 +157,15 @@ class TestValidateSingleMode:
     def test_gibbs_output_valid_iff_thermal_constraint(self, lam, mu_frac, C):
         mu = mu_frac * lam
         th = ThermalParams(C=C)
-        report = validate_single_mode(
-            gibbs_coefficients(OscillatorParams(lam=lam, mu=mu), th), th)
+        report = validate_single_mode(gibbs_coefficients(OscillatorParams(lam=lam, mu=mu), th))
         if (lam**2 - mu**2) * C**2 >= lam**2:
             assert report.passed
 
     def test_saturated_constraints_pass(self):
-        # At T = 0 and mu = 0 the fundamental constraint holds with equality,
-        # and at C = lam/sqrt(lam^2 - mu^2) both constraints do: their slack
-        # is rounding.  Against the exact slack of the same floats, the
-        # computed one is within its bound, and so is the exact one.
+        # At T = 0 and mu = 0, and at C = lam/sqrt(lam^2 - mu^2), det A - 1/4
+        # of sigma = D/(hbar lam) is 0 and its slack is rounding.  Against
+        # the exact det A - 1/4 of the same sigma floats, the computed one is
+        # within its bound, and so is the exact one.
         rng = np.random.default_rng(19)
         cases = [(OscillatorParams(lam=0.567266219538856, m=0.35948907446999856,
                                    omega=0.03470451824669471), ThermalParams(C=1.0)),
@@ -156,29 +179,68 @@ class TestValidateSingleMode:
                           ThermalParams(C=lam / math.sqrt(lam * lam - mu * mu))))
         for params, th in cases:
             env = gibbs_coefficients(params, th)
-            report = validate_single_mode(env, th)
+            report = validate_single_mode(env)
             assert report.passed, report
             by_name = {c.name: c for c in report.checks}
-            lam, mu, C = map(Fraction, (params.lam, params.mu, th.C))
-            Dxx, Dpp = Fraction(env.Dxx), Fraction(env.Dpp)
-            exact = {"fundamental_constraint": Dxx * Dpp - lam * lam / 4,
-                     "gibbs_thermal_constraint": (lam * lam - mu * mu) * C * C - lam * lam}
-            sizes = {"fundamental_constraint": Dxx * Dpp + lam * lam / 4,
-                     "gibbs_thermal_constraint": (lam * lam + mu * mu) * C * C + lam * lam}
-            for name, want in exact.items():
-                bound = Fraction(SCORE_RTOL) * sizes[name]
-                assert abs(Fraction(by_name[name].slack) - want) <= bound
-                assert abs(want) <= bound
+            scale = params.hbar * params.lam
+            sxx, spp = Fraction(env.Dxx / scale), Fraction(env.Dpp / scale)
+            assert Fraction(by_name["sigma_xx_positive"].slack) == sxx
+            want = sxx * spp - Fraction(1, 4)
+            bound = Fraction(SCORE_RTOL) * (sxx * spp + Fraction(1, 4))
+            assert abs(Fraction(by_name["det_a_at_least_quarter"].slack) - want) <= bound
+            assert abs(want) <= bound
 
-    def test_gibbs_check_needs_thermal(self):
-        env = gibbs_coefficients(OscillatorParams(lam=0.2, mu=0.1), ThermalParams(C=2.0))
-        names = {c.name for c in validate_single_mode(env).checks}
-        assert "gibbs_thermal_constraint" not in names
 
-    def test_non_gibbs_env_skips_thermal_check(self):
-        env = SingleModeEnv(Dxx=1.0, Dpp=1.0, Dxp=0.3, lam=0.2, mu=0.0)
-        names = {c.name for c in validate_single_mode(env, ThermalParams(C=2.0)).checks}
-        assert "gibbs_thermal_constraint" not in names
+class TestOneModeChecks:
+    """The one-mode environment is completely positive exactly when its Gram
+    matrix D - i (hbar lam/2) J is positive semidefinite."""
+
+    def test_verdict_matches_gram_eigenvalues_across_scales(self):
+        # sigma = D/(hbar lam) with det sigma, a third each, from 10^-0.6 to
+        # 100 (all pass), from 0 to 1/2, and a relative 1e-12 to 1e-2 to
+        # either side of 1/4; a tenth have a negative diagonal entry.  hbar
+        # lam spans six decades and sigma_xx four more.
+        rng = np.random.default_rng(2026)
+        n = 120_000
+        lam, hbar = 10.0 ** rng.uniform(-2.0, 2.0, n), 10.0 ** rng.uniform(-1.0, 1.0, n)
+        sxx = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        corr = rng.uniform(-1.0, 1.0, n)
+        near = 0.25 * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, -2.0, n))
+        det = np.choose(rng.integers(0, 3, n), [10.0 ** rng.uniform(-0.6, 2.0, n),
+                                                rng.uniform(0.0, 0.5, n), near])
+        sxp = corr * 10.0 ** rng.uniform(-1.0, 1.0, n)
+        spp = (det + sxp * sxp) / sxx
+        flip = rng.random(n) < 0.1
+        sxx = np.where(flip & (rng.random(n) < 0.5), -sxx, sxx)
+        spp = np.where(flip & (sxx > 0.0), -spp, spp)
+        Dxx, Dpp, Dxp = (x * hbar * lam for x in (sxx, spp, sxp))
+        positive, resolved = oracles.gram_verdicts(
+            oracles.one_mode_gram_matrices(Dxx, Dpp, Dxp, lam, hbar))
+        values, passed = one_mode_checks(Dxx, Dpp, Dxp, lam, hbar)
+        assert values.shape == passed.shape == (n, 2)
+        passed = passed.all(axis=-1)
+        np.testing.assert_array_equal(passed[resolved], positive[resolved])
+        assert resolved.sum() > 0.9 * n
+        assert 0.2 * n < positive[resolved].sum() < 0.8 * n
+
+    def test_matches_the_two_mode_checks_of_two_copies(self):
+        # the other three invariants of D1 (+) D1 follow from the first two
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            Dxx, Dpp, lam = rng.uniform(0.0, 1.0, 3)
+            Dxp = rng.uniform(-1.0, 1.0)
+            copies = TwoModeEnvironment(Dxx=Dxx, Dxpx=Dxp, Dpxpx=Dpp, Dyy=Dxx, Dypy=Dxp,
+                                        Dpypy=Dpp, Dxy=0.0, Dxpy=0.0, Dypx=0.0, Dpxpy=0.0,
+                                        lam=lam)
+            one = validate_single_mode(SingleModeEnv(Dxx=Dxx, Dpp=Dpp, Dxp=Dxp, lam=lam))
+            two = validate_two_mode(copies)
+            assert one.lines() == two.lines()[:2]
+            assert one.passed == two.passed
+
+    def test_non_finite_value_fails(self):
+        values, passed = one_mode_checks(np.array([math.inf, 1.0]), 1.0, 0.0, 1.0, 1.0)
+        assert not np.isfinite(values[0]).all() and not passed[0].all()
+        assert passed[1].all()
 
 
 def _diagonal_env(d, lam):
