@@ -5,14 +5,16 @@ propagate, scan.  All numeric output is CSV with values rendered in
 scientific notation at 15 significant digits, so identical configs and
 flags produce bit-identical files.  Diagnostics go to standard error.
 
-Exit codes: 0 on success, 1 for usage or configuration errors, 2 for
-physical-validity failures.
+Exit codes: 0 on success, 1 for usage or configuration errors and for
+output that cannot be written (an ``--out`` path, or a standard output
+that its reader closed), 2 for physical-validity failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -22,6 +24,8 @@ from . import lyapunov, single_mode
 from .config import SECTIONS, RunConfig, load_config
 from .core import (
     NODE_BLOCK,
+    RENDER_EXP_MAX,
+    RENDER_TIE_MARGIN,
     ThermalParams,
     correlated_coherent_state,
     gibbs_coefficients,
@@ -98,8 +102,19 @@ class CsvTable:
     column renders by its dtype: floats as ``%.14e`` (15 significant
     digits), bools as ``true``/``false``, everything else through ``str``.
     :meth:`add` types each value on its own, so a column may mix types.
-    A float column that repeats its values, such as a grid coordinate,
-    formats each distinct value once; the text is the same.
+
+    :meth:`render` works on slices of a block, of at most ``_SLICE_CELLS``
+    cells.  Each column's slice becomes a cell matrix: a row of bytes per
+    cell and the mask of the bytes that hold its text.  The slice's float64
+    columns are stacked and formatted in one call of the numpy kernel
+    :func:`_float_cells`; float16 and float32 columns are cast to float64
+    (exactly) first, and wider floats are formatted value by value.  A
+    float column that repeats its values, such as a grid coordinate, is
+    formatted once per distinct value, and its slices gather rows of that.
+    Bool columns gather from a two-row table; any other column encodes
+    each distinct ``str`` of the slice once.  The slice's matrices are then
+    joined with ``,`` and ``\n`` columns, and the masked bytes taken out and
+    decoded at once.  The text is that of formatting value by value.
     """
 
     def __init__(self, columns):
@@ -125,45 +140,244 @@ class CsvTable:
         self._blocks.append(cells)
 
     def render(self) -> str:
-        width = len(self.columns)
-        chunks = [",".join(self.columns)]
+        chunks = [",".join(self.columns) + "\n"]
         for cells in self._blocks:
-            # one function per column, from a slice of rows to its cell values
-            formats, cell_values = [], []
-            for c in cells:
-                texts = _repeated_float_text(c) if c.dtype.kind == "f" else None
-                formats.append("%.14e" if c.dtype.kind == "f" and texts is None else "%s")
-                cell_values.append(texts or (_bool_text(c) if c.dtype == bool else c).__getitem__)
-            line, size = ",".join(formats), len(cells[0])
-            for start in range(0, size, NODE_BLOCK):
-                k = min(NODE_BLOCK, size - start)
-                flat = [None] * (k * width)  # row-major cells of k rows
-                for j, values in enumerate(cell_values):
-                    flat[j::width] = values(slice(start, start + k)).tolist()
-                chunks.append("\n".join([line] * k) % tuple(flat))
-        chunks.append("")  # the final newline, without a second copy of the text
-        return "\n".join(chunks)
+            cells = [c.astype(float, copy=False) if c.dtype.kind == "f" and c.itemsize <= 8
+                     else c for c in cells]
+            # per column, a function from a slice of rows to its cell matrices,
+            # or None for a float64 column formatted in the slice's stacked call
+            makers = [_column_cells(c) for c in cells]
+            stacked = [c for c, make in zip(cells, makers) if make is None]
+            size = len(cells[0])
+            slices = -(-size * len(cells) // _SLICE_CELLS)  # rounded up
+            for k in range(slices):
+                rows = slice(k * size // slices, (k + 1) * size // slices)
+                if stacked:
+                    chars, keep = _float_cells(np.stack([c[rows] for c in stacked], axis=1))
+                    floats = zip(chars.swapaxes(0, 1), keep.swapaxes(0, 1))
+                chunks.append(_join_rows([next(floats) if make is None else make(rows)
+                                          for make in makers]))
+        return "".join(chunks)
 
 
-def _repeated_float_text(c: np.ndarray):
-    """Texts of a float column that repeats its values, else None.
+#: Cells per render slice, at most: its temporaries take about 250 bytes a cell.
+_SLICE_CELLS = 4 * NODE_BLOCK
+
+
+def _column_cells(c: np.ndarray):
+    """Rows of ``c`` to their cell matrices, or None for a float64 column
+    that does not repeat its values."""
+    if c.dtype == np.float64:
+        return _repeated_float_cells(c)
+    if c.dtype == bool:
+        return lambda rows: _take_rows(_BOOL_CELLS, c[rows].astype(np.intp))
+    if c.dtype.kind == "f":  # wider than float64: value by value, as Python floats
+        return lambda rows: _distinct_text_cells(["%.14e" % v for v in c[rows].tolist()])
+    return lambda rows: _distinct_text_cells(list(map(str, c[rows].tolist())))
+
+
+def _take_rows(cells: tuple, index: np.ndarray) -> tuple:
+    return tuple(np.take(m, index, axis=0) for m in cells)
+
+
+def _repeated_float_cells(c: np.ndarray):
+    """Rows of a float64 column that repeats its values to their cell
+    matrices, else None.
 
     A column with at most a quarter as many distinct values as rows (a grid
-    coordinate) formats each distinct value once.  The result maps a slice
-    of rows to their texts.  Values are keyed on their bit pattern, so -0.0
-    and 0.0 stay apart; wider floats than 8 bytes carry padding bits and
-    are not keyed.
+    coordinate) formats each distinct value once.  Values are keyed on
+    their bit pattern, so -0.0 and 0.0 stay apart.
     """
-    if c.itemsize > 8:
-        return None
-    keys = c.view(f"i{c.itemsize}")
+    keys = c.view(np.int64)
     ordered = np.sort(keys)
     new = ordered[1:] != ordered[:-1]
     if 4 * (1 + np.count_nonzero(new)) > c.size:
         return None
     distinct = ordered[np.concatenate(([True], new))]
-    texts = np.array(["%.14e" % v for v in distinct.view(c.dtype).tolist()], dtype=object)
-    return lambda rows: texts[np.searchsorted(distinct, keys[rows])]
+    cells = _float_cells(distinct.view(np.float64))
+    return lambda rows: _take_rows(cells, np.searchsorted(distinct, keys[rows]))
+
+
+def _text_cells(texts) -> tuple:
+    """Cell matrices of ``texts``: UTF-8 bytes from the left, and their mask."""
+    data = [t.encode() for t in texts]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    chars = np.zeros(keep.shape, np.uint8)
+    chars[keep] = np.frombuffer(b"".join(data), np.uint8)
+    return chars, keep
+
+
+def _distinct_text_cells(texts: list) -> tuple:
+    """Cell matrices of ``texts``, each distinct text encoded once."""
+    position = {t: i for i, t in enumerate(dict.fromkeys(texts))}
+    index = np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
+    return _take_rows(_text_cells(position), index)
+
+
+_BOOL_CELLS = _text_cells(["false", "true"])
+
+
+def _join_rows(cells: list) -> str:
+    """CSV lines of a slice from its columns' cell matrices, in column order:
+    each cell's kept bytes, then ``,`` or, after the last, a newline."""
+    ends = np.cumsum([c.shape[1] + 1 for c, _ in cells])
+    chars = np.full((len(cells[0][0]), ends[-1]), ord(","), np.uint8)
+    keep = np.ones(chars.shape, bool)
+    for (c, m), end in zip(cells, ends):
+        chars[:, end - 1 - c.shape[1]:end - 1] = c
+        keep[:, end - 1 - c.shape[1]:end - 1] = m
+    chars[:, -1] = ord("\n")
+    return chars[keep].tobytes().decode()
+
+
+# ---------------------------------------------------------------------------
+# float kernel: '%.14e' of float64 arrays in numpy, byte for byte
+# ---------------------------------------------------------------------------
+#
+# A finite nonzero x with decimal exponent e = floor(log10 |x|) renders as
+# its sign, the 15 digits of N = round(|x| 10^(14-e)) in [10^14, 10^15) with
+# a point after the first, 'e', the sign of e and two or three digits of e.
+# y = |x| 10^(14-e) is a double-double (Dekker's exact product of |x| and
+# the double nearest the power, plus |x| times the power's low part), whose
+# error core's tolerance block bounds far below the rounding of N.  A cell
+# is the sign byte and a body of three little-endian words: d0 '.' d1-d6,
+# then d7-d14, then the exponent text.  They are built as four words, the
+# sign in the last byte of the first, which the cell starts at.
+
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp: x = x1 + x2, each half of 26 bits
+_E_MIN = -RENDER_EXP_MAX - 1  # the tables cover e in [_E_MIN, -_E_MIN]
+_CELL_BYTES = 25
+_MINUS_WORD = np.uint64(ord("-") << 56)
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows hi, lo, hi1, hi2 over e: 10^(14-e) = hi + lo (+ below u^2 hi),
+    each rounded from exact integers, and hi's Veltkamp halves."""
+    rows = []
+    for e in range(_E_MIN, 1 - _E_MIN):
+        num, den = (10 ** (14 - e), 1) if e <= 14 else (1, 10 ** (e - 14))
+        hi = num / den  # int / int is correctly rounded
+        m, d = hi.as_integer_ratio()
+        c = hi * _SPLITTER
+        hi1 = c - (c - hi)
+        rows.append((hi, (num * d - m * den) / (den * d), hi1, hi - hi1))
+    return np.array(rows).T.copy()
+
+
+def _words(data: list) -> np.ndarray:
+    """Each bytes of ``data``, zero-padded to whole 8-byte words, as a row of
+    native uint64 words read little-endian."""
+    width = 8 * -(-max(map(len, data), default=0) // 8)
+    buf = b"".join(b.ljust(width, b"\0") for b in data)
+    return np.frombuffer(buf, "<u8").reshape(len(data), width // 8).astype(np.uint64)
+
+
+def _digit_words() -> tuple:
+    """The text of i as four digits, and of i/100 as 'd.dd' for i < 1000,
+    as the low half of a word."""
+    digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+    point = digits[0].reshape(-1, 4)[:, [1, 0, 2, 3]].copy()
+    point[:, 1] = ord(".")
+    return tuple(t.reshape(-1, 4).view("<u4")[:, 0].astype(np.uint64) for t in (digits, point))
+
+
+def _keep_table() -> np.ndarray:
+    """A cell's mask, one row per sign (+, -) and body length 0-24."""
+    keep = np.zeros((2, _CELL_BYTES, _CELL_BYTES), bool)
+    keep[1, :, 0] = True
+    keep[:, :, 1:] = np.arange(_CELL_BYTES - 1) < np.arange(_CELL_BYTES)[:, None]
+    return keep.reshape(-1, _CELL_BYTES)
+
+
+_POW10 = _pow10_table()
+_EXP_WORD = _words([b"e%+03d" % e for e in range(_E_MIN, 1 - _E_MIN)])[:, 0]
+_BODY_LEN = 20 + (np.abs(np.arange(_E_MIN, 1 - _E_MIN)) >= 100)
+_FOUR_DIGITS, _POINT_DIGITS = _digit_words()
+_SPECIAL_TEXT = [b"0.00000000000000e+00", b"inf", b"nan"]  # zero, infinity, nan
+_SPECIAL_WORDS = _words(_SPECIAL_TEXT)
+_SPECIAL_LEN = np.array([len(t) for t in _SPECIAL_TEXT])
+_KEEP = _keep_table()
+
+
+def _scaled(a: np.ndarray, row: np.ndarray):
+    """a 10^(14-e) as the double-double p + lo, with row = e - _E_MIN."""
+    hi, lo, hi1, hi2 = (np.take(t, row) for t in _POW10)
+    p = a * hi
+    c = a * _SPLITTER
+    a1 = c - (c - a)
+    a2 = a - a1
+    err = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2  # a hi - p, exactly
+    return p, err + a * lo
+
+
+def _float_cells(x: np.ndarray) -> tuple:
+    """Cell matrices of ``'%.14e' % v`` for every float64 ``v`` of ``x``.
+
+    Returns bytes and mask, each of shape ``x.shape + (25,)``: byte 0 is
+    the sign, kept for a negative value, and bytes 1-24 the body.  Zeros,
+    infinities and nans take fixed texts.  A cell outside the kernel's
+    domain (``core.RENDER_EXP_MAX``), or whose rounding is within
+    ``core.RENDER_TIE_MARGIN`` of a tie, takes Python's text.
+    """
+    shape, x = x.shape, x.ravel()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = np.abs(e) <= RENDER_EXP_MAX  # false at 0, inf and nan
+    a = np.where(fast, a, 1.0)
+    row = np.where(fast, e - _E_MIN, -_E_MIN).astype(np.intp)
+    p, lo = _scaled(a, row)
+    # next to a power of ten log10 can land one off: y must be in [1e14, 1e15)
+    off = (p >= 1e15).astype(np.intp) - (p < 1e14)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        row[redo] += off[redo]
+        p[redo], lo[redo] = _scaled(a[redo], row[redo])
+    whole = np.floor(p)
+    r = (p - whole) + lo
+    q = np.floor(r)
+    frac = r - q
+    n = whole + q + (frac > 0.5)
+    carry = n == 1e15  # 9.99...95 10^e rounds to 1.00...00 10^(e+1)
+    row += carry
+    n[carry] = 1e14
+
+    # N in groups of 3, 4, 4 and 4 digits; each quotient is exact, as it is
+    # an integer or at least 10^-12 of itself away from one
+    head = np.floor(n / 1e12)
+    n -= head * 1e12
+    groups = np.empty((3, x.size))
+    groups[0] = np.floor(n / 1e8)
+    n -= groups[0] * 1e8
+    groups[1] = np.floor(n / 1e4)
+    groups[2] = n - groups[1] * 1e4
+    four = np.take(_FOUR_DIGITS, groups.astype(np.intp))
+    words = np.empty((x.size, 4), np.uint64)
+    words[:, 0] = _MINUS_WORD
+    words[:, 1] = np.take(_POINT_DIGITS, head.astype(np.intp)) | four[0] << 32
+    words[:, 2] = four[1] | four[2] << 32
+    words[:, 3] = np.take(_EXP_WORD, row)
+    length = np.take(_BODY_LEN, row)
+
+    negative = np.signbit(x)
+    slow = np.flatnonzero(np.abs(frac - 0.5) <= RENDER_TIE_MARGIN)
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        v = x[rest]
+        special = (v == 0) | ~np.isfinite(v)
+        kind = np.where(v[special] == 0, 0, np.where(np.isnan(v[special]), 2, 1))
+        words[rest[special], 1:] = _SPECIAL_WORDS[kind]
+        length[rest[special]] = _SPECIAL_LEN[kind]
+        negative[rest[np.isnan(v)]] = False  # Python prints nan without a sign
+        slow = np.concatenate([slow, rest[~special]])
+    if slow.size:
+        bodies = [("%.14e" % v).lstrip("-").encode() for v in x[slow].tolist()]
+        words[slow, 1:], length[slow] = _words(bodies), [len(b) for b in bodies]
+
+    chars = words.astype("<u8", copy=False).view(np.uint8)[:, 8 - 1:]
+    keep = np.take(_KEEP, negative * _CELL_BYTES + length, axis=0)
+    return chars.reshape(shape + (_CELL_BYTES,)), keep.reshape(shape + (_CELL_BYTES,))
 
 
 def _emit(text: str, out_path):
@@ -459,7 +673,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`lindosc ... | head`).  Python flushes
+        # stdout once more at exit; pointing it at devnull keeps that quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

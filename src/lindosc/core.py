@@ -97,8 +97,31 @@ __all__ = [
 #   are rounded by at most eps < 6.75 eps.  A non-finite x is unresolved:
 #   the itemized validate reports fail it, and a scan node with one reports
 #   it through its non-finite S.
+# * RENDER_TIE_MARGIN: the CSV float kernel of ``cli`` rounds
+#   y = |x| 10^(14-e), y in [10^14, 10^15), to the 15-digit mantissa of
+#   ``%.14e``.  It holds y as p + lo, a double-double (Dekker, Numer. Math.
+#   18, 224 (1971)): p + err = |x| hi exactly, lo = fl(err + fl(|x| plo)),
+#   where 10^(14-e) = hi + plo + d with |d| <= u^2 hi (u = eps/2: both
+#   halves are rounded once from the exact integer).  Then |p + lo - y| <=
+#   (1 + 1 + 2) u^2 y: u^2 y from d, as much from the product |x| plo, and
+#   2 u^2 y from rounding err + |x| plo, which is at most 2u y.  As y < 2^50,
+#   that is below 2^-54 = u/2.  The fraction (p - floor p) + lo, near 1/2,
+#   is rounded once more by at most u/2, so the computed fraction is within
+#   u = eps/2 of the true one.  A cell whose fraction lies within
+#   RENDER_TIE_MARGIN = 2 eps (four times that bound) of 1/2 is rounded by
+#   Python instead: exact ties, which ``%.14e`` rounds to even, and all
+#   that rounding could move across 1/2.
+# * RENDER_EXP_MAX bounds the kernel's domain, |e| <= 280 for the decimal
+#   exponent e = floor(log10 |x|), an integer.  Its table then holds
+#   10^(14-e) for |e| <= 281: its largest entry times the Veltkamp splitter
+#   2^27 + 1 is below 10^304, finite, and the low half of its smallest is
+#   above 10^-284, normal, so every partial product is exact as assumed.
+#   Zeros, infinities, nan, subnormals and larger |e| take fixed texts or
+#   Python's own rendering.
 SCALE_RTOL = 1e-12
 SCORE_RTOL = 32 * np.finfo(float).eps
+RENDER_TIE_MARGIN = 2 * np.finfo(float).eps
+RENDER_EXP_MAX = 280
 
 
 def negligible(x: float, scale: float, rtol: float = SCALE_RTOL) -> bool:

@@ -3,7 +3,12 @@
 import argparse
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ FIG1 = {
     "thermal": {"C": 2.0},
     "initial": {"delta": 4.0, "r": 0.0, "x0": 0.0, "p0": 0.0},
 }
+
+ROOT = Path(__file__).resolve().parent.parent
 
 WINDOW_ENV = {"Dxx": 0.1, "Dxpx": 0.0, "Dpxpx": 0.1,
               "Dxy": 0.0, "Dxpy": 0.5, "Dpxpy": 0.0}
@@ -744,6 +751,24 @@ class TestOutputFile:
         assert not out_path.parent.exists()
 
 
+class TestClosedStdout:
+    def test_closed_pipe_exits_one_without_a_traceback(self):
+        # The output is far larger than a pipe buffer, so the command is still
+        # writing when its reader closes the pipe.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lindosc", "propagate", "--config",
+             str(ROOT / "configs" / "two_mode_window.json"), "--steps", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head[0].startswith(b"t,sigma_xx,") and head[1].startswith(b"0.0")
+        assert "Traceback" not in err and "Error" not in err
+
+
 class TestLoadTimeChecks:
     """A config value that is not a finite number, or a fraction for an integer
     key, fails every command at load, before any output."""
@@ -857,6 +882,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _assert_same_text(got: str, want: str):
+    """got == want, reporting the first line that differs (pytest's own diff
+    of texts of megabytes takes minutes)."""
+    if got != want:
+        lines = zip(got.split("\n"), want.split("\n"))
+        k, pair = next((k, pair) for k, pair in enumerate(lines) if pair[0] != pair[1])
+        pytest.fail(f"line {k}: {pair[0]!r} != {pair[1]!r}")
+
+
+def _cell_texts(chars, keep) -> list:
+    """The text of each cell of a pair of cell matrices."""
+    return [c[k].tobytes().decode() for c, k in zip(chars, keep)]
+
+
 CELL_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
                -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2.5e-7,
                np.float64(2.5), np.float64(-0.0), np.float32(0.1), True, False,
@@ -938,9 +977,14 @@ class TestCsvTable:
     def _bits(*patterns):
         return np.array(patterns, dtype=np.uint64).view(np.float64)
 
+    @staticmethod
+    def _repeated(column):
+        """``render``'s repeated-value path for a float column of at most 8 bytes."""
+        return cli._repeated_float_cells(column.astype(float, copy=False))
+
     def _assert_repeated_column_renders(self, column):
         """``column`` takes the repeated-value path and renders as ``_fmt`` does."""
-        assert cli._repeated_float_text(column) is not None
+        assert self._repeated(column) is not None
         table = cli.CsvTable(["v", "i"])
         table.add_columns(column, np.arange(column.size))
         assert table.render() == self._reference(["v", "i"], zip(column.tolist(), range(column.size)))
@@ -948,8 +992,9 @@ class TestCsvTable:
     def test_repeated_signed_zeros_stay_apart(self):
         rng = np.random.default_rng(1)
         self._assert_repeated_column_renders(rng.choice([-0.0, 0.0], 400))
-        texts = cli._repeated_float_text(np.array([-0.0, 0.0] * 4))
-        assert texts(slice(0, 2)).tolist() == ["-0.00000000000000e+00", "0.00000000000000e+00"]
+        cells = self._repeated(np.array([-0.0, 0.0] * 4))
+        assert _cell_texts(*cells(slice(0, 2))) == ["-0.00000000000000e+00",
+                                                    "0.00000000000000e+00"]
 
     def test_repeated_nans_of_any_payload_and_sign(self):
         nans = self._bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
@@ -971,19 +1016,21 @@ class TestCsvTable:
         rng = np.random.default_rng(distinct)
         values = rng.standard_normal(distinct)
         column = np.concatenate([values, rng.choice(values, 400 - distinct)])
-        assert (cli._repeated_float_text(column) is not None) == repeated
+        assert (self._repeated(column) is not None) == repeated
         table = cli.CsvTable(["v"])
         table.add_columns(column)
         assert table.render() == self._reference(["v"], ((v,) for v in column.tolist()))
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
-    def test_repeated_column_of_another_width(self, dtype):
+    def test_repeated_column_of_another_width(self, dtype, monkeypatch):
         column = np.tile(np.array([0.1, -0.0, 0.0, 1e-40, np.nan, np.inf], dtype=dtype), 50)
-        if column.itemsize > 8:  # padding bits: rendered value by value
-            assert cli._repeated_float_text(column) is None
+        if column.itemsize > 8:  # padding bits: rendered value by value, never keyed
+            keyed = []
+            monkeypatch.setattr(cli, "_repeated_float_cells", keyed.append)
             table = cli.CsvTable(["v"])
             table.add_columns(column)
             assert table.render() == self._reference(["v"], ((v,) for v in column.tolist()))
+            assert keyed == []
         else:
             self._assert_repeated_column_renders(column)
 
@@ -1002,6 +1049,118 @@ class TestCsvTable:
             table.add_columns(x, y)
             rows.extend(zip(x.tolist(), y.tolist()))
         assert table.render() == self._reference(["x", "y"], rows)
+
+
+class TestFloatKernel:
+    """The numpy float kernel renders every float64 as ``%.14e`` does."""
+
+    @staticmethod
+    def _assert_renders(values, width=1):
+        """``values`` in a table of ``width`` float columns render as ``_fmt`` does."""
+        values = np.asarray(values, dtype=np.float64)
+        values = values[:values.size - values.size % width].reshape(-1, width)
+        table = cli.CsvTable([f"v{j}" for j in range(width)])
+        table.add_columns(*values.T)
+        # _fmt of a float is '%.14e' of it, here applied to all rows at once
+        lines = "\n".join([",".join(["%.14e"] * width)] * len(values)) % tuple(values.ravel().tolist())
+        _assert_same_text(table.render(), ",".join(table.columns) + "\n" + lines + "\n")
+
+    def test_random_bit_patterns_over_all_exponents(self):
+        bits = np.random.default_rng(13).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+        self._assert_renders(bits.view(np.float64), width=4)
+
+    def test_sixteen_digit_decimals_ending_in_five(self):
+        rng = np.random.default_rng(14)
+        digits = rng.integers(10 ** 14, 10 ** 15, 20000)
+        exponents = rng.integers(-300, 300, digits.size)
+        values = [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), exponents.tolist())]
+        self._assert_renders(values + [-v for v in values], width=3)
+
+    def test_dyadic_exact_ties(self):
+        # n / 2^j with n odd and n 5^j of 16 digits has 16 significant digits,
+        # the last a 5: a tie, which %.14e rounds to even
+        rng = np.random.default_rng(15)
+        ties = [2.0 ** -22]
+        for j in range(23):
+            lo, hi = -(-10 ** 15 // 5 ** j), min(10 ** 16 // 5 ** j, 2 ** 53)
+            for n in rng.integers(lo, hi, 300).tolist():
+                n |= 1
+                if n * 5 ** j < 10 ** 16 and (j or n % 10 == 5):
+                    ties.append(math.ldexp(n, -j))
+        assert len(ties) > 5000
+        assert "%.14e" % 2.0 ** -22 == "2.38418579101562e-07"  # rounded to even
+        self._assert_renders(ties + [-v for v in ties], width=2)
+
+    def test_carries_and_powers_of_ten(self):
+        values = []
+        for k in range(-323, 309):
+            for text in (f"9.999999999999995e{k}", f"9.99999999999999e{k}", f"1e{k}"):
+                v = float(text)
+                for ulps in range(-2, 3):
+                    values.append(v)
+                    v = np.nextafter(v, math.inf)
+                values.extend([np.nextafter(values[-5], 0.0), np.nextafter(values[-5], 0.0)])
+        values = np.array(values)
+        assert "%.14e" % 9.999999999999995e100 == "1.00000000000000e+101"  # a carry
+        self._assert_renders(np.concatenate([values, -values]), width=5)
+
+    def test_edges_of_the_float_range(self):
+        rng = np.random.default_rng(16)
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFFFFFFFFFFFFFFF, 0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+        fixed = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                 1e100, 1e-100, 9.99999999999999e99, 1e281, 1e-281, 1e282, 1e-282]
+        three_digit = rng.uniform(1, 10, 5000) * 10.0 ** rng.integers(100, 308, 5000)
+        subnormal = rng.integers(1, 2 ** 52, 5000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([nans, fixed, three_digit, 1 / three_digit, subnormal])
+        rng.shuffle(values)
+        self._assert_renders(np.concatenate([values, -values]), width=3)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_exponent_estimate_one_off(self, monkeypatch, sign):
+        # Next to a power of ten, a log10 a few ulps off moves floor(log10 |x|)
+        # by one; the kernel must correct e either way.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + sign * 8 * np.spacing(log10(a)))
+        values = np.array([float(f"1e{k}") * (1 + m * 2.0 ** -52)
+                           for k in range(-280, 281, 3) for m in range(-400, 401, 5)])
+        self._assert_renders(np.concatenate([values, -values]), width=3)
+
+    def test_scaled_error_within_the_margin_bound(self):
+        # core's tolerance block: |p + lo - y| <= 4 u^2 y for y = |x| 10^(14-e)
+        rng = np.random.default_rng(19)
+        x = rng.uniform(1, 10, 2000) * 10.0 ** rng.integers(-280, 281, 2000)
+        e = np.floor(np.log10(x)).astype(np.intp)
+        p, lo = cli._scaled(x, e - cli._E_MIN)
+        u = Fraction(1, 2 ** 53)
+        for xi, ei, pi, li in zip(x.tolist(), e.tolist(), p.tolist(), lo.tolist()):
+            y = Fraction(xi) * Fraction(10) ** (14 - ei)
+            assert abs(Fraction(pi) + Fraction(li) - y) <= 4 * u * u * y
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_columns_of_other_widths(self, dtype):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = np.concatenate([bits, rng.standard_normal(20000), [math.nan, -0.0]])
+            column = column.astype(dtype)
+        table = cli.CsvTable(["v", "w"])
+        table.add_columns(column, column[::-1])
+        _assert_same_text(table.render(), TestCsvTable._reference(
+            ["v", "w"], zip(column.tolist(), column[::-1].tolist())))
+
+    def test_text_cells_of_any_character(self):
+        texts = ["a\x00b", "\x00", "", "é", "日本語", "sep,ar\nated", "\x00\x00\x00"]
+        rng = random.Random(18)
+        rows = [(rng.choice(texts), rng.choice([0.5, -1e-300, math.nan]), rng.choice(texts))
+                for _ in range(3000)]
+        table = cli.CsvTable(["s", "f", "t"])
+        table.add_columns(*(np.array(c, dtype=object if j != 1 else float)
+                            for j, c in enumerate(zip(*rows))))
+        table.add("日本", 2.0, "\x00")
+        rows.append(("日本", 2.0, "\x00"))
+        _assert_same_text(table.render(), TestCsvTable._reference(["s", "f", "t"], rows))
 
 
 class TestRenderAtTheCli:
