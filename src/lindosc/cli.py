@@ -103,18 +103,19 @@ class CsvTable:
     digits), bools as ``true``/``false``, everything else through ``str``.
     :meth:`add` types each value on its own, so a column may mix types.
 
-    :meth:`render` works on slices of a block, of at most ``_SLICE_CELLS``
-    cells.  Each column's slice becomes a cell matrix: a row of bytes per
-    cell and the mask of the bytes that hold its text.  The slice's float64
-    columns are stacked and formatted in one call of the numpy kernel
-    :func:`_float_cells`; float16 and float32 columns are cast to float64
-    (exactly) first, and wider floats are formatted value by value.  A
-    float column that repeats its values, such as a grid coordinate, is
-    formatted once per distinct value, and its slices gather rows of that.
-    Bool columns gather from a two-row table; any other column encodes
-    each distinct ``str`` of the slice once.  The slice's matrices are then
-    joined with ``,`` and ``\n`` columns, and the masked bytes taken out and
-    decoded at once.  The text is that of formatting value by value.
+    :meth:`render` first casts every float column of a block to float64, as
+    ``'%.14e'`` converts a value to a Python float.  It encodes the
+    distinct values of each column once per block (:func:`_distinct_cells`):
+    a bool column's two texts, each distinct ``str`` of any column that is
+    not float, and each distinct value of a float column that repeats its
+    values, such as a grid coordinate.  It then works on slices of the
+    block, of at most ``_SLICE_CELLS`` cells.  Each column's slice becomes a
+    cell matrix: a row of bytes per cell and the mask of the bytes that hold
+    its text.  Encoded columns gather their rows; the other float columns
+    are stacked and formatted in one call of the numpy kernel
+    :func:`_float_cells`.  The slice's matrices are then joined with ``,``
+    and ``\n`` columns, and the masked bytes taken out and decoded at once.
+    The text is that of formatting value by value.
     """
 
     def __init__(self, columns):
@@ -142,12 +143,12 @@ class CsvTable:
     def render(self) -> str:
         chunks = [",".join(self.columns) + "\n"]
         for cells in self._blocks:
-            cells = [c.astype(float, copy=False) if c.dtype.kind == "f" and c.itemsize <= 8
-                     else c for c in cells]
-            # per column, a function from a slice of rows to its cell matrices,
-            # or None for a float64 column formatted in the slice's stacked call
-            makers = [_column_cells(c) for c in cells]
-            stacked = [c for c, make in zip(cells, makers) if make is None]
+            with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
+                cells = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
+                         for c in cells]
+            # None marks a float64 column formatted in the slice's stacked call
+            tables = list(map(_distinct_cells, cells))
+            stacked = [c for c, table in zip(cells, tables) if table is None]
             size = len(cells[0])
             slices = -(-size * len(cells) // _SLICE_CELLS)  # rounded up
             for k in range(slices):
@@ -155,8 +156,9 @@ class CsvTable:
                 if stacked:
                     chars, keep = _float_cells(np.stack([c[rows] for c in stacked], axis=1))
                     floats = zip(chars.swapaxes(0, 1), keep.swapaxes(0, 1))
-                chunks.append(_join_rows([next(floats) if make is None else make(rows)
-                                          for make in makers]))
+                chunks.append(_join_rows([
+                    next(floats) if table is None else _take_rows(*table, rows)
+                    for table in tables]))
         return "".join(chunks)
 
 
@@ -164,38 +166,33 @@ class CsvTable:
 _SLICE_CELLS = 4 * NODE_BLOCK
 
 
-def _column_cells(c: np.ndarray):
-    """Rows of ``c`` to their cell matrices, or None for a float64 column
-    that does not repeat its values."""
-    if c.dtype == np.float64:
-        return _repeated_float_cells(c)
+def _distinct_cells(c: np.ndarray):
+    """Cell matrices of the distinct values of column ``c`` and each row's
+    index into them, or None for a float64 column with more than a quarter
+    as many distinct values as rows.  Floats are keyed on their bit
+    pattern, so -0.0 and 0.0 stay apart; other values on their ``str``."""
     if c.dtype == bool:
-        return lambda rows: _take_rows(_BOOL_CELLS, c[rows].astype(np.intp))
-    if c.dtype.kind == "f":  # wider than float64: value by value, as Python floats
-        return lambda rows: _distinct_text_cells(["%.14e" % v for v in c[rows].tolist()])
-    return lambda rows: _distinct_text_cells(list(map(str, c[rows].tolist())))
+        return _BOOL_CELLS, c.view(np.uint8)
+    if c.dtype == np.float64:
+        keys = c.view(np.int64)
+        ordered = np.sort(keys)
+        new = ordered[1:] != ordered[:-1]
+        if 4 * (1 + np.count_nonzero(new)) > c.size:
+            return None
+        distinct = ordered[np.concatenate(([True], new))]
+        index = np.searchsorted(distinct, keys).astype(np.min_scalar_type(distinct.size))
+        return _float_cells(distinct.view(np.float64)), index
+    texts = list(map(str, c.tolist()))
+    position = {t: i for i, t in enumerate(dict.fromkeys(texts))}
+    index = np.fromiter(map(position.__getitem__, texts), np.min_scalar_type(len(position)),
+                        len(texts))
+    return _text_cells(position), index
 
 
-def _take_rows(cells: tuple, index: np.ndarray) -> tuple:
+def _take_rows(cells: tuple, index: np.ndarray, rows: slice) -> tuple:
+    """The cell matrices of ``rows``, gathered from the distinct values' ``cells``."""
+    index = index[rows].astype(np.intp)
     return tuple(np.take(m, index, axis=0) for m in cells)
-
-
-def _repeated_float_cells(c: np.ndarray):
-    """Rows of a float64 column that repeats its values to their cell
-    matrices, else None.
-
-    A column with at most a quarter as many distinct values as rows (a grid
-    coordinate) formats each distinct value once.  Values are keyed on
-    their bit pattern, so -0.0 and 0.0 stay apart.
-    """
-    keys = c.view(np.int64)
-    ordered = np.sort(keys)
-    new = ordered[1:] != ordered[:-1]
-    if 4 * (1 + np.count_nonzero(new)) > c.size:
-        return None
-    distinct = ordered[np.concatenate(([True], new))]
-    cells = _float_cells(distinct.view(np.float64))
-    return lambda rows: _take_rows(cells, np.searchsorted(distinct, keys[rows]))
 
 
 def _text_cells(texts) -> tuple:
@@ -206,13 +203,6 @@ def _text_cells(texts) -> tuple:
     chars = np.zeros(keep.shape, np.uint8)
     chars[keep] = np.frombuffer(b"".join(data), np.uint8)
     return chars, keep
-
-
-def _distinct_text_cells(texts: list) -> tuple:
-    """Cell matrices of ``texts``, each distinct text encoded once."""
-    position = {t: i for i, t in enumerate(dict.fromkeys(texts))}
-    index = np.fromiter(map(position.__getitem__, texts), np.intp, len(texts))
-    return _take_rows(_text_cells(position), index)
 
 
 _BOOL_CELLS = _text_cells(["false", "true"])

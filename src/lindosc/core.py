@@ -60,9 +60,10 @@ __all__ = [
 #
 # * Equal up to the input's scale: two quantities built from the same
 #   inputs agree when they differ by at most SCALE_RTOL times the input's
-#   scale, max(1, |inputs|) (:func:`negligible`).  This rule checks the
-#   ``symmetric`` flag of TwoModeEnvironment, the symmetry of covariance
-#   matrices and the constraints of the closed-form separability family.
+#   scale, max(1, |inputs|) (:func:`negligible`).  This rule decides
+#   whether a TwoModeEnvironment is mirror-symmetric, checks the symmetry of
+#   covariance matrices and the constraints of the closed-form separability
+#   family.
 # * SCORE_RTOL: the Simon verdict.  S adds up products of at most four
 #   covariance entries.  Let Sigma be the sum of their magnitudes: S with
 #   every entry and every sign replaced by its magnitude.  S is written out
@@ -238,9 +239,10 @@ class TwoModeEnvironment:
     Own-mode coefficients (Dxx, Dxpx, Dpxpx) and (Dyy, Dypy, Dpypy) play
     the single-mode role for each oscillator; the cross coefficients
     (Dxy, Dxpy, Dypx, Dpxpy) encode the environment-induced coupling.
-    ``symmetric`` asserts the mirror-symmetric family Dxx = Dyy,
-    Dxpx = Dypy, Dpxpx = Dpypy, Dxpy = Dypx, for which the asymptotic
-    covariance has equal one-mode blocks and a symmetric cross block.
+    :attr:`symmetric` tells whether they form the mirror-symmetric family
+    Dxx = Dyy, Dxpx = Dypy, Dpxpx = Dpypy, Dxpy = Dypx, for which the
+    asymptotic covariance has equal one-mode blocks and a symmetric cross
+    block.
     """
 
     Dxx: float
@@ -254,23 +256,21 @@ class TwoModeEnvironment:
     Dypx: float
     Dpxpy: float
     lam: float
-    symmetric: bool = False
 
     def __post_init__(self):
         for name in ("Dxx", "Dxpx", "Dpxpx", "Dyy", "Dypy", "Dpypy",
                      "Dxy", "Dxpy", "Dypx", "Dpxpy"):
             _require_finite(name, getattr(self, name))
         _require_positive("lam", self.lam)
-        if self.symmetric:
-            scale = max(1.0, *(abs(getattr(self, n)) for n in
-                               ("Dxx", "Dyy", "Dxpx", "Dypy", "Dpxpx", "Dpypy", "Dxpy", "Dypx")))
-            for a, b in (("Dxx", "Dyy"), ("Dxpx", "Dypy"),
-                         ("Dpxpx", "Dpypy"), ("Dxpy", "Dypx")):
-                if not negligible(getattr(self, a) - getattr(self, b), scale):
-                    raise ParameterError(
-                        f"symmetric flag set but {a} != {b}: "
-                        f"{getattr(self, a)!r} vs {getattr(self, b)!r}"
-                    )
+
+    @property
+    def symmetric(self) -> bool:
+        """The four mirror pairs agree up to the scale of their eight
+        coefficients (:func:`negligible`)."""
+        pairs = [(self.Dxx, self.Dyy), (self.Dxpx, self.Dypy),
+                 (self.Dpxpx, self.Dpypy), (self.Dxpy, self.Dypx)]
+        scale = max(1.0, *(abs(v) for pair in pairs for v in pair))
+        return all(negligible(a - b, scale) for a, b in pairs)
 
     @classmethod
     def symmetric_env(cls, Dxx: float, Dxpx: float, Dpxpx: float,
@@ -280,7 +280,7 @@ class TwoModeEnvironment:
         return cls(Dxx=Dxx, Dxpx=Dxpx, Dpxpx=Dpxpx,
                    Dyy=Dxx, Dypy=Dxpx, Dpypy=Dpxpx,
                    Dxy=Dxy, Dxpy=Dxpy, Dypx=Dxpy, Dpxpy=Dpxpy,
-                   lam=lam, symmetric=True)
+                   lam=lam)
 
     def swapped(self) -> "TwoModeEnvironment":
         """Exchange the roles of the two oscillators (x <-> y, p_x <-> p_y)."""

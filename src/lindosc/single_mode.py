@@ -156,10 +156,13 @@ def propagate_moments(state0: GaussianState1D, env: SingleModeEnv,
     Raises
     ------
     ParameterError
-        If the environment fails its validity checks, disagrees with the
-        oscillator parameters, or t is negative.
+        If the environment fails its validity checks, the environment or
+        the state disagrees with the oscillator parameters, or t is negative.
     """
     _require_env_matches(env, params)
+    if state0.hbar != params.hbar:
+        raise ParameterError(f"state and oscillator disagree on hbar: "
+                             f"{state0.hbar!r} vs {params.hbar!r}")
     report = validate_single_mode(env)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
@@ -299,6 +302,7 @@ def decoherence_coefficients(state: GaussianState1D) -> DecoherenceCoefficients:
     return DecoherenceCoefficients(alpha=alpha, beta=beta, gamma=gamma)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # far out, the element is 0 or nan
 def density_matrix_element(state: GaussianState1D, x, xp):
     """Coordinate-representation matrix element <x| rho |x'>.
 
@@ -326,6 +330,7 @@ def density_matrix_element(state: GaussianState1D, x, xp):
     return complex(value) if value.ndim == 0 else value
 
 
+@np.errstate(over="ignore", invalid="ignore")  # far out, the element is 0 or nan
 def stationary_density_matrix_element(params: OscillatorParams, thermal: ThermalParams,
                                       x, xp):
     """Infinite-time thermal matrix element <x| rho(inf) |x'> (real).

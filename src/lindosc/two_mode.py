@@ -135,7 +135,7 @@ def _require_symmetric_env(env: TwoModeEnvironment):
     if not env.symmetric:
         raise InvalidEnvironmentError(
             "closed-form asymptotics need a mirror-symmetric environment "
-            "(build one with TwoModeEnvironment.symmetric_env)"
+            "(Dxx = Dyy, Dxpx = Dypy, Dpxpx = Dpypy, Dxpy = Dypx)"
         )
 
 

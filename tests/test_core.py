@@ -1,6 +1,7 @@
 """Tests for parameter types, thermal coefficients, and validity checks."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from lindosc import (
 )
 from lindosc.core import (
     INVARIANTS,
+    SCALE_RTOL,
     SCORE_RTOL,
     GaussianState1D,
     bona_fide_checks,
@@ -310,12 +312,18 @@ class TestValidateTwoMode:
         assert unresolved == list(INVARIANTS[1:5])
         assert [c.name for c in report.failures()] == unresolved
 
-    def test_symmetric_flag_enforced(self):
-        with pytest.raises(ParameterError):
-            TwoModeEnvironment(Dxx=1.0, Dxpx=0.0, Dpxpx=1.0,
-                               Dyy=2.0, Dypy=0.0, Dpypy=1.0,
-                               Dxy=0.0, Dxpy=0.0, Dypx=0.0, Dpxpy=0.0,
-                               lam=0.2, symmetric=True)
+    def test_symmetric_is_derived_from_the_coefficients(self):
+        pairs = [("Dxx", "Dyy"), ("Dxpx", "Dypy"), ("Dpxpx", "Dpypy"), ("Dxpy", "Dypx")]
+        for size in (1e-3, 4.0):
+            env = TwoModeEnvironment.symmetric_env(Dxx=size, Dxpx=-size / 2, Dpxpx=size / 3,
+                                                   Dxy=size / 5, Dxpy=size / 7,
+                                                   Dpxpy=-size / 9, lam=0.2)
+            assert env.symmetric and env.swapped().symmetric
+            scale = max(1.0, size)  # max(1, |the eight mirror coefficients|)
+            for a, b in pairs:
+                for shift, symmetric in ((0.5, True), (2.0, False)):
+                    moved = replace(env, **{b: getattr(env, a) + shift * SCALE_RTOL * scale})
+                    assert moved.symmetric == moved.swapped().symmetric == symmetric
 
 
 class TestCorrelatedCoherentState:

@@ -137,6 +137,11 @@ class TestPropagateMoments:
         s0 = correlated_coherent_state(4.0, 0.0, FIG_PARAMS)
         with pytest.raises(ParameterError):
             propagate_moments(s0, env, FIG_PARAMS, 1.0)
+        # a state at another hbar would relax to this hbar's thermal determinant
+        params = OscillatorParams(lam=0.2, mu=0.1)
+        s0 = correlated_coherent_state(4.0, 0.0, OscillatorParams(lam=0.2, mu=0.1, hbar=2.0))
+        with pytest.raises(ParameterError, match="hbar: 2.0 vs 1.0"):
+            propagate_moments(s0, gibbs_coefficients(params, th), params, 1e4)
 
     def test_determinant_matches_closed_form_and_ode(self):
         rng = np.random.default_rng(11)

@@ -195,6 +195,14 @@ class TestClosedFormAsymptotics:
         with pytest.raises(ParameterError):
             steady_covariance_closed_form(WINDOW_ENV, OscillatorParams(lam=0.3))
 
+    def test_plain_built_mirror_env_takes_the_closed_form(self):
+        e = WINDOW_ENV
+        plain = TwoModeEnvironment(Dxx=e.Dxx, Dxpx=e.Dxpx, Dpxpx=e.Dpxpx, Dyy=e.Dxx,
+                                   Dypy=e.Dxpx, Dpypy=e.Dpxpx, Dxy=e.Dxy, Dxpy=e.Dxpy,
+                                   Dypx=e.Dxpy, Dpxpy=e.Dpxpy, lam=e.lam)
+        np.testing.assert_array_equal(steady_covariance_closed_form(plain, PARAMS),
+                                      steady_covariance_closed_form(WINDOW_ENV, PARAMS))
+
 
 def _product_initial(delta, r, params):
     block = correlated_coherent_state(delta, r, params).covariance()
