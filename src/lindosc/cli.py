@@ -62,24 +62,6 @@ COV_ENTRIES = (
 )
 
 
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)
-_STATUS_TEXT = np.array(["invalid", "ok"], dtype=object)
-
-
-def _bool_text(mask: np.ndarray, text: np.ndarray = _BOOL_TEXT) -> np.ndarray:
-    """CSV text of a boolean array, one shared str object per value."""
-    return text[mask.astype(np.intp)]
-
-
-def _cell_array(value) -> np.ndarray:
-    """One-entry column for :meth:`CsvTable.add`, typed by the value."""
-    if type(value) is bool:
-        return np.array([value])
-    if isinstance(value, (float, np.floating)):
-        return np.array([value], dtype=float)
-    return np.array([value], dtype=object)
-
-
 class _Rows:
     """Row count and row tuples of a :class:`CsvTable`, built on access."""
 
@@ -100,22 +82,22 @@ class CsvTable:
     The table keeps blocks of equally long 1-D column arrays: one block per
     :meth:`add_columns` call, and a block of one row per :meth:`add`.  Each
     column renders by its dtype: floats as ``%.14e`` (15 significant
-    digits), bools as ``true``/``false``, everything else through ``str``.
-    :meth:`add` types each value on its own, so a column may mix types.
+    digits), bools as ``true``/``false``, everything else through ``str``,
+    which must give ASCII text.  :meth:`add` types each value on its own, so
+    a column may mix types.
 
     :meth:`render` first casts every float column of a block to float64, as
-    ``'%.14e'`` converts a value to a Python float.  It encodes the
-    distinct values of each column once per block (:func:`_distinct_cells`):
-    a bool column's two texts, each distinct ``str`` of any column that is
-    not float, and each distinct value of a float column that repeats its
-    values, such as a grid coordinate.  It then works on slices of the
+    ``'%.14e'`` converts a value to a Python float, and formats the distinct
+    values of a float column that repeats them, such as a grid coordinate,
+    once per block (:func:`_distinct_cells`).  It then works on slices of the
     block, of at most ``_SLICE_CELLS`` cells.  Each column's slice becomes a
-    cell matrix: a row of bytes per cell and the mask of the bytes that hold
-    its text.  Encoded columns gather their rows; the other float columns
-    are stacked and formatted in one call of the numpy kernel
-    :func:`_float_cells`.  The slice's matrices are then joined with ``,``
-    and ``\n`` columns, and the masked bytes taken out and decoded at once.
-    The text is that of formatting value by value.
+    cell matrix: a row of bytes per cell, its text padded with NUL bytes.
+    Repeating columns gather their rows; the other float columns are stacked
+    and formatted in one call of the numpy kernel :func:`_float_cells`; any
+    other column takes the characters of its text (:func:`_text_cells`).  The
+    slice's matrices are then joined with ``,`` and ``\\n`` columns, and the
+    bytes other than NUL taken out and decoded at once.  The text is that of
+    formatting value by value.
     """
 
     def __init__(self, columns):
@@ -127,9 +109,7 @@ class CsvTable:
         return _Rows(self._blocks)
 
     def add(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
-        self._blocks.append(tuple(map(_cell_array, values)))
+        self.add_columns(*([v] for v in values))
 
     def add_columns(self, *columns):
         """Append one row per entry of the equally long 1-D ``columns``."""
@@ -146,19 +126,21 @@ class CsvTable:
             with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
                 cells = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
                          for c in cells]
-            # None marks a float64 column formatted in the slice's stacked call
-            tables = list(map(_distinct_cells, cells))
-            stacked = [c for c, table in zip(cells, tables) if table is None]
+            # None marks a column of text, or of the slice's stacked float call
+            tables = [_distinct_cells(c) if c.dtype == float else None for c in cells]
+            stacked = [c for c, table in zip(cells, tables) if c.dtype == float and table is None]
             size = len(cells[0])
             slices = -(-size * len(cells) // _SLICE_CELLS)  # rounded up
             for k in range(slices):
                 rows = slice(k * size // slices, (k + 1) * size // slices)
                 if stacked:
-                    chars, keep = _float_cells(np.stack([c[rows] for c in stacked], axis=1))
-                    floats = zip(chars.swapaxes(0, 1), keep.swapaxes(0, 1))
+                    floats = iter(_float_cells(np.stack([c[rows] for c in stacked], axis=1))
+                                  .swapaxes(0, 1))
                 chunks.append(_join_rows([
-                    next(floats) if table is None else _take_rows(*table, rows)
-                    for table in tables]))
+                    _take_rows(*table, rows) if table is not None
+                    else next(floats) if c.dtype == float
+                    else _text_cells(c[rows])
+                    for c, table in zip(cells, tables)]))
         return "".join(chunks)
 
 
@@ -167,58 +149,45 @@ _SLICE_CELLS = 4 * NODE_BLOCK
 
 
 def _distinct_cells(c: np.ndarray):
-    """Cell matrices of the distinct values of column ``c`` and each row's
-    index into them, or None for a float64 column with more than a quarter
-    as many distinct values as rows.  Floats are keyed on their bit
-    pattern, so -0.0 and 0.0 stay apart; other values on their ``str``."""
-    if c.dtype == bool:
-        return _BOOL_CELLS, c.view(np.uint8)
-    if c.dtype == np.float64:
-        keys = c.view(np.int64)
-        ordered = np.sort(keys)
-        new = ordered[1:] != ordered[:-1]
-        if 4 * (1 + np.count_nonzero(new)) > c.size:
-            return None
-        distinct = ordered[np.concatenate(([True], new))]
-        index = np.searchsorted(distinct, keys).astype(np.min_scalar_type(distinct.size))
-        return _float_cells(distinct.view(np.float64)), index
-    texts = list(map(str, c.tolist()))
-    position = {t: i for i, t in enumerate(dict.fromkeys(texts))}
-    index = np.fromiter(map(position.__getitem__, texts), np.min_scalar_type(len(position)),
-                        len(texts))
-    return _text_cells(position), index
+    """The cell matrix of the distinct values of the float64 column ``c`` and
+    each row's index into it, or None when it has more than a quarter as
+    many distinct values as rows.  Values are keyed on their bit pattern,
+    so -0.0 and 0.0 stay apart."""
+    keys = c.view(np.int64)
+    ordered = np.sort(keys)
+    new = ordered[1:] != ordered[:-1]
+    if 4 * (1 + np.count_nonzero(new)) > c.size:
+        return None
+    distinct = ordered[np.concatenate(([True], new))]
+    index = np.searchsorted(distinct, keys).astype(np.min_scalar_type(distinct.size))
+    return _float_cells(distinct.view(np.float64)), index
 
 
-def _take_rows(cells: tuple, index: np.ndarray, rows: slice) -> tuple:
-    """The cell matrices of ``rows``, gathered from the distinct values' ``cells``."""
-    index = index[rows].astype(np.intp)
-    return tuple(np.take(m, index, axis=0) for m in cells)
+def _take_rows(cells: np.ndarray, index: np.ndarray, rows: slice) -> np.ndarray:
+    """The cell matrix of ``rows``, gathered from the distinct values' ``cells``."""
+    return np.take(cells, index[rows].astype(np.intp), axis=0)
 
 
-def _text_cells(texts) -> tuple:
-    """Cell matrices of ``texts``: UTF-8 bytes from the left, and their mask."""
-    data = [t.encode() for t in texts]
-    lengths = np.fromiter(map(len, data), np.intp, len(data))
-    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    chars = np.zeros(keep.shape, np.uint8)
-    chars[keep] = np.frombuffer(b"".join(data), np.uint8)
-    return chars, keep
-
-
-_BOOL_CELLS = _text_cells(["false", "true"])
+def _text_cells(c: np.ndarray) -> np.ndarray:
+    """Cell matrix of a column that is not float: a bool as ``true`` or
+    ``false``, anything else as its ``str``, one byte per character.  Text
+    must be ASCII; a NUL character, as in numpy's own strings, is padding."""
+    text = np.where(c, "true", "false") if c.dtype == bool else c.astype(str)
+    codes = text.view(np.uint32).reshape(text.shape + (text.itemsize // 4,))
+    if codes.max(initial=0) > 127:
+        raise ValueError("CSV text must be ASCII")
+    return codes.astype(np.uint8)
 
 
 def _join_rows(cells: list) -> str:
     """CSV lines of a slice from its columns' cell matrices, in column order:
-    each cell's kept bytes, then ``,`` or, after the last, a newline."""
-    ends = np.cumsum([c.shape[1] + 1 for c, _ in cells])
-    chars = np.full((len(cells[0][0]), ends[-1]), ord(","), np.uint8)
-    keep = np.ones(chars.shape, bool)
-    for (c, m), end in zip(cells, ends):
+    each cell's bytes other than NUL, then ``,`` or, after the last, a newline."""
+    ends = np.cumsum([c.shape[1] + 1 for c in cells])
+    chars = np.full((len(cells[0]), ends[-1]), ord(","), np.uint8)
+    for c, end in zip(cells, ends):
         chars[:, end - 1 - c.shape[1]:end - 1] = c
-        keep[:, end - 1 - c.shape[1]:end - 1] = m
     chars[:, -1] = ord("\n")
-    return chars[keep].tobytes().decode()
+    return chars[chars != 0].tobytes().decode()
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +201,9 @@ def _join_rows(cells: list) -> str:
 # the double nearest the power, plus |x| times the power's low part), whose
 # error core's tolerance block bounds far below the rounding of N.  A cell
 # is the sign byte and a body of three little-endian words: d0 '.' d1-d6,
-# then d7-d14, then the exponent text.  They are built as four words, the
-# sign in the last byte of the first, which the cell starts at.
+# then d7-d14, then the exponent text, NUL-padded.  They are built as four
+# words, the sign (or NUL) in the last byte of the first, which the cell
+# starts at.
 
 _SPLITTER = 2.0 ** 27 + 1  # Veltkamp: x = x1 + x2, each half of 26 bits
 _E_MIN = -RENDER_EXP_MAX - 1  # the tables cover e in [_E_MIN, -_E_MIN]
@@ -272,22 +242,10 @@ def _digit_words() -> tuple:
     return tuple(t.reshape(-1, 4).view("<u4")[:, 0].astype(np.uint64) for t in (digits, point))
 
 
-def _keep_table() -> np.ndarray:
-    """A cell's mask, one row per sign (+, -) and body length 0-24."""
-    keep = np.zeros((2, _CELL_BYTES, _CELL_BYTES), bool)
-    keep[1, :, 0] = True
-    keep[:, :, 1:] = np.arange(_CELL_BYTES - 1) < np.arange(_CELL_BYTES)[:, None]
-    return keep.reshape(-1, _CELL_BYTES)
-
-
 _POW10 = _pow10_table()
 _EXP_WORD = _words([b"e%+03d" % e for e in range(_E_MIN, 1 - _E_MIN)])[:, 0]
-_BODY_LEN = 20 + (np.abs(np.arange(_E_MIN, 1 - _E_MIN)) >= 100)
 _FOUR_DIGITS, _POINT_DIGITS = _digit_words()
-_SPECIAL_TEXT = [b"0.00000000000000e+00", b"inf", b"nan"]  # zero, infinity, nan
-_SPECIAL_WORDS = _words(_SPECIAL_TEXT)
-_SPECIAL_LEN = np.array([len(t) for t in _SPECIAL_TEXT])
-_KEEP = _keep_table()
+_SPECIAL_WORDS = _words([b"0.00000000000000e+00", b"inf", b"nan"])  # zero, infinity, nan
 
 
 def _scaled(a: np.ndarray, row: np.ndarray):
@@ -301,11 +259,11 @@ def _scaled(a: np.ndarray, row: np.ndarray):
     return p, err + a * lo
 
 
-def _float_cells(x: np.ndarray) -> tuple:
-    """Cell matrices of ``'%.14e' % v`` for every float64 ``v`` of ``x``.
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """Cell matrix of ``'%.14e' % v`` for every float64 ``v`` of ``x``.
 
-    Returns bytes and mask, each of shape ``x.shape + (25,)``: byte 0 is
-    the sign, kept for a negative value, and bytes 1-24 the body.  Zeros,
+    Returns ``uint8`` bytes of shape ``x.shape + (25,)``: byte 0 is ``-``
+    for a negative value, and bytes 1-24 the body; NUL pads both.  Zeros,
     infinities and nans take fixed texts.  A cell outside the kernel's
     domain (``core.RENDER_EXP_MAX``), or whose rounding is within
     ``core.RENDER_TIE_MARGIN`` of a tie, takes Python's text.
@@ -344,11 +302,9 @@ def _float_cells(x: np.ndarray) -> tuple:
     groups[2] = n - groups[1] * 1e4
     four = np.take(_FOUR_DIGITS, groups.astype(np.intp))
     words = np.empty((x.size, 4), np.uint64)
-    words[:, 0] = _MINUS_WORD
     words[:, 1] = np.take(_POINT_DIGITS, head.astype(np.intp)) | four[0] << 32
     words[:, 2] = four[1] | four[2] << 32
     words[:, 3] = np.take(_EXP_WORD, row)
-    length = np.take(_BODY_LEN, row)
 
     negative = np.signbit(x)
     slow = np.flatnonzero(np.abs(frac - 0.5) <= RENDER_TIE_MARGIN)
@@ -358,16 +314,15 @@ def _float_cells(x: np.ndarray) -> tuple:
         special = (v == 0) | ~np.isfinite(v)
         kind = np.where(v[special] == 0, 0, np.where(np.isnan(v[special]), 2, 1))
         words[rest[special], 1:] = _SPECIAL_WORDS[kind]
-        length[rest[special]] = _SPECIAL_LEN[kind]
         negative[rest[np.isnan(v)]] = False  # Python prints nan without a sign
         slow = np.concatenate([slow, rest[~special]])
     if slow.size:
         bodies = [("%.14e" % v).lstrip("-").encode() for v in x[slow].tolist()]
-        words[slow, 1:], length[slow] = _words(bodies), [len(b) for b in bodies]
+        words[slow, 1:] = _words(bodies)
+    words[:, 0] = np.where(negative, _MINUS_WORD, 0)
 
     chars = words.astype("<u8", copy=False).view(np.uint8)[:, 8 - 1:]
-    keep = np.take(_KEEP, negative * _CELL_BYTES + length, axis=0)
-    return chars.reshape(shape + (_CELL_BYTES,)), keep.reshape(shape + (_CELL_BYTES,))
+    return chars.reshape(shape + (_CELL_BYTES,))
 
 
 def _emit(text: str, out_path):
@@ -397,6 +352,8 @@ def _linspace(lo: float, hi: float, steps, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: min and max must be finite, got {lo!r} and {hi!r}")
     if hi < lo:
         raise ConfigError(f"{what}: max {hi!r} is below min {lo!r}")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{what}: max - min must be finite, got {lo!r} to {hi!r}")
     return np.linspace(float(lo), float(hi), steps)
 
 
@@ -449,9 +406,10 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
                                                         params, c_ok, t_ok)
         sigma[ok] = sigma_ok
         qd[ok] = single_mode.degrees_from_uncertainty(sigma_ok, params, c_ok, t_ok)
+        del c_ok, t_ok, sigma_ok  # rendering is the peak of memory
     columns = {"t": t, "C": C, "sigma_det": sigma, "delta_qd": qd}
     if args.skip_invalid:
-        columns["status"] = _bool_text(ok, _STATUS_TEXT)
+        columns["status"] = np.where(ok, "ok", "invalid")
     table = CsvTable(columns)
     table.add_columns(*columns.values())
     _emit(table.render(), args.out)
@@ -589,7 +547,9 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     dxpy_grid = _linspace(grid["dxpy_min"], grid["dxpy_max"], grid["dxpy_steps"],
                           "Dxpy grid")
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
-    separable = np.where(scan.boundary, "boundary", _bool_text(scan.separable))
+    # object cells that share three str take 8 bytes a row, str cells 32
+    separable = np.array(["false", "true", "boundary"], dtype=object)[
+        np.where(scan.boundary, 2, scan.separable)]
     in_window = scan.in_window
     if in_window is None:
         in_window = np.full(scan.Dxx.size, "", dtype=object)

@@ -125,9 +125,9 @@ RENDER_TIE_MARGIN = 2 * np.finfo(float).eps
 RENDER_EXP_MAX = 280
 
 
-def negligible(x: float, scale: float, rtol: float = SCALE_RTOL) -> bool:
-    """|x| is zero up to ``rtol`` times ``scale`` (see the tolerance policy)."""
-    return abs(x) <= rtol * scale
+def negligible(x: float, scale: float) -> bool:
+    """|x| is zero up to ``SCALE_RTOL`` times ``scale`` (see the tolerance policy)."""
+    return abs(x) <= SCALE_RTOL * scale
 
 
 #: Grid nodes go through the stacked kernels, and CSV rows through

@@ -317,7 +317,7 @@ def density_matrix_element(state: GaussianState1D, x, xp):
         raise StateError(f"covariance determinant must be > 0, got {det!r}")
     hbar, sxx = state.hbar, state.sxx
     x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
-    half_sum = 0.5 * (x + xp) - state.mean_x
+    half_sum = 0.5 * x + 0.5 * xp - state.mean_x  # x + xp may overflow
     diff = x - xp
     prefactor = math.sqrt(1.0 / (2.0 * math.pi * sxx))
     exponent = (

@@ -396,13 +396,15 @@ class TestDensityCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [[], ["--stationary"]])
     def test_overflowing_exponent_is_warning_free(self, capsys, flags):
-        # at |x| ~ 1e200 the exponent overflows to -inf and the element is 0;
-        # numpy's floating-point warnings, here errors, must not escape
+        # at |x| ~ 1e200 the exponent overflows to -inf and the element is 0,
+        # also at x = x' = 1e308, where x + x' overflows; numpy's
+        # floating-point warnings, here errors, must not escape
         cfg = str(ROOT / "configs/single_mode.json")
-        code, out, err = run(capsys, ["density", "--config", cfg, "--x-min", "1e200",
-                                      "--x-max", "1e201", "--n", "2", *flags])
-        assert code == 0 and err == ""
-        assert {(r["re"], r["im"]) for r in parse_csv(out)} == {("0.00000000000000e+00",) * 2}
+        for x_max in ("1e201", "1e308"):
+            code, out, err = run(capsys, ["density", "--config", cfg, "--x-min", "1e200",
+                                          "--x-max", x_max, "--n", "2", *flags])
+            assert code == 0 and err == ""
+            assert {(r["re"], r["im"]) for r in parse_csv(out)} == {("0.00000000000000e+00",) * 2}
 
 
 @pytest.mark.filterwarnings("ignore:thermal_fluctuation_time")
@@ -872,6 +874,9 @@ class TestGridBounds:
         ["deco-grid", "--t-max", "inf"],
         ["deco-grid", "--c-max", "nan"],
         ["density", "--x-max", "inf"],
+        # finite bounds whose span max - min overflows
+        ["density", "--x-min=-1e308", "--x-max", "1e308"],
+        ["scan", "--dxpy-min=-1e308", "--dxpy-max", "1e308"],
     ])
     def test_non_finite_bound_is_a_config_error(self, tmp_path, capsys, recwarn, argv):
         body = dict(FIG1, two_mode_env=WINDOW_ENV)
@@ -880,13 +885,13 @@ class TestGridBounds:
         code, out, err = run(capsys, [argv[0], "--config", cfg, *argv[1:]])
         assert code == 1
         assert out == ""
-        assert "must be finite" in err
+        assert "must be finite" in err and " grid: " in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _fmt(value) -> str:
     """Per-value reference rendering of a CSV cell."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.14e}"
@@ -902,9 +907,9 @@ def _assert_same_text(got: str, want: str):
         pytest.fail(f"line {k}: {pair[0]!r} != {pair[1]!r}")
 
 
-def _cell_texts(chars, keep) -> list:
-    """The text of each cell of a pair of cell matrices."""
-    return [c[k].tobytes().decode() for c, k in zip(chars, keep)]
+def _cell_texts(cells) -> list:
+    """The text of each cell of a cell matrix: its bytes other than NUL."""
+    return [c[c != 0].tobytes().decode() for c in cells]
 
 
 CELL_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
@@ -1009,8 +1014,8 @@ class TestCsvTable:
         rng = np.random.default_rng(1)
         self._assert_repeated_column_renders(rng.choice([-0.0, 0.0], 400))
         table = self._repeated(np.array([-0.0, 0.0] * 4))
-        assert _cell_texts(*cli._take_rows(*table, slice(0, 2))) == ["-0.00000000000000e+00",
-                                                                     "0.00000000000000e+00"]
+        assert _cell_texts(cli._take_rows(*table, slice(0, 2))) == ["-0.00000000000000e+00",
+                                                                    "0.00000000000000e+00"]
 
     def test_repeated_nans_of_any_payload_and_sign(self):
         nans = self._bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
@@ -1159,16 +1164,22 @@ class TestFloatKernel:
             ["v", "w"], zip(column.tolist(), column[::-1].tolist())))
 
     def test_text_cells_of_any_character(self):
-        texts = ["a\x00b", "\x00", "", "é", "日本語", "sep,ar\nated", "\x00\x00\x00"]
+        texts = ["", "a b", "sep,ar\nated", "~\x7f", "\t"]
         rng = random.Random(18)
         rows = [(rng.choice(texts), rng.choice([0.5, -1e-300, math.nan]), rng.choice(texts))
                 for _ in range(3000)]
         table = cli.CsvTable(["s", "f", "t"])
         table.add_columns(*(np.array(c, dtype=object if j != 1 else float)
                             for j, c in enumerate(zip(*rows))))
-        table.add("日本", 2.0, "\x00")
-        rows.append(("日本", 2.0, "\x00"))
+        table.add("x,y", 2.0, "\n")
+        rows.append(("x,y", 2.0, "\n"))
         _assert_same_text(table.render(), TestCsvTable._reference(["s", "f", "t"], rows))
+        # text is ASCII: a wider character raises rather than render mangled
+        for text in ("é", "日本語"):
+            table = cli.CsvTable(["s", "f"])
+            table.add_columns(np.array(["ok"] * 3000 + [text], dtype=object), np.zeros(3001))
+            with pytest.raises(ValueError, match="ASCII"):
+                table.render()
 
 
 class TestRenderAtTheCli:
