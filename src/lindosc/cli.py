@@ -28,6 +28,7 @@ from .core import (
     RENDER_TIE_MARGIN,
     ThermalParams,
     correlated_coherent_state,
+    entry_invariants,
     gibbs_coefficients,
     gibbs_diffusion,
     not_negative,
@@ -39,7 +40,6 @@ from .errors import ConfigError, LindoscError, ParameterError
 from .separability import (
     closed_form_route,
     scan_separability,
-    simon_score,
     simon_verdicts,
 )
 from .two_mode import (
@@ -531,7 +531,11 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     sigma = propagate_covariance(sigma0, env, params, t_grid)
     for start in range(0, t_grid.size, NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
-        table.add_columns(t_grid[block], *sigma[block, cov_i, cov_j].T, simon_score(sigma[block]))
+        entries = sigma[block, cov_i, cov_j].T
+        xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = entries
+        score = entry_invariants((xx, xpx, xpx, pxpx), (yy, ypy, ypy, pypy),
+                                 (xy, xpy, ypx, pxpy), which="score")
+        table.add_columns(t_grid[block], *entries, score)
     del sigma  # the table holds copies of its entries; rendering is the peak of memory
     _emit(table.render(), args.out)
     return EXIT_OK

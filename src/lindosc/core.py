@@ -16,16 +16,24 @@ be able to evaluate them.  ``validate_single_mode`` and
 every inequality.
 
 Every verdict on a two-mode covariance sigma (hbar = 1) is a sign test on
-the invariants of :func:`invariants`: sigma_00, det A - 1/4, the leading
-3x3 minor, Delta - 1/2 (Delta = det A + det B + 2 det C), U = det sigma -
-Delta/4 + 1/16, and Simon's S, U with |det C| in place of det C.  sigma +
-(i/2) Omega >= 0 exactly when the first five are >= 0 (Simon, PRL 84, 2726
-(2000); Serafini, Illuminati and De Siena, J. Phys. B 37, L21 (2004)):
-then A > 0 and det sigma >= 1/16, so sigma > 0 and both symplectic
-eigenvalues are >= 1/2.  An environment is completely positive exactly
-when its D/(hbar lam) is, and a one-mode D1 when two copies, D1 (+) D1, are:
-there sigma_00 >= 0 and det A >= 1/4, Dxx Dpp - Dxp^2 >= (lam hbar/2)^2
-(Sandulescu and Scutaru, Ann. Phys. 173, 277 (1987)), imply the rest.
+the invariants of :func:`entry_invariants`: sigma_00, det A - 1/4, the
+leading 3x3 minor, Delta - 1/2 (Delta = det A + det B + 2 det C), U =
+det sigma - Delta/4 + 1/16, and Simon's S, U with |det C| in place of
+det C.  sigma + (i/2) Omega >= 0 exactly when the first five are >= 0
+(Simon, PRL 84, 2726 (2000); Serafini, Illuminati and De Siena, J. Phys. B
+37, L21 (2004)): then A > 0 and det sigma >= 1/16, so sigma > 0 and both
+symplectic eigenvalues are >= 1/2.  An environment is completely positive
+exactly when its D/(hbar lam) is, and a one-mode D1 when two copies,
+D1 (+) D1, are: there sigma_00 >= 0 and det A >= 1/4, Dxx Dpp - Dxp^2 >=
+(lam hbar/2)^2 (Sandulescu and Scutaru, Ann. Phys. 173, 277 (1987)),
+imply the rest.
+
+The invariant kernel is entries-first: it takes the entries of the blocks
+A, B and C as floats or arrays, and gives all six invariants, S alone or
+the first five alone.  The stack forms (:func:`invariants` and
+:func:`bona_fide_checks` here, the Simon score of ``separability`` and
+``two_mode.is_physical``) are thin wrappers: they unpack one 4x4 matrix or
+a (..., 4, 4) stack with :func:`covariance_blocks` and call the kernel.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ __all__ = [
     "validate_single_mode",
     "validate_two_mode",
     "correlated_coherent_state",
+    "entry_invariants",
+    "entry_invariants_and_sums",
+    "covariance_blocks",
     "invariants",
     "bona_fide_checks",
 ]
@@ -84,9 +95,10 @@ __all__ = [
 #   Where |S| <= SCORE_RTOL * Sigma, or S is not finite, the sign of S is
 #   not resolved and the verdict is "boundary".  Two routes to S (the closed
 #   form has its own Sigma) agree when they differ by at most the sum of
-#   their bounds.  ``separability.simon_verdicts`` is the one place S meets
-#   this rule; a window node of ``scan_separability`` with a "boundary"
-#   verdict is "boundary-indeterminate", the scan's only unresolved status.
+#   their bounds.  S meets this rule in one place, the verdicts that
+#   ``separability.simon_verdicts`` and ``scan_separability`` share; a window
+#   node of the scan with a "boundary" verdict is "boundary-indeterminate",
+#   the scan's only unresolved status.
 # * Every other sign test takes the same rule and constant: x >= 0 fails
 #   only where x < -SCORE_RTOL * Sigma_x, Sigma_x being x on the magnitudes
 #   (:func:`not_negative`).  A product is rounded at most 3 times in
@@ -408,25 +420,28 @@ def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
                            [e.Dxy, e.Dypx, e.Dyy, e.Dypy], [e.Dxpy, e.Dpxpy, e.Dypy, e.Dpypy]])
 
 
-#: The invariants of :func:`invariants`, in the order of its last axis; the
-#: first five are the bona fide checks of value >= 0.
+#: The invariants of :func:`entry_invariants`, in its order; the first five
+#: are the bona fide checks of value >= 0.
 INVARIANTS = ("sigma_xx_positive", "det_a_at_least_quarter", "minor_3_positive",
               "delta_at_least_half", "uncertainty_relation", "simon_score")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives a non-finite value: unresolved
-def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
-    """sigma_00, det A - 1/4, the leading 3x3 minor, Delta - 1/2, U and S of a
-    (..., 4, 4) stack, shape (..., 6), written out over the entries of A =
-    sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:] with the
-    symplectic form J = [[0, 1], [sign, 0]].
+def entry_invariants(a, b, c, sign: float = -1.0, which: str = "all"):
+    """sigma_00, det A - 1/4, the leading 3x3 minor, Delta - 1/2, U and S of
+    a two-mode covariance sigma given by the entries of its blocks A =
+    sigma[:2, :2], B = sigma[2:, 2:] and C = sigma[:2, 2:], written out with
+    the symplectic form J = [[0, 1], [sign, 0]].  Each block is a tuple
+    (x00, x01, x10, x11) of floats or arrays that broadcast together.
 
-    sign = -1 gives the invariants.  On ``np.abs(sigma)``, sign = +1 gives
-    each one's magnitude sum: the invariant with every entry and every sign
-    replaced by its magnitude, from the same products.
+    ``which`` = "all" gives the six ``INVARIANTS`` as a tuple, "checks" the
+    first five (the bona fide checks) as a tuple, and "score" S alone.
+
+    sign = -1 gives the invariants.  On the magnitudes of the entries,
+    sign = +1 gives each one's magnitude sum: the invariant with every entry
+    and every sign replaced by its magnitude, from the same products.
     """
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = \
-        np.moveaxis(sigma, (-2, -1), (0, 1))
+    (a00, a01, a10, a11), (b00, b01, b10, b11), (c00, c01, c10, c11) = a, b, c
     # U = A J C and V = B J C^T; J on the right swaps the columns and
     # multiplies the new first one by sign
     u00, u01 = sign * a01 * c00 + a00 * c10, sign * a01 * c01 + a00 * c11
@@ -436,20 +451,57 @@ def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
     cross = sign * (u01 * v01 + u10 * v10) + u00 * v11 + u11 * v00  # sign * Tr(U J V J)
     det_a, det_b = a00 * a11 + sign * a01 * a10, b00 * b11 + sign * b01 * b10
     det_c = c00 * c11 + sign * c01 * c10
+    head, quarter = det_a * det_b, sign * 0.25 * (det_a + det_b)
+    # x * x, not x ** 2: a numpy scalar's ** 2 is C's pow, which can round
+    # differently from an array's exact square
+    if which != "checks":
+        base = 0.25 + sign * np.abs(det_c)
+        score = head + base * base + cross + quarter
+        if which == "score":
+            return score
     # the leading 3x3 block is [[a00, a01, c00], [a10, a11, c10], [c00, c10, b00]]
     minor_3 = (a00 * (a11 * b00 + sign * c10 * c10) + sign * a01 * (a10 * b00 + sign * c10 * c00)
                + c00 * (a10 * c10 + sign * a11 * c00))
-    head, quarter = det_a * det_b, sign * 0.25 * (det_a + det_b)
-    return np.stack([a00, det_a + sign * 0.25, minor_3, det_a + det_b + 2.0 * det_c + sign * 0.5,
-                     head + (0.25 + sign * det_c) ** 2 + cross + quarter,
-                     head + (0.25 + sign * np.abs(det_c)) ** 2 + cross + quarter], axis=-1)
+    base = 0.25 + sign * det_c
+    checks = (a00, det_a + sign * 0.25, minor_3, det_a + det_b + 2.0 * det_c + sign * 0.5,
+              head + base * base + cross + quarter)
+    return checks if which == "checks" else checks + (score,)
+
+
+def entry_invariants_and_sums(a, b, c, which: str):
+    """:func:`entry_invariants` of the block entries and the magnitude sums
+    of the same invariants, as (values, sums)."""
+    magnitudes = ([np.abs(x) for x in block] for block in (a, b, c))
+    return entry_invariants(a, b, c, -1.0, which), entry_invariants(*magnitudes, 1.0, which)
+
+
+def covariance_blocks(sigma: np.ndarray):
+    """The entries of A, B and C of a (..., 4, 4) stack, each block a tuple
+    (x00, x01, x10, x11) of views, as :func:`entry_invariants` takes them."""
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = \
+        np.moveaxis(sigma, (-2, -1), (0, 1))
+    return (a00, a01, a10, a11), (b00, b01, b10, b11), (c00, c01, c10, c11)
+
+
+def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
+    """The six ``INVARIANTS`` of a (..., 4, 4) stack, shape (..., 6).
+
+    A stack wrapper of the entries-first kernel: :func:`entry_invariants`,
+    with the same ``sign``, of the block entries that
+    :func:`covariance_blocks` unpacks."""
+    return np.stack(entry_invariants(*covariance_blocks(sigma), sign), axis=-1)
+
+
+def _checks(values, sums) -> tuple[np.ndarray, np.ndarray]:
+    """Bona fide checks stacked on a last axis, with their pass flags."""
+    values = np.stack(values, axis=-1)
+    return values, not_negative(values, np.stack(sums, axis=-1))
 
 
 def bona_fide_checks(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value and pass flag, (..., 5) each, of the first five ``INVARIANTS``
     of a (..., 4, 4) stack: sigma + (i/2) Omega >= 0 where all pass."""
-    values = invariants(sigma)[..., :5]
-    return values, not_negative(values, invariants(np.abs(sigma), 1.0)[..., :5])
+    return _checks(*entry_invariants_and_sums(*covariance_blocks(sigma), "checks"))
 
 
 def one_mode_checks(Dxx, Dpp, Dxp, lam, hbar) -> tuple[np.ndarray, np.ndarray]:
@@ -458,9 +510,10 @@ def one_mode_checks(Dxx, Dpp, Dxp, lam, hbar) -> tuple[np.ndarray, np.ndarray]:
     [Dxp, Dpp]], the arguments broadcasting together.  The other three are
     sigma_xx det A, 2 (det A - 1/4) and (det A - 1/4)^2, so D1 is completely
     positive exactly where both pass; a non-finite value fails."""
-    xx, pp, xp = (d / (hbar * lam) for d in (Dxx, Dpp, Dxp))
-    values, passed = (x[..., :2] for x in bona_fide_checks(stack_matrices(
-        [[xx, xp, 0.0, 0.0], [xp, pp, 0.0, 0.0], [0.0, 0.0, xx, xp], [0.0, 0.0, xp, pp]])))
+    xx, pp, xp = np.broadcast_arrays(*(d / (hbar * lam) for d in (Dxx, Dpp, Dxp)))
+    one = (xx, xp, xp, pp)
+    values, sums = entry_invariants_and_sums(one, one, (0.0, 0.0, 0.0, 0.0), "checks")
+    values, passed = _checks(values[:2], sums[:2])
     return values, passed & np.isfinite(values)
 
 

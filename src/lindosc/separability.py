@@ -20,13 +20,15 @@ family is built to probe); for det C > 0 the two differ by exactly det C
 because of the absolute value above, and the state is separable
 regardless.
 
-S is the last of the invariants that :func:`lindosc.core.invariants`
-writes out over the entries of A, B and C, on one 4x4 matrix or an
-(N, 4, 4) stack.  S cancels terms of the fourth power of the covariance
-entries, so its sign is resolved only where |S| exceeds its rounding
-bound; the bound is the same written-out S taken on the magnitudes of
-the entries with J replaced by |J|, so S and its bound come from the same
-products.  :func:`simon_verdicts` gives the score, the verdict and that
+S is the last of the invariants that :func:`lindosc.core.entry_invariants`
+writes out over the entries of A, B and C; :func:`simon_score` and
+:func:`simon_verdicts` unpack one 4x4 matrix or an (N, 4, 4) stack into
+them, and :func:`scan_separability` passes the closed-form entries of each
+block of nodes directly.  S cancels terms of the fourth power of the
+covariance entries, so its sign is resolved only where |S| exceeds its
+rounding bound; the bound is the same written-out S taken on the
+magnitudes of the entries with J replaced by |J|, so S and its bound come
+from the same products.  :func:`simon_verdicts` gives the score, the verdict and that
 bound, and calls the node "boundary" inside it; the rule and its constant
 are the tolerance policy of :mod:`lindosc.core`.
 """
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +47,11 @@ from .core import (  # noqa: F401
     SCORE_RTOL,
     OscillatorParams,
     TwoModeEnvironment,
-    bona_fide_checks,
-    diffusion_matrix,
-    invariants,
+    covariance_blocks,
+    entry_invariants,
+    entry_invariants_and_sums,
     negligible,
+    not_negative,
     validate_two_mode,
 )
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
@@ -58,7 +60,7 @@ from .two_mode import (
     require_hbar_one,
     require_matching_lam,
     scalar_or_array,
-    steady_covariance_symmetric,
+    steady_entries_symmetric,
 )
 
 __all__ = [
@@ -120,7 +122,16 @@ def simon_score(sigma: np.ndarray):
     state with this covariance.  Takes one 4x4 matrix (returns a float) or
     an (N, 4, 4) stack (returns an (N,) array).
     """
-    return scalar_or_array(invariants(require_covariance4(sigma))[..., -1])
+    blocks = covariance_blocks(require_covariance4(sigma))
+    return scalar_or_array(entry_invariants(*blocks, which="score"))
+
+
+def _verdicts(a, b, c) -> SeparabilityResult:
+    """:func:`simon_verdicts` of a covariance given by the entries of its
+    blocks, as :func:`lindosc.core.entry_invariants` takes them."""
+    score, size = entry_invariants_and_sums(a, b, c, "score")
+    bound = SCORE_RTOL * size
+    return SeparabilityResult(score, score >= 0.0, ~(np.abs(score) > bound), bound)
 
 
 def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
@@ -132,13 +143,11 @@ def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
     it, or with a non-finite S, is on the boundary.  See the tolerance
     policy in :mod:`lindosc.core`.
     """
-    sigma = require_covariance4(sigma)
-    score = invariants(sigma)[..., -1]
-    bound = SCORE_RTOL * invariants(np.abs(sigma), 1.0)[..., -1]
-    separable, boundary = score >= 0.0, ~(np.abs(score) > bound)
-    if score.ndim == 0:
-        return SeparabilityResult(float(score), bool(separable), bool(boundary), float(bound))
-    return SeparabilityResult(score, separable, boundary, bound)
+    result = _verdicts(*covariance_blocks(require_covariance4(sigma)))
+    if result.score.ndim == 0:
+        return SeparabilityResult(float(result.score), bool(result.separable),
+                                  bool(result.boundary), float(result.bound))
+    return result
 
 
 def is_separable(sigma: np.ndarray) -> SeparabilityResult:
@@ -264,11 +273,15 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     separable, boundary, positive = (np.empty(dxx.size, dtype=bool) for _ in range(3))
     for start in range(0, dxx.size, NODE_BLOCK):
         k = slice(start, start + NODE_BLOCK)
-        sigma = steady_covariance_symmetric(dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
-        score[k], separable[k], boundary[k], _ = simon_verdicts(sigma)
-        nodes = SimpleNamespace(Dxx=dxx[k], Dxpx=0.0, Dpxpx=dpxpx[k], Dyy=dxx[k], Dypy=0.0,
-                                Dpypy=dpxpx[k], Dxy=dxy, Dxpy=dxpy[k], Dypx=dxpy[k], Dpxpy=dpxpy)
-        positive[k] = bona_fide_checks(diffusion_matrix(nodes) / lam)[1].all(axis=-1)
+        sxx, sxpx, spxpx, sxy, sxpy, spxpy = steady_entries_symmetric(
+            dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
+        mode = (sxx, sxpx, sxpx, spxpx)
+        score[k], separable[k], boundary[k], _ = _verdicts(mode, mode, (sxy, sxpy, sxpy, spxpy))
+        # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam
+        mode, xpy = (dxx[k] / lam, 0.0, 0.0, dpxpx[k] / lam), dxpy[k] / lam
+        checks = entry_invariants_and_sums(mode, mode, (dxy / lam, xpy, xpy, dpxpy / lam),
+                                           "checks")
+        positive[k] = np.logical_and.reduce([not_negative(*check) for check in zip(*checks)])
 
     windowed = dxy == 0.0
     has_window = _window_ratio(dxx, params) >= 0.5

@@ -58,6 +58,7 @@ __all__ = [
     "diffusion_matrix",
     "propagator",
     "steady_covariance_closed_form",
+    "steady_entries_symmetric",
     "steady_covariance_symmetric",
     "propagate_covariance",
     "det_cross_block",
@@ -160,13 +161,13 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
                                        env.Dxy, env.Dxpy, env.Dpxpy, params)
 
 
-def steady_covariance_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy,
-                                params: OscillatorParams) -> np.ndarray:
-    """Closed-form asymptotic covariances of mirror-symmetric environments.
+def steady_entries_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, params: OscillatorParams):
+    """Closed-form asymptotic covariances of mirror-symmetric environments,
+    as their six distinct entries (s_xx, s_xpx, s_pxpx, s_xy, s_xpy, s_pxpy).
 
-    The six free coefficients may be arrays that broadcast together; the
-    result has their shape + (4, 4).  The caller vouches for hbar = 1 and
-    for the environments' lam being ``params.lam``.
+    The six free coefficients may be floats or arrays that broadcast
+    together.  The caller vouches for hbar = 1 and for the environments'
+    lam being ``params.lam``.
 
     Both one-mode blocks are equal and the cross block is symmetric; the
     six independent entries are rational in the diffusion coefficients:
@@ -189,8 +190,15 @@ def steady_covariance_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy,
                 + (2.0 * lam * lam + w * w) * d_pp) / (2.0 * lam * q)
         return s_qq, s_qp, s_pp
 
-    sxx, sxpx, spxpx = triple(Dxx, Dxpx, Dpxpx)
-    sxy, sxpy, spxpy = triple(Dxy, Dxpy, Dpxpy)
+    return triple(Dxx, Dxpx, Dpxpx) + triple(Dxy, Dxpy, Dpxpy)
+
+
+def steady_covariance_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy,
+                                params: OscillatorParams) -> np.ndarray:
+    """:func:`steady_entries_symmetric` stacked into 4x4 matrices, of shape
+    the coefficients' broadcast shape + (4, 4)."""
+    sxx, sxpx, spxpx, sxy, sxpy, spxpy = steady_entries_symmetric(
+        Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, params)
     return stack_matrices([
         [sxx, sxpx, sxy, sxpy],
         [sxpx, spxpx, sxpy, spxpy],

@@ -28,10 +28,14 @@ from lindosc.core import (
     GaussianState1D,
     bona_fide_checks,
     diffusion_matrix,
+    entry_invariants,
+    entry_invariants_and_sums,
     gibbs_diffusion,
     invariants,
+    not_negative,
     one_mode_checks,
 )
+from lindosc.separability import simon_verdicts
 
 from . import oracles
 
@@ -499,3 +503,67 @@ class TestGramChecks:
             for j in (1, 3, 4):  # det A - 1/4, Delta - 1/2 and U
                 assert abs(exact[j]) <= Fraction(float(bounds[k, j]))
             assert validate_two_mode(env).passed
+
+
+def _block_entries(sigma):
+    """A, B and C of a (..., 4, 4) stack as entry tuples, read by index."""
+    return tuple(tuple(sigma[..., r + i, c + j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+                 for r, c in ((0, 0), (2, 2), (0, 2)))
+
+
+def _kernel_stacks(rng):
+    """Seeded symmetric stacks: physical covariances, then matrices whose
+    cross block C is not C^T, entries spread over twelve decades with both
+    signs, and the same with a few entries at +-1e100."""
+    physical = np.stack([oracles.random_physical_covariance(rng) for _ in range(60)])
+    shape = (2000, 4, 4)
+    raw = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+    huge = raw.copy()
+    huge[rng.random(huge.shape) < 0.1] = 1e100
+    huge[rng.random(huge.shape) < 0.05] = -1e100
+    return [physical] + [a + np.swapaxes(a, -1, -2) for a in (raw, huge)]
+
+
+class TestEntryKernel:
+    """The stack forms are wrappers of the entries kernel, bit for bit."""
+
+    def test_stack_wrappers_equal_the_entries_kernel(self):
+        rng = np.random.default_rng(16)
+        for sigma in _kernel_stacks(rng):
+            C = sigma[:, :2, 2:]
+            assert (C != np.swapaxes(C, -1, -2)).any(axis=(1, 2)).sum() > 0.9 * len(sigma)
+            for sign, stack in ((-1.0, sigma), (1.0, np.abs(sigma))):
+                blocks = _block_entries(stack)
+                want = np.stack(entry_invariants(*blocks, sign), axis=-1)
+                assert np.array_equal(invariants(stack, sign), want, equal_nan=True)
+                # asking for S alone or for the five checks alone gives the same bits
+                assert np.array_equal(entry_invariants(*blocks, sign, "score"), want[:, 5],
+                                      equal_nan=True)
+                assert np.array_equal(np.stack(entry_invariants(*blocks, sign, "checks"), -1),
+                                      want[:, :5], equal_nan=True)
+            entries = _block_entries(sigma)
+            values, sums = entry_invariants_and_sums(*entries, "checks")
+            slack, passed = bona_fide_checks(sigma)
+            assert np.array_equal(slack, np.stack(values, -1), equal_nan=True)
+            assert np.array_equal(passed, not_negative(np.stack(values, -1), np.stack(sums, -1)))
+            score, size = entry_invariants_and_sums(*entries, "score")
+            result = simon_verdicts(sigma)
+            assert np.array_equal(result.score, score, equal_nan=True)
+            assert np.array_equal(result.bound, SCORE_RTOL * size, equal_nan=True)
+            assert np.array_equal(result.separable, score >= 0.0)
+            assert np.array_equal(result.boundary, ~(np.abs(score) > SCORE_RTOL * size))
+            # one matrix at a time, the entries are numpy scalars: same bits
+            one_by_one = np.stack([invariants(matrix) for matrix in sigma])
+            assert np.array_equal(one_by_one, invariants(sigma), equal_nan=True)
+            finite = np.isfinite(invariants(sigma)).all()
+        assert not finite  # the last stack, with its 1e100 entries, overflows
+
+    def test_invariants_read_every_block_entry(self):
+        # invariants takes a stack that is not symmetric as it is: each of
+        # the twelve entries it reads lands where the kernel expects it
+        rng = np.random.default_rng(17)
+        sigma = rng.standard_normal((200, 4, 4))
+        blocks = _block_entries(sigma)
+        assert np.array_equal(invariants(sigma), np.stack(entry_invariants(*blocks), axis=-1))
+        assert np.array_equal(bona_fide_checks(sigma)[0],
+                              np.stack(entry_invariants(*blocks, which="checks"), axis=-1))

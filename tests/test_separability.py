@@ -481,18 +481,46 @@ class TestScanSeparability:
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
         want = _scan_reference(template, params, dxx_grid, dxpy_grid)
         assert len(scan.score) == len(want)
-        got = list(zip(scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary,
-                       [None] * len(want) if scan.in_window is None else scan.in_window,
-                       scan.status))
-        assert got == want
+        assert _scan_rows(scan) == want
         statuses = set(scan.status)
         assert statuses >= ({"ok", "invalid"} if dxy else
                             {"invalid-window", "boundary-indeterminate", "invalid"})
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_columns_match_scalar_reference(self, seed):
+        # (lam, m, w) over two decades, Dxy = 0 on even seeds and random on
+        # odd ones; a negative Dxx row (invalid, or invalid-window at Dxy =
+        # 0), rows on both sides of the one-mode bound, and a 1e100 row whose
+        # S overflows (indeterminate)
+        rng = np.random.default_rng(seed)
+        lam, m, w = 10.0 ** rng.uniform(-1.0, 1.0, 3)
+        params = OscillatorParams(lam=lam, m=m, omega=w)
+        mw2, unit = (m * w) ** 2, lam / (m * w)
+        dxy = 0.0 if seed % 2 == 0 else rng.uniform(-1.0, 1.0) * unit
+        template = TwoModeEnvironment.symmetric_env(
+            Dxx=unit, Dxpx=0.0, Dpxpx=mw2 * unit, Dxy=dxy, Dxpy=0.0, Dpxpy=mw2 * dxy, lam=lam)
+        ratios = np.concatenate([[-rng.uniform(0.1, 2.0)], rng.uniform(0.2, 4.0, 5)])
+        dxx_grid = np.concatenate([ratios * unit, [1e100]])
+        dxpy_grid = np.concatenate([[0.0], math.hypot(lam, w) * rng.uniform(-5.0, 5.0, 24)])
+        scan = scan_separability(template, params, dxx_grid, dxpy_grid)
+        want = _scan_reference(template, params, dxx_grid, dxpy_grid)
+        assert _scan_rows(scan) == want
+        assert list(scan.status[-dxpy_grid.size:]) == ["indeterminate"] * dxpy_grid.size
+        assert set(scan.status[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
+
+
+def _scan_rows(scan):
+    """The scan's columns as rows, in the order of :func:`_scan_reference`."""
+    in_window = [None] * len(scan.score) if scan.in_window is None else scan.in_window
+    return list(zip(scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary, in_window,
+                    scan.status))
+
 
 def _scan_reference(template, params, dxx_values, dxpy_values):
     """The scan node by node through the public scalar functions, with the
-    statuses in their documented order."""
+    statuses in their documented order.  A check of D/lam whose slack is
+    not finite is unresolved, not failed (the tolerance policy of core): a
+    node with one reports it through its non-finite S."""
     mw2 = (params.m * params.omega) ** 2
     rows = []
     for dxx in map(float, dxx_values):
@@ -510,8 +538,9 @@ def _scan_reference(template, params, dxx_values, dxpy_values):
                 in_window = window is not None and window[0] < abs(dxpy) < window[1]
             if windowed and window is None:
                 status = "invalid-window"
-            elif not validate_two_mode(env).passed:
-                status = "invalid"
+            elif any(not c.passed and math.isfinite(c.slack)
+                     for c in validate_two_mode(env).checks):
+                status = "invalid"  # a check resolved below 0; one that overflows is unresolved
             elif not math.isfinite(result.score):
                 status = "indeterminate"
             elif windowed and result.boundary:
