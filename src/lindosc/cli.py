@@ -38,6 +38,7 @@ from .core import (
 )
 from .errors import ConfigError, LindoscError, ParameterError
 from .separability import (
+    SCAN_STATUSES,
     closed_form_route,
     scan_separability,
     simon_verdicts,
@@ -77,14 +78,14 @@ class _Rows:
 
 
 class CsvTable:
-    """Rectangular table rendered deterministically.
+    """Rectangular table rendered deterministically, as ASCII bytes.
 
     The table keeps blocks of equally long 1-D column arrays: one block per
     :meth:`add_columns` call, and a block of one row per :meth:`add`.  Each
     column renders by its dtype: floats as ``%.14e`` (15 significant
-    digits), bools as ``true``/``false``, everything else through ``str``,
-    which must give ASCII text.  :meth:`add` types each value on its own, so
-    a column may mix types.
+    digits), bools as ``true``/``false``, bytes as they are, everything
+    else through ``str``.  Text must be ASCII.  :meth:`add` types each value
+    on its own, so a column may mix types.
 
     :meth:`render` first casts every float column of a block to float64, as
     ``'%.14e'`` converts a value to a Python float, and formats the distinct
@@ -93,11 +94,12 @@ class CsvTable:
     block, of at most ``_SLICE_CELLS`` cells.  Each column's slice becomes a
     cell matrix: a row of bytes per cell, its text padded with NUL bytes.
     Repeating columns gather their rows; the other float columns are stacked
-    and formatted in one call of the numpy kernel :func:`_float_cells`; any
-    other column takes the characters of its text (:func:`_text_cells`).  The
-    slice's matrices are then joined with ``,`` and ``\\n`` columns, and the
-    bytes other than NUL taken out and decoded at once.  The text is that of
-    formatting value by value.
+    and formatted in one call of the numpy kernel :func:`_float_cells`; a
+    bytes column is its own cell matrix, and any other column takes the
+    characters of its text (:func:`_text_cells`).  The slice's matrices are
+    then joined with ``,`` and ``\\n`` columns, and the NUL bytes deleted
+    (:func:`_join_rows`).  The slices' bytes are appended to one buffer, the
+    bytes of formatting value by value.
     """
 
     def __init__(self, columns):
@@ -120,8 +122,8 @@ class CsvTable:
             raise ValueError(f"columns differ in shape: {[c.shape for c in cells]}")
         self._blocks.append(cells)
 
-    def render(self) -> str:
-        chunks = [",".join(self.columns) + "\n"]
+    def render(self) -> bytearray:
+        out = bytearray(",".join(self.columns).encode() + b"\n")
         for cells in self._blocks:
             with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
                 cells = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
@@ -136,12 +138,12 @@ class CsvTable:
                 if stacked:
                     floats = iter(_float_cells(np.stack([c[rows] for c in stacked], axis=1))
                                   .swapaxes(0, 1))
-                chunks.append(_join_rows([
+                out += _join_rows([
                     _take_rows(*table, rows) if table is not None
                     else next(floats) if c.dtype == float
                     else _text_cells(c[rows])
-                    for c, table in zip(cells, tables)]))
-        return "".join(chunks)
+                    for c, table in zip(cells, tables)])
+        return out
 
 
 #: Cells per render slice, at most: its temporaries take about 250 bytes a cell.
@@ -170,16 +172,22 @@ def _take_rows(cells: np.ndarray, index: np.ndarray, rows: slice) -> np.ndarray:
 
 def _text_cells(c: np.ndarray) -> np.ndarray:
     """Cell matrix of a column that is not float: a bool as ``true`` or
-    ``false``, anything else as its ``str``, one byte per character.  Text
-    must be ASCII; a NUL character, as in numpy's own strings, is padding."""
-    text = np.where(c, "true", "false") if c.dtype == bool else c.astype(str)
-    codes = text.view(np.uint32).reshape(text.shape + (text.itemsize // 4,))
-    if codes.max(initial=0) > 127:
+    ``false``, bytes (numpy ``S``) as they are, anything else as its ``str``,
+    one byte per character.  Text must be ASCII; a NUL byte, as in numpy's
+    own strings, is padding."""
+    if c.dtype == bool:
+        c = np.where(c, b"true", b"false")
+    if c.dtype.kind == "S":
+        cells = np.ascontiguousarray(c).view(np.uint8).reshape(len(c), c.itemsize)
+    else:
+        text = c.astype(str)
+        cells = text.view(np.uint32).reshape(len(c), text.itemsize // 4)
+    if cells.max(initial=0) > 127:
         raise ValueError("CSV text must be ASCII")
-    return codes.astype(np.uint8)
+    return cells.astype(np.uint8, copy=False)
 
 
-def _join_rows(cells: list) -> str:
+def _join_rows(cells: list) -> bytes:
     """CSV lines of a slice from its columns' cell matrices, in column order:
     each cell's bytes other than NUL, then ``,`` or, after the last, a newline."""
     ends = np.cumsum([c.shape[1] + 1 for c in cells])
@@ -187,7 +195,7 @@ def _join_rows(cells: list) -> str:
     for c, end in zip(cells, ends):
         chars[:, end - 1 - c.shape[1]:end - 1] = c
     chars[:, -1] = ord("\n")
-    return chars[chars != 0].tobytes().decode()
+    return chars.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +333,26 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return chars.reshape(shape + (_CELL_BYTES,))
 
 
-def _emit(text: str, out_path):
-    try:
-        target = open(out_path, "w", newline="\n") if out_path else nullcontext(sys.stdout)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
-    # Written in slices: encoding the whole text at once would hold a second
-    # full copy of it, as bytes, at the command's peak memory.
+def _emit(data, out_path):
+    """Write the bytes ``data`` to the file ``out_path``, or to standard output."""
+    if out_path:
+        try:
+            target = open(out_path, "wb")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
+    else:
+        sys.stdout.flush()  # text written to it before goes first
+        target = nullcontext(getattr(sys.stdout, "buffer", None))
     with target as fh:
-        for start in range(0, len(text), 1 << 16):
-            fh.write(text[start:start + (1 << 16)])
+        if fh is None:  # a text stream without bytes underneath, such as io.StringIO
+            sys.stdout.write(data.decode())
+            return
+        # In slices: a reader that closes the pipe mid-output must stop the
+        # command with BrokenPipeError, which one write of the whole buffer
+        # was seen not to raise.
+        view = memoryview(data)
+        for start in range(0, len(view), 1 << 16):
+            fh.write(view[start:start + (1 << 16)])
 
 
 def _grid(cfg: RunConfig, args, section: str) -> dict:
@@ -371,7 +389,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     lines = []
     for title, report in reports:
         lines += [title + ":"] + ["  " + line for line in report.lines()]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n").encode(), args.out)
     return EXIT_OK if all(report.passed for _, report in reports) else EXIT_INVALID
 
 
@@ -409,7 +427,7 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
         del c_ok, t_ok, sigma_ok  # rendering is the peak of memory
     columns = {"t": t, "C": C, "sigma_det": sigma, "delta_qd": qd}
     if args.skip_invalid:
-        columns["status"] = np.where(ok, "ok", "invalid")
+        columns["status"] = np.where(ok, b"ok", b"invalid")
     table = CsvTable(columns)
     table.add_columns(*columns.values())
     _emit(table.render(), args.out)
@@ -541,6 +559,11 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+#: ``scan``'s text of a node's verdict (false, true, boundary) and status code.
+_SEPARABLE_LABELS = np.array([b"false", b"true", b"boundary"])
+_STATUS_LABELS = np.array(SCAN_STATUSES, dtype="S")
+
+
 def cmd_scan(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     env = cfg.require("two_mode_env", "scan")
@@ -551,14 +574,13 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     dxpy_grid = _linspace(grid["dxpy_min"], grid["dxpy_max"], grid["dxpy_steps"],
                           "Dxpy grid")
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
-    # object cells that share three str take 8 bytes a row, str cells 32
-    separable = np.array(["false", "true", "boundary"], dtype=object)[
-        np.where(scan.boundary, 2, scan.separable)]
+    separable = _SEPARABLE_LABELS[np.where(scan.boundary, 2, scan.separable)]
     in_window = scan.in_window
     if in_window is None:
-        in_window = np.full(scan.Dxx.size, "", dtype=object)
+        in_window = np.zeros(scan.Dxx.size, "S1")
     table = CsvTable(["Dxx", "Dxpy", "S", "separable", "in_window", "status"])
-    table.add_columns(scan.Dxx, scan.Dxpy, scan.score, separable, in_window, scan.status)
+    table.add_columns(scan.Dxx, scan.Dxpy, scan.score, separable, in_window,
+                      _STATUS_LABELS[scan.status])
     _emit(table.render(), args.out)
     return EXIT_OK
 

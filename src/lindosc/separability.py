@@ -66,6 +66,7 @@ from .two_mode import (
 __all__ = [
     "SeparabilityResult",
     "ScanColumns",
+    "SCAN_STATUSES",
     "simon_score",
     "simon_verdicts",
     "is_separable",
@@ -98,12 +99,18 @@ class SeparabilityResult(NamedTuple):
         return "separable" if self.separable else "entangled"
 
 
+#: Labels of the node statuses of :func:`scan_separability`, indexed by their
+#: :attr:`ScanColumns.status` code, in the order in which they are tested.
+SCAN_STATUSES = ("invalid-window", "invalid", "indeterminate", "boundary-indeterminate", "ok")
+
+
 @dataclass(frozen=True)
 class ScanColumns:
     """A separability scan over (Dxx, Dxpy), one array entry per node.
 
     ``in_window`` is None when the template has Dxy != 0 (no window).
-    ``status`` holds each node's status, as :func:`scan_separability` lists.
+    ``status`` holds each node's status as a ``uint8`` code, the index of
+    its label in :data:`SCAN_STATUSES`.
     """
 
     Dxx: np.ndarray
@@ -205,6 +212,7 @@ def closed_form_route(env: TwoModeEnvironment, params: OscillatorParams) -> tupl
     return head * head - tail, SCORE_RTOL * size
 
 
+@np.errstate(over="ignore")  # beyond float64 the ratio is inf, and so is the window
 def _window_ratio(Dxx, params: OscillatorParams):
     return params.m * params.omega * Dxx / params.lam
 
@@ -244,9 +252,10 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     Nodes are in row-major order, Dxx slowest.  ``score``, ``separable``
     and ``boundary`` are :func:`simon_verdicts` of the nodes.  ``in_window``
     is reported only for Dxy = 0 templates: m w Dxx / lam >= 1/2 and
-    lo < |Dxpy| < hi of :func:`entanglement_window`.  A node's status is
-    the first that holds of "invalid-window" (Dxy = 0 and Dxx below the
-    one-mode uncertainty bound: no window), "invalid" (the environment is
+    lo < |Dxpy| < hi of :func:`entanglement_window`.  A node's status,
+    coded by its index in :data:`SCAN_STATUSES`, is the first that holds
+    of "invalid-window" (Dxy = 0 and Dxx below the one-mode uncertainty
+    bound: no window), "invalid" (the environment is
     not completely positive: D/lam fails :func:`lindosc.core.bona_fide_checks`),
     "indeterminate" (S is not finite: no verdict),
     "boundary-indeterminate" (Dxy = 0 and ``boundary``: the sign of S, and
@@ -277,8 +286,10 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
             dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
         mode = (sxx, sxpx, sxpx, spxpx)
         score[k], separable[k], boundary[k], _ = _verdicts(mode, mode, (sxy, sxpy, sxpy, spxpy))
-        # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam
-        mode, xpy = (dxx[k] / lam, 0.0, 0.0, dpxpx[k] / lam), dxpy[k] / lam
+        # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam;
+        # beyond float64 an entry is inf, whose checks are unresolved
+        with np.errstate(over="ignore"):
+            mode, xpy = (dxx[k] / lam, 0.0, 0.0, dpxpx[k] / lam), dxpy[k] / lam
         checks = entry_invariants_and_sums(mode, mode, (dxy / lam, xpy, xpy, dpxpy / lam),
                                            "checks")
         positive[k] = np.logical_and.reduce([not_negative(*check) for check in zip(*checks)])
@@ -291,9 +302,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
         lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
         in_window = (lo < np.abs(dxpy)) & (np.abs(dxpy) < hi)
     # the first status whose condition holds, in the documented order
-    first = np.select([windowed & ~has_window, ~positive, ~np.isfinite(score),
-                       windowed & boundary], [0, 1, 2, 3], 4)
-    status = np.array(["invalid-window", "invalid", "indeterminate",
-                       "boundary-indeterminate", "ok"], dtype=object)[first]
+    status = np.select([windowed & ~has_window, ~positive, ~np.isfinite(score),
+                        windowed & boundary], [0, 1, 2, 3], 4).astype(np.uint8)
     return ScanColumns(Dxx=dxx, Dxpy=dxpy, score=score, separable=separable,
                        boundary=boundary, in_window=in_window, status=status)

@@ -161,6 +161,7 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
                                        env.Dxy, env.Dxpy, env.Dpxpy, params)
 
 
+@np.errstate(over="ignore")  # beyond float64 an entry is inf, and S is not finite
 def steady_entries_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, params: OscillatorParams):
     """Closed-form asymptotic covariances of mirror-symmetric environments,
     as their six distinct entries (s_xx, s_xpx, s_pxpx, s_xy, s_xpy, s_pxpy).

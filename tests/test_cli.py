@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, CSV contracts, reference values, determinism."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -667,6 +668,17 @@ class TestScanCommand:
         assert all(r["separable"] == "boundary" for r in rows)
         assert all(r["status"] == "indeterminate" for r in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_environment_is_warning_free(self, capsys):
+        # at Dxx = 1e308 the steady entries, D/lam and the window ratio
+        # overflow; numpy's floating-point warnings, here errors, must not escape
+        cfg = str(ROOT / "configs/two_mode_window.json")
+        code, out, err = run(capsys, ["scan", "--config", cfg, "--dxx-min", "1e308",
+                                      "--dxx-max", "1e308", "--dxpy-steps", "2"])
+        assert code == 0 and err == ""
+        assert [(r["S"], r["separable"], r["in_window"], r["status"]) for r in parse_csv(out)] \
+            == [("nan", "boundary", "false", "indeterminate")] * 2
+
     def test_saturated_window_edge_is_not_invalid(self, tmp_path, capsys):
         # At m w Dxx/lam = 1/2 and Dxpy = 0 the environment is completely
         # positive with equality (D/lam has symplectic eigenvalues 1/2), and
@@ -762,6 +774,29 @@ class TestOutputFile:
         assert out == ""
         assert err == f"config error: cannot write {out_path}: No such file or directory\n"
         assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["deco-grid", "--config", "single_mode.json", "--skip-invalid", "--t-steps", "40",
+         "--c-steps", "50"],
+        ["propagate", "--config", "two_mode_window.json", "--steps", "3000"],
+        ["scan", "--config", "two_mode_window.json", "--dxpy-steps", "1000"],
+    ])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, argv):
+        argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
+        assert cli.main(argv) == 0
+        want = capsysbinary.readouterr().out
+        out_path = tmp_path / "result.csv"
+        assert cli.main(argv + ["--out", str(out_path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out_path.read_bytes() == want and len(want) > 1 << 16
+
+    def test_text_only_stdout_takes_the_text(self, capsys, monkeypatch):
+        argv = ["scan", "--config", str(ROOT / "configs" / "two_mode_window.json")]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.main(argv) == 0
+        assert sys.stdout.getvalue() == want
 
 
 class TestClosedStdout:
@@ -895,14 +930,16 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.14e}"
+    if isinstance(value, bytes):
+        return value.decode()
     return str(value)
 
 
-def _assert_same_text(got: str, want: str):
-    """got == want, reporting the first line that differs (pytest's own diff
-    of texts of megabytes takes minutes)."""
-    if got != want:
-        lines = zip(got.split("\n"), want.split("\n"))
+def _assert_same_text(got: bytes, want: str):
+    """got == want encoded, reporting the first line that differs (pytest's own
+    diff of texts of megabytes takes minutes)."""
+    if got != want.encode():
+        lines = zip(got.decode().split("\n"), want.split("\n"))
         k, pair = next((k, pair) for k, pair in enumerate(lines) if pair[0] != pair[1])
         pytest.fail(f"line {k}: {pair[0]!r} != {pair[1]!r}")
 
@@ -915,7 +952,8 @@ def _cell_texts(cells) -> list:
 CELL_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
                -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2.5e-7,
                np.float64(2.5), np.float64(-0.0), np.float32(0.1), True, False,
-               np.bool_(True), "ok", "", "separable-boundary", 7, -3, np.int64(5)]
+               np.bool_(True), "ok", "", "separable-boundary", 7, -3, np.int64(5), b"invalid",
+               b""]
 
 
 class TestCsvTable:
@@ -927,7 +965,7 @@ class TestCsvTable:
             rows.append(tuple(rng.choice(CELL_VALUES) for _ in range(3)))
             table.add(*rows[-1])
         want = "\n".join(["a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert table.render() == want + "\n"
+        assert table.render() == (want + "\n").encode()
 
     def test_add_columns_takes_array_columns(self):
         columns = (np.array([0.5, -0.0, math.inf]), np.array([True, False, True]),
@@ -935,8 +973,8 @@ class TestCsvTable:
         table = cli.CsvTable("abcd")
         table.add_columns(*columns)
         assert len(table.rows) == 3
-        text = ("a,b,c,d\n5.00000000000000e-01,true,x,1\n"
-                "-0.00000000000000e+00,false,ok,2\ninf,true,invalid,3\n")
+        text = (b"a,b,c,d\n5.00000000000000e-01,true,x,1\n"
+                b"-0.00000000000000e+00,false,ok,2\ninf,true,invalid,3\n")
         assert table.render() == text
         with pytest.raises(ValueError):
             table.add_columns(*columns[:3])
@@ -961,18 +999,43 @@ class TestCsvTable:
         table.add_columns(*columns)
         rows = list(zip(*(c.tolist() for c in columns)))
         want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert table.render() == want + "\n"
+        assert table.render() == (want + "\n").encode()
         assert len(table.rows) == n and repr(list(table.rows)) == repr(rows)  # nan != nan
 
+    @pytest.mark.parametrize("n", [5, 1025, 3000])
+    def test_bytes_and_bool_columns(self, n):
+        # an S column is its own cell matrix, also when strided; a bool column
+        # is gathered from b"true" and b"false"
+        rng = np.random.default_rng(n)
+        labels = np.array([b"", b"ok", b"invalid", b"boundary-indeterminate", b"a,b"])
+        matrix = rng.choice(labels, (n, 3))
+        flags = rng.random((n, 2)) < 0.5
+        columns = (matrix[:, 0], matrix[:, 1], flags[:, 1], labels[rng.integers(0, 5, n)],
+                   np.zeros(n, "S1"), flags[:, 0].copy())
+        assert not columns[1].flags.contiguous and not columns[2].flags.contiguous
+        table = cli.CsvTable("abcdef")
+        table.add_columns(*columns)
+        rows = list(zip(*(c.tolist() for c in columns)))
+        assert table.render() == self._reference("abcdef", rows).encode()
+
+    @pytest.mark.parametrize("column", [np.array(["ok", "日本語"]),
+                                        np.array([b"ok", "é".encode()])])
+    def test_str_and_bytes_text_must_be_ascii(self, column):
+        # as an object column must (test_text_cells_of_any_character)
+        table = cli.CsvTable(["s"])
+        table.add_columns(column)
+        with pytest.raises(ValueError, match="ASCII"):
+            table.render()
+
     def test_empty_table_is_the_header_line(self):
-        assert cli.CsvTable(["x", "y"]).render() == "x,y\n"
+        assert cli.CsvTable(["x", "y"]).render() == b"x,y\n"
         table = cli.CsvTable(["x", "y"])
         table.add_columns(np.array([]), np.array([], dtype=object))
-        assert table.render() == "x,y\n"
+        assert table.render() == b"x,y\n"
         # an empty float column is counted before its distinct values are built
         table = cli.CsvTable(["x", "b", "w"])
         table.add_columns(np.array([]), np.array([], dtype=bool), np.array([], dtype=np.float32))
-        assert table.render() == "x,b,w\n"
+        assert table.render() == b"x,b,w\n"
         assert cli._distinct_cells(np.array([])) is None
 
     def test_add_and_add_columns_interleave(self):
@@ -987,7 +1050,7 @@ class TestCsvTable:
             table.add_columns(*columns)
             rows.extend(zip(*(c.tolist() for c in columns)))
         want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert table.render() == want + "\n"
+        assert table.render() == (want + "\n").encode()
         assert len(table.rows) == len(rows)
 
     @staticmethod
@@ -1008,7 +1071,8 @@ class TestCsvTable:
         assert self._repeated(column) is not None
         table = cli.CsvTable(["v", "i"])
         table.add_columns(column, np.arange(column.size))
-        assert table.render() == self._reference(["v", "i"], zip(column.tolist(), range(column.size)))
+        want = self._reference(["v", "i"], zip(column.tolist(), range(column.size)))
+        assert table.render() == want.encode()
 
     def test_repeated_signed_zeros_stay_apart(self):
         rng = np.random.default_rng(1)
@@ -1040,7 +1104,7 @@ class TestCsvTable:
         assert (self._repeated(column) is not None) == repeated
         table = cli.CsvTable(["v"])
         table.add_columns(column)
-        assert table.render() == self._reference(["v"], ((v,) for v in column.tolist()))
+        assert table.render() == self._reference(["v"], ((v,) for v in column.tolist())).encode()
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
     def test_repeated_column_of_another_width(self, dtype):
@@ -1061,7 +1125,7 @@ class TestCsvTable:
             x, y = rng.choice(grid, n), rng.standard_normal(n)
             table.add_columns(x, y)
             rows.extend(zip(x.tolist(), y.tolist()))
-        assert table.render() == self._reference(["x", "y"], rows)
+        assert table.render() == self._reference(["x", "y"], rows).encode()
 
 
 class TestFloatKernel:
@@ -1204,7 +1268,7 @@ class TestRenderAtTheCli:
         table = tables[0]
         want = "\n".join([",".join(table.columns)]
                          + [",".join(_fmt(v) for v in row) for row in table.rows]) + "\n"
-        assert out == table.render() == want
+        assert out.encode() == table.render() == want.encode()
 
     @pytest.mark.parametrize("flags", [
         ["--c-min", "2", "--c-max", "8", "--t-steps", "30", "--c-steps", "40"],

@@ -1,6 +1,7 @@
 """Tests for the Simon separability criterion and the entanglement window."""
 
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -16,6 +17,7 @@ from lindosc import (
     TwoModeEnvironment,
 )
 from lindosc.separability import (
+    SCAN_STATUSES,
     closed_form_route,
     entanglement_window,
     is_separable,
@@ -425,7 +427,7 @@ class TestScanSeparability:
         assert scan.score[0] == pytest.approx(-0.1825998520710059, abs=1e-10)
         assert not scan.separable[0]
         assert scan.in_window[0]
-        assert scan.status[0] == "invalid"  # this regime is not completely positive
+        assert _statuses(scan) == ["invalid"]  # this regime is not completely positive
 
     def test_zero_cross_momentum_row_is_nonnegative(self):
         scan = scan_separability(WINDOW_ENV, PARAMS, np.linspace(0.1, 0.5, 5), [0.0])
@@ -443,12 +445,23 @@ class TestScanSeparability:
 
     def test_below_uncertainty_bound_marks_invalid_window(self):
         scan = scan_separability(WINDOW_ENV, PARAMS, [0.05], np.linspace(0.0, 1.0, 5))
-        assert all(status == "invalid-window" for status in scan.status)
+        assert _statuses(scan) == ["invalid-window"] * 5
         assert not scan.in_window.any()
 
     def test_endpoint_marked_boundary(self):
         scan = scan_separability(WINDOW_ENV, PARAMS, [0.1], [0.0])
-        assert scan.status[0] == "boundary-indeterminate"
+        assert _statuses(scan) == ["boundary-indeterminate"]
+
+    def test_status_codes_follow_the_documented_order(self):
+        # scan_separability's docstring lists the statuses in the order they
+        # are tested; a code is the index of its label in that list
+        documented = re.findall(r'"([a-z-]+)"', scan_separability.__doc__)
+        assert list(SCAN_STATUSES) == documented
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.05, 0.1, 1.0, 1e100], [0.0, 0.5, 2.0])
+        assert scan.status.dtype == np.uint8
+        assert _statuses(scan) == (["invalid-window"] * 3
+                                   + ["boundary-indeterminate", "invalid", "invalid"]
+                                   + ["ok", "ok", "invalid"] + ["indeterminate"] * 3)
 
     def test_row_major_order(self):
         scan = scan_separability(WINDOW_ENV, PARAMS, [0.1, 0.2], [0.0, 0.5])
@@ -482,7 +495,7 @@ class TestScanSeparability:
         want = _scan_reference(template, params, dxx_grid, dxpy_grid)
         assert len(scan.score) == len(want)
         assert _scan_rows(scan) == want
-        statuses = set(scan.status)
+        statuses = set(_statuses(scan))
         assert statuses >= ({"ok", "invalid"} if dxy else
                             {"invalid-window", "boundary-indeterminate", "invalid"})
 
@@ -505,15 +518,21 @@ class TestScanSeparability:
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
         want = _scan_reference(template, params, dxx_grid, dxpy_grid)
         assert _scan_rows(scan) == want
-        assert list(scan.status[-dxpy_grid.size:]) == ["indeterminate"] * dxpy_grid.size
-        assert set(scan.status[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
+        statuses = _statuses(scan)
+        assert statuses[-dxpy_grid.size:] == ["indeterminate"] * dxpy_grid.size
+        assert set(statuses[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
+
+
+def _statuses(scan) -> list:
+    """The label of each node's status code."""
+    return [SCAN_STATUSES[code] for code in scan.status]
 
 
 def _scan_rows(scan):
     """The scan's columns as rows, in the order of :func:`_scan_reference`."""
     in_window = [None] * len(scan.score) if scan.in_window is None else scan.in_window
     return list(zip(scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary, in_window,
-                    scan.status))
+                    _statuses(scan)))
 
 
 def _scan_reference(template, params, dxx_values, dxpy_values):
