@@ -49,6 +49,7 @@ from .two_mode import (
     diffusion_matrix,
     drift_matrix,
     propagate_covariance,
+    steady_covariance_closed_form,
 )
 
 EXIT_OK = 0
@@ -499,7 +500,7 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
     _warn_env_validity(env, params)
     Y = drift_matrix(params)
     D = diffusion_matrix(env)
-    s_inf = lyapunov.steady_covariance(Y, D)
+    s_inf = steady_covariance_closed_form(env, params)
     resid = lyapunov.residual(Y, s_inf, D)
     full = simon_verdicts(s_inf)
     det_c, det_c_size = cross_block_route(env, params)

@@ -60,7 +60,7 @@ from .two_mode import (
     require_hbar_one,
     require_matching_lam,
     scalar_or_array,
-    steady_entries_symmetric,
+    steady_entries,
 )
 
 __all__ = [
@@ -282,10 +282,8 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     separable, boundary, positive = (np.empty(dxx.size, dtype=bool) for _ in range(3))
     for start in range(0, dxx.size, NODE_BLOCK):
         k = slice(start, start + NODE_BLOCK)
-        sxx, sxpx, spxpx, sxy, sxpy, spxpy = steady_entries_symmetric(
-            dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dpxpy, params)
-        mode = (sxx, sxpx, sxpx, spxpx)
-        score[k], separable[k], boundary[k], _ = _verdicts(mode, mode, (sxy, sxpy, sxpy, spxpy))
+        score[k], separable[k], boundary[k], _ = _verdicts(*steady_entries(
+            dxx[k], 0.0, dpxpx[k], dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dxpy[k], dpxpy, params))
         # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam;
         # beyond float64 an entry is inf, whose checks are unresolved
         with np.errstate(over="ignore"):

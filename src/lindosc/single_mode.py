@@ -12,7 +12,7 @@ The first and second moments obey linear equations with the drift
 so the propagator exp(t*Y) has the closed form
 exp(-lam*t) * (cos(W*t)*I + sin(W*t)/W * B) with B = Y + lam*I and
 W = sqrt(omega**2 - mu**2).  The infinite-time state is the solution of
-the Lyapunov equation Y S + S Y^T = -2 D.
+the Lyapunov equation Y S + S Y^T = -2 D, :func:`stationary_covariance`.
 
 The closed forms take arrays first: :func:`moment_propagator` takes an
 array of t, :func:`uncertainty_determinants` and
@@ -35,7 +35,6 @@ from typing import Literal
 
 import numpy as np
 
-from . import lyapunov
 from .core import (
     GaussianState1D,
     OscillatorParams,
@@ -51,6 +50,7 @@ __all__ = [
     "drift_matrix",
     "moment_propagator",
     "relaxed_covariance",
+    "stationary_covariance",
     "propagate_moments",
     "asymptotic_state",
     "uncertainty_determinant",
@@ -125,6 +125,33 @@ def relaxed_covariance(M: np.ndarray, s0: np.ndarray, s_inf: np.ndarray) -> np.n
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
+@np.errstate(over="ignore")  # beyond float64 an entry is inf
+def stationary_covariance(params: OscillatorParams, Dxx, Dxp, Dpp):
+    """Stationary covariance (s_xx, s_xp, s_pp) of dS/dt = Y S + S Y^T + 2 D,
+    D = [[Dxx, Dxp], [Dxp, Dpp]]: the 3x3 Cramer solution for its entries,
+
+        s_xx = (m^2 (2 lam k+ + w^2) Dxx + 2 m k+ Dxp + Dpp) / (2 m^2 lam q)
+        s_xp = (-m^2 w^2 (k+/lam) Dxx + 2 m k+ (k-/lam) Dxp + (k-/lam) Dpp) / (2 m q)
+        s_pp = (m^2 w^4 Dxx - 2 m w^2 k- Dxp + (2 lam k- + w^2) Dpp) / (2 lam q)
+
+    with k+/- = lam +/- mu and q = lam^2 - mu^2 + w^2 = det Y.  The diffusion
+    coefficients may be floats or arrays that broadcast together.  Raises
+    :class:`ParameterError` where q <= 0: Y is not Hurwitz, and no state is.
+    """
+    m, w, lam, mu = params.m, params.omega, params.lam, params.mu
+    kp, km = lam + mu, lam - mu
+    q = lam * lam - mu * mu + w * w
+    if not q > 0.0:
+        raise ParameterError(f"the drift is not Hurwitz: lam^2 - mu^2 + omega^2 = {q!r} <= 0")
+    s_xx = (m * m * (2.0 * lam * kp + w * w) * Dxx + 2.0 * m * kp * Dxp + Dpp) \
+        / (2.0 * m * m * lam * q)
+    s_xp = (-m * m * w * w * (kp / lam) * Dxx + 2.0 * m * kp * (km / lam) * Dxp
+            + (km / lam) * Dpp) / (2.0 * m * q)
+    s_pp = (m * m * w**4 * Dxx - 2.0 * m * w * w * km * Dxp + (2.0 * lam * km + w * w) * Dpp) \
+        / (2.0 * lam * q)
+    return s_xx, s_xp, s_pp
+
+
 def _require_env_matches(env: SingleModeEnv, params: OscillatorParams):
     for name in ("lam", "mu", "hbar"):
         if getattr(env, name) != getattr(params, name):
@@ -150,8 +177,8 @@ def propagate_moments(state0: GaussianState1D, env: SingleModeEnv,
     """Exact moments at time t >= 0.
 
     Means follow M(t) = exp(t*Y); the covariance is
-    M (S0 - S_inf) M^T + S_inf with S_inf the stationary Lyapunov
-    solution for the given diffusion coefficients.
+    M (S0 - S_inf) M^T + S_inf with S_inf the :func:`stationary_covariance`
+    of the given diffusion coefficients.
 
     Raises
     ------
@@ -170,9 +197,8 @@ def propagate_moments(state0: GaussianState1D, env: SingleModeEnv,
     if t == 0.0:
         return state0  # M(0) is exactly the identity
     M = moment_propagator(params, t)
-    Y = drift_matrix(params)
-    D = np.array([[env.Dxx, env.Dxp], [env.Dxp, env.Dpp]])
-    s = relaxed_covariance(M, state0.covariance(), lyapunov.steady_covariance(Y, D))
+    s_xx, s_xp, s_pp = stationary_covariance(params, env.Dxx, env.Dxp, env.Dpp)
+    s = relaxed_covariance(M, state0.covariance(), np.array([[s_xx, s_xp], [s_xp, s_pp]]))
     mean = M @ np.array([state0.mean_x, state0.mean_p])
     return GaussianState1D(sxx=float(s[0, 0]), sxp=float(s[0, 1]), spp=float(s[1, 1]),
                            mean_x=float(mean[0]), mean_p=float(mean[1]),
@@ -236,8 +262,11 @@ def uncertainty_determinants(delta: float, r: float, params: OscillatorParams,
     W2 = W * W
     a = delta + 1.0 / (delta * (1.0 - r * r))
     b = delta - 1.0 / (delta * (1.0 - r * r))
+    with np.errstate(over="ignore"):  # -lam*t below -1.8e308 is -inf; exp gives 0
+        e2, e4 = _exp(-2.0 * lam * t), _exp(-4.0 * lam * t)
+    # where e2 is 0 the oscillating terms vanish; a zero phase keeps 2*W*t from overflowing
+    t = np.where(e2 == 0.0, 0.0, t)
     c2, s2 = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
-    e2, e4 = _exp(-2.0 * lam * t), _exp(-4.0 * lam * t)
     inner = ((a - 2.0 * C) * (omega * omega - mu * mu * c2) / W2
              + b * mu * s2 / W
              + 2.0 * r * mu * omega * (1.0 - c2) / (W2 * math.sqrt(1.0 - r * r)))

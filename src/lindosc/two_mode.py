@@ -14,18 +14,19 @@ the environment coefficients.  The exact solution is
 
     S(t) = M(t) (S(0) - S_inf) M(t)^T + S_inf,   M(t) = exp(t*Y),
 
-where S_inf solves the Lyapunov equation Y S + S Y^T = -2 D.  M(t) and
-the relaxation step are single_mode's.  For mirror-symmetric environments
-every entry of S_inf also has a closed form, which doubles as an
-independent cross-check of the Lyapunov route.
+where S_inf solves the Lyapunov equation Y S + S Y^T = -2 D.  M(t), the
+relaxation step and the stationary solve are single_mode's: the two modes
+share one 2x2 drift block, so S_inf is :func:`steady_entries`, three
+one-mode closed forms and the antisymmetric part of the cross block, for
+any environment.  :mod:`lindosc.lyapunov` solves the same equation by
+Kronecker vectorization as an independent reference route.
 
 The kernels take arrays first: :func:`propagator` and
 :func:`propagate_covariance` accept an array of times and return one 4x4
-matrix per time, stacked as (..., 4, 4), and
-:func:`steady_covariance_symmetric` broadcasts over arrays of diffusion
-coefficients.  A scalar argument is a batch of one and gives a plain 4x4
-matrix.  Nothing is cached: each call solves for S_inf once, whatever the
-number of times it covers.
+matrix per time, stacked as (..., 4, 4), and :func:`steady_entries`
+broadcasts over arrays of diffusion coefficients.  A scalar argument is a
+batch of one and gives a plain 4x4 matrix.  Nothing is cached: each call
+solves for S_inf once, whatever the number of times it covers.
 
 :func:`is_physical` tests a covariance with core's invariants, not with
 eigenvalues.
@@ -41,7 +42,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import lyapunov, single_mode
+from . import single_mode
 from .core import (
     NODE_BLOCK,
     SCALE_RTOL,
@@ -58,8 +59,7 @@ __all__ = [
     "diffusion_matrix",
     "propagator",
     "steady_covariance_closed_form",
-    "steady_entries_symmetric",
-    "steady_covariance_symmetric",
+    "steady_entries",
     "propagate_covariance",
     "det_cross_block",
     "cross_block_route",
@@ -109,15 +109,11 @@ def _block_diagonal(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drift(params: OscillatorParams) -> np.ndarray:
-    return _block_diagonal(single_mode.drift_matrix(replace(params, mu=0.0)))
-
-
 def drift_matrix(params: OscillatorParams) -> np.ndarray:
     """Block-diagonal 4x4 drift; eigenvalues -lam +/- i*omega, twice."""
     _warn_mu_ignored(params)
     require_hbar_one(params)
-    return _drift(params)
+    return _block_diagonal(single_mode.drift_matrix(replace(params, mu=0.0)))
 
 
 def propagator(params: OscillatorParams, t) -> np.ndarray:
@@ -135,7 +131,7 @@ def propagator(params: OscillatorParams, t) -> np.ndarray:
 def _require_symmetric_env(env: TwoModeEnvironment):
     if not env.symmetric:
         raise InvalidEnvironmentError(
-            "closed-form asymptotics need a mirror-symmetric environment "
+            "the closed-form det C needs a mirror-symmetric environment "
             "(Dxx = Dyy, Dxpx = Dypy, Dpxpx = Dpypy, Dxpy = Dypx)"
         )
 
@@ -149,63 +145,40 @@ def require_matching_lam(env: TwoModeEnvironment, params: OscillatorParams):
 
 def steady_covariance_closed_form(env: TwoModeEnvironment,
                                   params: OscillatorParams) -> np.ndarray:
-    """Asymptotic covariance of a mirror-symmetric environment, entry by entry.
-
-    Checks the environment and evaluates :func:`steady_covariance_symmetric`
-    on its coefficients.
-    """
+    """Asymptotic covariance of any environment: :func:`steady_entries` of its
+    coefficients, stacked into a 4x4 matrix."""
     require_hbar_one(params)
-    _require_symmetric_env(env)
     require_matching_lam(env, params)
-    return steady_covariance_symmetric(env.Dxx, env.Dxpx, env.Dpxpx,
-                                       env.Dxy, env.Dxpy, env.Dpxpy, params)
+    e = env
+    (a00, a01, a10, a11), (b00, b01, b10, b11), (c00, c01, c10, c11) = steady_entries(
+        e.Dxx, e.Dxpx, e.Dpxpx, e.Dyy, e.Dypy, e.Dpypy, e.Dxy, e.Dxpy, e.Dypx, e.Dpxpy, params)
+    return stack_matrices([[a00, a01, c00, c01], [a10, a11, c10, c11],
+                           [c00, c10, b00, b01], [c01, c11, b10, b11]])
 
 
 @np.errstate(over="ignore")  # beyond float64 an entry is inf, and S is not finite
-def steady_entries_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, params: OscillatorParams):
-    """Closed-form asymptotic covariances of mirror-symmetric environments,
-    as their six distinct entries (s_xx, s_xpx, s_pxpx, s_xy, s_xpy, s_pxpy).
+def steady_entries(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
+                   params: OscillatorParams):
+    """Closed-form asymptotic covariance of any environment, as the entries of
+    its blocks A, B and C in the form :func:`lindosc.core.entry_invariants`
+    takes.  The ten diffusion coefficients may be arrays that broadcast
+    together; the caller vouches for hbar = 1 and for their lam being
+    ``params.lam``.
 
-    The six free coefficients may be floats or arrays that broadcast
-    together.  The caller vouches for hbar = 1 and for the environments'
-    lam being ``params.lam``.
-
-    Both one-mode blocks are equal and the cross block is symmetric; the
-    six independent entries are rational in the diffusion coefficients:
-
-        s_xy   = (m^2 (2 lam^2 + w^2) Dxy + 2 m lam Dxpy + Dpxpy) / (2 m^2 lam q)
-        s_xpy  = (-m^2 w^2 Dxy + 2 m lam Dxpy + Dpxpy) / (2 m q)
-        s_pxpy = (m^2 w^4 Dxy - 2 m w^2 lam Dxpy + (2 lam^2 + w^2) Dpxpy) / (2 lam q)
-
-    with q = lam^2 + w^2, and the same three forms with (Dxx, Dxpx, Dpxpx)
-    for the one-mode entries.
+    Both modes share the drift block Y1 (single_mode's at mu = 0), so
+    Y S + S Y^T = -2 D splits into Y1 X + X Y1^T = -2 D_X for X = A, B and C.
+    A, B and the symmetric part of C are :func:`single_mode.stationary_covariance`
+    of their blocks of D.  The antisymmetric part (Dxpy - Dypx)/2 J of D_C
+    gives (Dxpy - Dypx)/(2 lam) J, as Y1 J + J Y1^T = tr(Y1) J = -2 lam J.
+    Halving before the sums keeps them from overflowing.
     """
-    m, w, lam = params.m, params.omega, params.lam
-    q = lam * lam + w * w
-
-    def triple(d_qq, d_qp, d_pp):
-        s_qq = (m * m * (2.0 * lam * lam + w * w) * d_qq + 2.0 * m * lam * d_qp + d_pp) \
-            / (2.0 * m * m * lam * q)
-        s_qp = (-m * m * w * w * d_qq + 2.0 * m * lam * d_qp + d_pp) / (2.0 * m * q)
-        s_pp = (m * m * w**4 * d_qq - 2.0 * m * w * w * lam * d_qp
-                + (2.0 * lam * lam + w * w) * d_pp) / (2.0 * lam * q)
-        return s_qq, s_qp, s_pp
-
-    return triple(Dxx, Dxpx, Dpxpx) + triple(Dxy, Dxpy, Dpxpy)
-
-
-def steady_covariance_symmetric(Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy,
-                                params: OscillatorParams) -> np.ndarray:
-    """:func:`steady_entries_symmetric` stacked into 4x4 matrices, of shape
-    the coefficients' broadcast shape + (4, 4)."""
-    sxx, sxpx, spxpx, sxy, sxpy, spxpy = steady_entries_symmetric(
-        Dxx, Dxpx, Dpxpx, Dxy, Dxpy, Dpxpy, params)
-    return stack_matrices([
-        [sxx, sxpx, sxy, sxpy],
-        [sxpx, spxpx, sxpy, spxpy],
-        [sxy, sxpy, sxx, sxpx],
-        [sxpy, spxpy, sxpx, spxpx],
-    ])
+    params = replace(params, mu=0.0)
+    a_xx, a_xp, a_pp = single_mode.stationary_covariance(params, Dxx, Dxpx, Dpxpx)
+    b_xx, b_xp, b_pp = single_mode.stationary_covariance(params, Dyy, Dypy, Dpypy)
+    sym, anti = 0.5 * Dxpy + 0.5 * Dypx, (0.5 * Dxpy - 0.5 * Dypx) / params.lam
+    c_xx, c_xp, c_pp = single_mode.stationary_covariance(params, Dxy, sym, Dpxpy)
+    return ((a_xx, a_xp, a_xp, a_pp), (b_xx, b_xp, b_xp, b_pp),
+            (c_xx, c_xp + anti, c_xp - anti, c_pp))
 
 
 def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
@@ -218,9 +191,7 @@ def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
     small however many times the call covers.
     """
     sigma0 = require_covariance4(sigma0)
-    require_matching_lam(env, params)
-    require_hbar_one(params)
-    s_inf = lyapunov.steady_covariance(_drift(params), diffusion_matrix(env))
+    s_inf = steady_covariance_closed_form(env, params)
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape + (4, 4))
     times, stack = t.reshape(-1), out.reshape(-1, 4, 4)

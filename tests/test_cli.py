@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from lindosc import OscillatorParams, ThermalParams, TwoModeEnvironment, cli
-from lindosc.lyapunov import steady_covariance
 from lindosc.separability import closed_form_route, simon_score, simon_score_closed_form
 from lindosc.single_mode import decoherence_degree
-from lindosc.two_mode import diffusion_matrix, drift_matrix
+from lindosc.two_mode import steady_covariance_closed_form
 
 FIG1 = {
     "oscillator": {"lambda": 0.2, "mu": 0.1, "m": 1.0, "omega": 1.0, "hbar": 1.0},
@@ -178,6 +177,22 @@ class TestDecoGridCommand:
         rows = parse_csv(out)
         assert rows[0]["t"] == "inf"
         assert float(rows[0]["delta_qd"]) == pytest.approx(0.1, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_damped_out_node_near_the_float_maximum(self, capsys):
+        # exp(-2 lam t) is 0 at both: the t = 1e308 node prints what the
+        # t = 1e300 node prints, the asymptotic sigma and degree
+        rows = []
+        for t_max in ("1e300", "1e308"):
+            code, out, err = run(capsys, ["deco-grid", "--config",
+                                          str(ROOT / "configs" / "single_mode.json"),
+                                          "--t-max", t_max, "--t-steps", "2",
+                                          "--c-min", "2", "--c-max", "2", "--c-steps", "1"])
+            assert code == 0 and err == ""
+            rows.append(out.splitlines()[-1].split(",", 1))
+        assert rows[0][1] == rows[1][1] == \
+            "2.00000000000000e+00,1.00000000000000e+00,5.00000000000000e-01"
+        assert rows[1][0] == "1.00000000000000e+308"
 
     def test_invalid_node_aborts_without_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG1)
@@ -497,7 +512,7 @@ class TestAsymptoticCommand:
         assert values["separable"] == "separable-boundary"
         p = OscillatorParams(lam=0.2)
         two_mode_env = TwoModeEnvironment.symmetric_env(lam=0.2, **env)
-        sigma = steady_covariance(drift_matrix(p), diffusion_matrix(two_mode_env))
+        sigma = steady_covariance_closed_form(two_mode_env, p)
         assert values["simon_score"] == "%.14e" % simon_score(sigma)
         assert values["simon_score_closed_form"] == \
             "%.14e" % simon_score_closed_form(two_mode_env, p)
@@ -620,11 +635,11 @@ class TestPropagateCommand:
 
 
     def test_one_lyapunov_solve_per_call(self, tmp_path, capsys, monkeypatch):
-        from lindosc import lyapunov
+        from lindosc import two_mode
 
         solves = []
-        solve = lyapunov.steady_covariance
-        monkeypatch.setattr(lyapunov, "steady_covariance",
+        solve = two_mode.steady_entries
+        monkeypatch.setattr(two_mode, "steady_entries",
                             lambda *args: solves.append(args) or solve(*args))
         code, out, _ = run(capsys, ["propagate", "--config", self._window_config(tmp_path),
                                     "--steps", "2500"])
@@ -868,6 +883,34 @@ def _surface(parser):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: {(tuple(a.option_strings), a.dest, a.type, a.default) for a in p._actions}
             for name, p in sub.choices.items()}
+
+
+class TestReferenceRoute:
+    """The Kronecker solve of :mod:`lindosc.lyapunov` is a test reference only."""
+
+    @pytest.mark.filterwarnings("ignore:thermal_fluctuation_time")
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", "single_mode.json"],
+        ["deco-grid", "--config", "single_mode.json", "--skip-invalid"],
+        ["deco-grid", "--config", "single_mode.json", "--skip-invalid", "--asymptotic"],
+        ["density", "--config", "single_mode.json"],
+        ["density", "--config", "single_mode.json", "--stationary"],
+        ["timescales", "--config", "single_mode.json"],
+        ["asymptotic", "--config", "two_mode_window.json"],
+        ["asymptotic", "--config", "two_mode_window_edge.json"],
+        ["propagate", "--config", "two_mode_window.json"],
+        ["scan", "--config", "two_mode_window.json"],
+    ])
+    def test_no_command_reaches_it(self, capsys, monkeypatch, argv):
+        from lindosc import lyapunov
+
+        def unreachable(*args):
+            raise AssertionError("lyapunov.steady_covariance called")
+
+        monkeypatch.setattr(lyapunov, "steady_covariance", unreachable)
+        argv = [str(ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out
 
 
 class TestCliSurface:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lindosc import (
     gibbs_coefficients,
 )
 from lindosc.core import GaussianState1D
+from lindosc.lyapunov import steady_covariance
 from lindosc.single_mode import (
     asymptotic_state,
     decoherence_coefficients,
@@ -33,6 +35,7 @@ from lindosc.single_mode import (
     relaxation_time,
     short_time_coherence_coefficient,
     short_time_uncertainty_determinant,
+    stationary_covariance,
     stationary_density_matrix_element,
     thermal_fluctuation_time,
     uncertainty_determinant,
@@ -318,6 +321,17 @@ class TestUncertaintyDeterminants:
         with pytest.raises(ParameterError, match=f"t must be >= 0, got {bad!r}"):
             uncertainty_determinants(3.0, 0.4, self.PARAMS, 2.0, t)
 
+    @pytest.mark.parametrize("lam", [0.2, 1.5])
+    def test_damped_out_nodes_near_the_float_maximum(self, lam):
+        # exp(-2 lam t) is 0 there: the node takes the t = inf value, and
+        # neither 2 W t nor -4 lam t may overflow into a warning or a nan
+        params = OscillatorParams(lam=lam, mu=0.12, m=0.7, omega=1.9, hbar=0.9)
+        t = np.array([1e300, 1e308, np.finfo(float).max, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = uncertainty_determinants(3.0, 0.4, params, 2.0, t)
+        assert sigma.tolist() == [0.25 * 0.9**2 * 4.0] * 4
+
     def test_domain_checked_once_even_without_nodes(self):
         with pytest.raises(ParameterError, match="lam > mu"):
             uncertainty_determinants(4.0, 0.0, OscillatorParams(lam=0.2, mu=0.25),
@@ -582,6 +596,53 @@ class TestRelaxationTime:
         assert abs(s.sxp) < 1e-8
         assert abs(s.mean_x) < 1e-8
         assert abs(s.mean_p) < 1e-8
+
+
+def _random_drift(rng):
+    """Oscillator with lam, m and omega over 2-3 decades and 0 < |mu| < 0.9 lam."""
+    lam = 10.0 ** rng.uniform(-2.0, 1.0)
+    mu = lam * rng.uniform(0.01, 0.9) * rng.choice([-1.0, 1.0])
+    return OscillatorParams(lam=lam, mu=mu, m=10.0 ** rng.uniform(-1.5, 1.5),
+                            omega=10.0 ** rng.uniform(-1.5, 1.5))
+
+
+class TestStationaryCovariance:
+    def test_matches_kronecker_route_at_nonzero_mu(self):
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            params = _random_drift(rng)
+            Dxx, Dxp, Dpp = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+            s_xx, s_xp, s_pp = stationary_covariance(params, Dxx, Dxp, Dpp)
+            ref = steady_covariance(drift_matrix(params), np.array([[Dxx, Dxp], [Dxp, Dpp]]))
+            got = np.array([[s_xx, s_xp], [s_xp, s_pp]])
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_gibbs_diffusion_gives_the_thermal_state(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            _, _, params, thermal = oracles.random_gibbs_draw(rng)
+            env = gibbs_coefficients(params, thermal)
+            s_xx, s_xp, s_pp = stationary_covariance(params, env.Dxx, env.Dxp, env.Dpp)
+            want = asymptotic_state(params, thermal)
+            assert s_xx == pytest.approx(want.sxx, rel=1e-12)
+            assert s_pp == pytest.approx(want.spp, rel=1e-12)
+            assert abs(s_xp) <= 1e-12 * max(want.sxx, want.spp)
+
+    def test_broadcasts_like_per_node_calls(self):
+        params = OscillatorParams(lam=0.3, mu=-0.1, m=0.8, omega=1.7)
+        Dxx = np.linspace(0.1, 2.0, 7)[:, None]
+        Dxp, Dpp = np.linspace(-0.5, 0.5, 5), 0.4
+        batch = stationary_covariance(params, Dxx, Dxp, Dpp)
+        for i in range(7):
+            for j in range(5):
+                node = stationary_covariance(params, float(Dxx[i, 0]), float(Dxp[j]), Dpp)
+                assert [float(b[i, j]) for b in batch] == list(node)
+
+    def test_rejects_a_drift_that_is_not_hurwitz(self):
+        # det Y = lam^2 - mu^2 + omega^2 <= 0: no stationary state
+        for mu in (math.sqrt(0.2**2 + 1.0) * 1.5, -3.0):
+            with pytest.raises(ParameterError, match="not Hurwitz"):
+                stationary_covariance(OscillatorParams(lam=0.2, mu=mu), 1.0, 0.0, 1.0)
 
 
 class TestAsymptoticState:

@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from lindosc import (
-    InvalidEnvironmentError,
     OscillatorParams,
     ParameterError,
     ShapeError,
@@ -16,7 +15,7 @@ from lindosc import (
     TwoModeEnvironment,
     correlated_coherent_state,
 )
-from lindosc import lyapunov
+from lindosc import lyapunov, two_mode
 from lindosc.core import NODE_BLOCK
 from lindosc.lyapunov import steady_covariance
 from lindosc.single_mode import moment_propagator
@@ -184,12 +183,14 @@ class TestClosedFormAsymptotics:
             solved = steady_covariance(drift_matrix(p), diffusion_matrix(env))
             np.testing.assert_allclose(closed, solved, atol=1e-12)
 
-    def test_requires_symmetric_flag(self):
-        env = TwoModeEnvironment(Dxx=0.3, Dxpx=0.0, Dpxpx=0.3, Dyy=0.4, Dypy=0.0,
-                                 Dpypy=0.4, Dxy=0.0, Dxpy=0.0, Dypx=0.0, Dpxpy=0.0,
+    def test_non_mirror_environment_matches_lyapunov_route(self):
+        env = TwoModeEnvironment(Dxx=0.3, Dxpx=0.1, Dpxpx=0.3, Dyy=0.4, Dypy=-0.2,
+                                 Dpypy=0.5, Dxy=0.1, Dxpy=0.2, Dypx=-0.3, Dpxpy=0.05,
                                  lam=0.2)
-        with pytest.raises(InvalidEnvironmentError):
-            steady_covariance_closed_form(env, PARAMS)
+        closed = steady_covariance_closed_form(env, PARAMS)
+        solved = steady_covariance(drift_matrix(PARAMS), diffusion_matrix(env))
+        assert np.abs(closed - solved).max() <= 1e-13 * np.abs(solved).max()
+        assert closed[0, 3] != closed[1, 2]  # sigma_xpy != sigma_ypx
 
     def test_requires_matching_lam(self):
         with pytest.raises(ParameterError):
@@ -280,8 +281,8 @@ class TestPropagateCovariance:
 
     def test_one_lyapunov_solve_across_node_blocks(self, monkeypatch):
         solves = []
-        solve = lyapunov.steady_covariance
-        monkeypatch.setattr(lyapunov, "steady_covariance",
+        solve = two_mode.steady_entries
+        monkeypatch.setattr(two_mode, "steady_entries",
                             lambda *args: solves.append(args) or solve(*args))
         sigma0 = _product_initial(2.0, 0.3, PARAMS)
         times = np.linspace(0.0, 40.0, 2 * NODE_BLOCK + 5)
@@ -306,6 +307,8 @@ class TestPropagateCovariance:
             np.testing.assert_array_equal(a, b)
 
 
+COEFFICIENTS = ("Dxx", "Dxpx", "Dpxpx", "Dyy", "Dypy", "Dpypy", "Dxy", "Dxpy", "Dypx", "Dpxpy")
+
 #: Exchanges the two oscillators: (x, p_x, y, p_y) -> (y, p_y, x, p_x).
 SWAP = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                  [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
@@ -323,6 +326,22 @@ class TestAsymmetricEnvironments:
             S = steady_covariance(Y, D)
             ref = scipy.linalg.solve_continuous_lyapunov(Y, -2.0 * D)
             assert np.abs(S - ref).max() <= 1e-13 * np.abs(S).max()
+
+    def test_closed_form_matches_kronecker_route_across_scales(self):
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            env = oracles.random_two_mode_env(rng)
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            env = replace(env, lam=env.lam * 10.0 ** rng.uniform(-1.0, 1.0),
+                          **{name: scale * getattr(env, name) for name in COEFFICIENTS})
+            p = OscillatorParams(lam=env.lam, m=10.0 ** rng.uniform(-1.5, 1.5),
+                                 omega=10.0 ** rng.uniform(-1.5, 1.5))
+            S = steady_covariance_closed_form(env, p)
+            ref = steady_covariance(drift_matrix(p), diffusion_matrix(env))
+            assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+            # exchanging the modes gives B, A and C^T bit for bit
+            swapped = steady_covariance_closed_form(env.swapped(), p)
+            np.testing.assert_array_equal(swapped, SWAP @ S @ SWAP.T)
 
     def test_mode_swap_law(self):
         rng = np.random.default_rng(32)
