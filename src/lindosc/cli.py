@@ -28,6 +28,7 @@ from .core import (
     RENDER_TIE_MARGIN,
     ThermalParams,
     correlated_coherent_state,
+    covariance_blocks,
     entry_invariants,
     gibbs_coefficients,
     gibbs_diffusion,
@@ -44,11 +45,10 @@ from .separability import (
     simon_verdicts,
 )
 from .two_mode import (
-    _block_diagonal,
     cross_block_route,
     diffusion_matrix,
     drift_matrix,
-    propagate_covariance,
+    propagate_entries,
     steady_covariance_closed_form,
 )
 
@@ -56,12 +56,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 
-#: CSV ordering of the ten independent entries of a 4x4 covariance matrix.
-COV_ENTRIES = (
-    ("sigma_xx", 0, 0), ("sigma_xpx", 0, 1), ("sigma_xy", 0, 2), ("sigma_xpy", 0, 3),
-    ("sigma_pxpx", 1, 1), ("sigma_ypx", 1, 2), ("sigma_pxpy", 1, 3),
-    ("sigma_yy", 2, 2), ("sigma_ypy", 2, 3), ("sigma_pypy", 3, 3),
-)
+#: CSV names of the ten independent entries of a 4x4 covariance matrix.
+COV_ENTRIES = ("sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx", "sigma_ypx",
+               "sigma_pxpy", "sigma_yy", "sigma_ypy", "sigma_pypy")
+
+
+def _cov_entries(a, b, c):
+    """The ``COV_ENTRIES`` from the entries of the blocks A, B and C."""
+    return a[0], a[1], c[0], c[1], a[3], c[2], c[3], b[0], b[1], b[3]
 
 
 class _Rows:
@@ -439,6 +441,8 @@ def cmd_density(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     thermal = cfg.require("thermal", "density")
     grid = _grid(cfg, args, "density")
+    if not math.isfinite(grid["t"]):  # only a flag can hold it; the config rejects it
+        raise ConfigError(f"'density.t' must be a finite number, got {grid['t']!r}")
     if grid["n"] < 2:
         raise ConfigError(f"density grid needs n >= 2, got {grid['n']}")
     x_grid = _linspace(grid["x_min"], grid["x_max"], grid["n"], "x grid")
@@ -522,8 +526,8 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
         )
 
     table = CsvTable(["name", "value"])
-    for name, i, j in COV_ENTRIES:
-        table.add(name, float(s_inf[i, j]))
+    for name, value in zip(COV_ENTRIES, _cov_entries(*covariance_blocks(s_inf))):
+        table.add(name, float(value))
     table.add("det_cross_block", det_c)
     table.add("simon_score", full.score)
     if closed_score is not None:
@@ -543,19 +547,15 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     t_grid = _linspace(0.0, grid["t_max"], grid["steps"], "t grid")
     state1 = correlated_coherent_state(initial.delta, initial.r, params,
                                        x0=initial.x0, p0=initial.p0)
-    sigma0 = _block_diagonal(state1.covariance())
+    one = (state1.sxx, state1.sxp, state1.sxp, state1.spp)
+    blocks = propagate_entries(one, one, (0.0,) * 4, env, params, t_grid)
 
-    table = CsvTable(["t"] + [name for name, _, _ in COV_ENTRIES] + ["simon_score"])
-    cov_i, cov_j = [i for _, i, _ in COV_ENTRIES], [j for _, _, j in COV_ENTRIES]
-    sigma = propagate_covariance(sigma0, env, params, t_grid)
+    table = CsvTable(["t", *COV_ENTRIES, "simon_score"])
     for start in range(0, t_grid.size, NODE_BLOCK):
-        block = slice(start, start + NODE_BLOCK)
-        entries = sigma[block, cov_i, cov_j].T
-        xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = entries
-        score = entry_invariants((xx, xpx, xpx, pxpx), (yy, ypy, ypy, pypy),
-                                 (xy, xpy, ypx, pxpy), which="score")
-        table.add_columns(t_grid[block], *entries, score)
-    del sigma  # the table holds copies of its entries; rendering is the peak of memory
+        k = slice(start, start + NODE_BLOCK)
+        a, b, c = ([x[k] for x in block] for block in blocks)
+        table.add_columns(t_grid[k], *_cov_entries(a, b, c),
+                          entry_invariants(a, b, c, which="score"))
     _emit(table.render(), args.out)
     return EXIT_OK
 

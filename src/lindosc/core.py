@@ -30,10 +30,10 @@ imply the rest.
 
 The invariant kernel is entries-first: it takes the entries of the blocks
 A, B and C as floats or arrays, and gives all six invariants, S alone or
-the first five alone.  The stack forms (:func:`invariants` and
-:func:`bona_fide_checks` here, the Simon score of ``separability`` and
-``two_mode.is_physical``) are thin wrappers: they unpack one 4x4 matrix or
-a (..., 4, 4) stack with :func:`covariance_blocks` and call the kernel.
+the first five alone.  The stack forms (:func:`bona_fide_checks` here, the
+Simon score of ``separability`` and ``two_mode.is_physical``) unpack one
+4x4 matrix or a (..., 4, 4) stack with :func:`covariance_blocks` and call
+the kernel; :func:`stack_blocks`, its inverse, is the one writer of the layout.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ __all__ = [
     "correlated_coherent_state",
     "entry_invariants",
     "entry_invariants_and_sums",
+    "block_entries",
     "covariance_blocks",
-    "invariants",
+    "stack_blocks",
     "bona_fide_checks",
 ]
 
@@ -403,21 +404,14 @@ def _report(values, passed) -> ValidationReport:
         for name, ok, value in zip(INVARIANTS, passed, values)))
 
 
-def stack_matrices(rows) -> np.ndarray:
-    """Matrices of shape (..., n, n) from n rows of n entries that broadcast together."""
-    n = len(rows)
-    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
-
-
 def diffusion_matrix(env: TwoModeEnvironment) -> np.ndarray:
     """Symmetric diffusion matrix in (x, p_x, y, p_y) ordering; its complete
     positivity is reported by :func:`validate_two_mode`, not enforced.  The
     ten coefficients of ``env`` may be arrays that broadcast together,
     giving a (..., 4, 4) stack."""
     e = env
-    return stack_matrices([[e.Dxx, e.Dxpx, e.Dxy, e.Dxpy], [e.Dxpx, e.Dpxpx, e.Dypx, e.Dpxpy],
-                           [e.Dxy, e.Dypx, e.Dyy, e.Dypy], [e.Dxpy, e.Dpxpy, e.Dypy, e.Dpypy]])
+    return stack_blocks((e.Dxx, e.Dxpx, e.Dxpx, e.Dpxpx), (e.Dyy, e.Dypy, e.Dypy, e.Dpypy),
+                        (e.Dxy, e.Dxpy, e.Dypx, e.Dpxpy))
 
 
 #: The invariants of :func:`entry_invariants`, in its order; the first five
@@ -475,21 +469,27 @@ def entry_invariants_and_sums(a, b, c, which: str):
     return entry_invariants(a, b, c, -1.0, which), entry_invariants(*magnitudes, 1.0, which)
 
 
+def block_entries(block: np.ndarray):
+    """The entries (x00, x01, x10, x11) of a 2x2 matrix or a (..., 2, 2)
+    stack, as views: one block in the form :func:`entry_invariants` takes."""
+    return block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
+
+
 def covariance_blocks(sigma: np.ndarray):
     """The entries of A, B and C of a (..., 4, 4) stack, each block a tuple
     (x00, x01, x10, x11) of views, as :func:`entry_invariants` takes them."""
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = \
-        np.moveaxis(sigma, (-2, -1), (0, 1))
-    return (a00, a01, a10, a11), (b00, b01, b10, b11), (c00, c01, c10, c11)
+    return (block_entries(sigma[..., :2, :2]), block_entries(sigma[..., 2:, 2:]),
+            block_entries(sigma[..., :2, 2:]))
 
 
-def invariants(sigma: np.ndarray, sign: float = -1.0) -> np.ndarray:
-    """The six ``INVARIANTS`` of a (..., 4, 4) stack, shape (..., 6).
-
-    A stack wrapper of the entries-first kernel: :func:`entry_invariants`,
-    with the same ``sign``, of the block entries that
-    :func:`covariance_blocks` unpacks."""
-    return np.stack(entry_invariants(*covariance_blocks(sigma), sign), axis=-1)
+def stack_blocks(a, b, c) -> np.ndarray:
+    """The inverse of :func:`covariance_blocks`: sigma in (x, p_x, y, p_y)
+    ordering, [[A, C], [C^T, B]], from blocks given as tuples (x00, x01,
+    x10, x11) of floats or arrays that broadcast, as a (..., 4, 4) stack."""
+    (a00, a01, a10, a11), (b00, b01, b10, b11), (c00, c01, c10, c11) = a, b, c
+    entries = np.broadcast_arrays(a00, a01, c00, c01, a10, a11, c10, c11,
+                                  c00, c10, b00, b01, c01, c11, b10, b11)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (4, 4))
 
 
 def _checks(values, sums) -> tuple[np.ndarray, np.ndarray]:

@@ -54,12 +54,11 @@ from .core import (  # noqa: F401
     not_negative,
     validate_two_mode,
 )
-from .errors import InvalidEnvironmentError, ParameterError, ShapeError
+from .errors import InvalidEnvironmentError, ParameterError
 from .two_mode import (
     require_covariance4,
     require_hbar_one,
     require_matching_lam,
-    scalar_or_array,
     steady_entries,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "SCAN_STATUSES",
     "simon_score",
     "simon_verdicts",
-    "is_separable",
     "simon_score_closed_form",
     "closed_form_route",
     "entanglement_window",
@@ -129,8 +127,8 @@ def simon_score(sigma: np.ndarray):
     state with this covariance.  Takes one 4x4 matrix (returns a float) or
     an (N, 4, 4) stack (returns an (N,) array).
     """
-    blocks = covariance_blocks(require_covariance4(sigma))
-    return scalar_or_array(entry_invariants(*blocks, which="score"))
+    score = entry_invariants(*covariance_blocks(require_covariance4(sigma)), which="score")
+    return float(score) if score.ndim == 0 else score
 
 
 def _verdicts(a, b, c) -> SeparabilityResult:
@@ -155,13 +153,6 @@ def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
         return SeparabilityResult(float(result.score), bool(result.separable),
                                   bool(result.boundary), float(result.bound))
     return result
-
-
-def is_separable(sigma: np.ndarray) -> SeparabilityResult:
-    """:func:`simon_verdicts` of one 4x4 covariance; a stack is rejected."""
-    if np.ndim(sigma) != 2:
-        raise ShapeError(f"expected one 4x4 matrix, got shape {np.shape(sigma)}")
-    return simon_verdicts(sigma)
 
 
 def _require_special_family(env: TwoModeEnvironment, params: OscillatorParams):

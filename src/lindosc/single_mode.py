@@ -12,7 +12,8 @@ The first and second moments obey linear equations with the drift
 so the propagator exp(t*Y) has the closed form
 exp(-lam*t) * (cos(W*t)*I + sin(W*t)/W * B) with B = Y + lam*I and
 W = sqrt(omega**2 - mu**2).  The infinite-time state is the solution of
-the Lyapunov equation Y S + S Y^T = -2 D, :func:`stationary_covariance`.
+the Lyapunov equation Y S + S Y^T = -2 D, :func:`stationary_covariance`;
+:func:`relaxed_entries` relaxes any 2x2 block towards it, in both modes.
 
 The closed forms take arrays first: :func:`moment_propagator` takes an
 array of t, :func:`uncertainty_determinants` and
@@ -40,6 +41,7 @@ from .core import (
     OscillatorParams,
     SingleModeEnv,
     ThermalParams,
+    block_entries,
     require_coherent_state_params,
     validate_single_mode,
 )
@@ -49,7 +51,7 @@ __all__ = [
     "DecoherenceCoefficients",
     "drift_matrix",
     "moment_propagator",
-    "relaxed_covariance",
+    "relaxed_entries",
     "stationary_covariance",
     "propagate_moments",
     "asymptotic_state",
@@ -118,11 +120,16 @@ def moment_propagator(params: OscillatorParams, t) -> np.ndarray:
     return decay * (cos * np.eye(2) + sin * B)
 
 
-def relaxed_covariance(M: np.ndarray, s0: np.ndarray, s_inf: np.ndarray) -> np.ndarray:
-    """Covariance M (s0 - s_inf) M^T + s_inf, symmetrized, at the propagator
-    M = exp(t*Y), or at each of a stack (..., n, n) of them."""
-    s = M @ (s0 - s_inf) @ np.swapaxes(M, -1, -2) + s_inf
-    return 0.5 * (s + np.swapaxes(s, -1, -2))
+def relaxed_entries(M, s0, s_inf):
+    """M (s0 - s_inf) M^T + s_inf at the propagator M = exp(t*Y), each 2x2
+    matrix a tuple (x00, x01, x10, x11) of floats or arrays that broadcast."""
+    m00, m01, m10, m11 = M
+    d00, d01, d10, d11 = (x - y for x, y in zip(s0, s_inf))
+    # U = M (s0 - s_inf), then U M^T
+    u00, u01 = m00 * d00 + m01 * d10, m00 * d01 + m01 * d11
+    u10, u11 = m10 * d00 + m11 * d10, m10 * d01 + m11 * d11
+    return (u00 * m00 + u01 * m01 + s_inf[0], u00 * m10 + u01 * m11 + s_inf[1],
+            u10 * m00 + u11 * m01 + s_inf[2], u10 * m10 + u11 * m11 + s_inf[3])
 
 
 @np.errstate(over="ignore")  # beyond float64 an entry is inf
@@ -198,9 +205,10 @@ def propagate_moments(state0: GaussianState1D, env: SingleModeEnv,
         return state0  # M(0) is exactly the identity
     M = moment_propagator(params, t)
     s_xx, s_xp, s_pp = stationary_covariance(params, env.Dxx, env.Dxp, env.Dpp)
-    s = relaxed_covariance(M, state0.covariance(), np.array([[s_xx, s_xp], [s_xp, s_pp]]))
+    s0 = (state0.sxx, state0.sxp, state0.sxp, state0.spp)
+    sxx, sxp, _, spp = relaxed_entries(block_entries(M), s0, (s_xx, s_xp, s_xp, s_pp))
     mean = M @ np.array([state0.mean_x, state0.mean_p])
-    return GaussianState1D(sxx=float(s[0, 0]), sxp=float(s[0, 1]), spp=float(s[1, 1]),
+    return GaussianState1D(sxx=float(sxx), sxp=float(sxp), spp=float(spp),
                            mean_x=float(mean[0]), mean_p=float(mean[1]),
                            hbar=state0.hbar)
 

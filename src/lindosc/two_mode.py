@@ -21,12 +21,12 @@ one-mode closed forms and the antisymmetric part of the cross block, for
 any environment.  :mod:`lindosc.lyapunov` solves the same equation by
 Kronecker vectorization as an independent reference route.
 
-The kernels take arrays first: :func:`propagator` and
-:func:`propagate_covariance` accept an array of times and return one 4x4
-matrix per time, stacked as (..., 4, 4), and :func:`steady_entries`
-broadcasts over arrays of diffusion coefficients.  A scalar argument is a
-batch of one and gives a plain 4x4 matrix.  Nothing is cached: each call
-solves for S_inf once, whatever the number of times it covers.
+The kernels take arrays first, and give the entries of the blocks A, B
+and C: :func:`steady_entries` over arrays of diffusion coefficients and
+:func:`propagate_entries` over an array of times, relaxing each block on
+its own.  :func:`propagator` and :func:`propagate_covariance` stack one
+4x4 matrix per time as (..., 4, 4).  Nothing is cached: each call solves
+for S_inf once, whatever the number of times it covers.
 
 :func:`is_physical` tests a covariance with core's invariants, not with
 eigenvalues.
@@ -44,13 +44,14 @@ import numpy as np
 
 from . import single_mode
 from .core import (
-    NODE_BLOCK,
     SCALE_RTOL,
     OscillatorParams,
     TwoModeEnvironment,
+    block_entries,
     bona_fide_checks,
+    covariance_blocks,
     diffusion_matrix,
-    stack_matrices,
+    stack_blocks,
 )
 from .errors import InvalidEnvironmentError, ParameterError, ShapeError
 
@@ -60,6 +61,7 @@ __all__ = [
     "propagator",
     "steady_covariance_closed_form",
     "steady_entries",
+    "propagate_entries",
     "propagate_covariance",
     "det_cross_block",
     "cross_block_route",
@@ -103,10 +105,8 @@ def _warn_mu_ignored(params: OscillatorParams):
 
 def _block_diagonal(block: np.ndarray) -> np.ndarray:
     """(..., 4, 4) matrices with the (..., 2, 2) ``block`` twice on the diagonal."""
-    out = np.zeros(block.shape[:-2] + (4, 4))
-    out[..., :2, :2] = block
-    out[..., 2:, 2:] = block
-    return out
+    m = block_entries(block)
+    return stack_blocks(m, m, (0.0,) * 4)
 
 
 def drift_matrix(params: OscillatorParams) -> np.ndarray:
@@ -143,17 +143,20 @@ def require_matching_lam(env: TwoModeEnvironment, params: OscillatorParams):
         )
 
 
+def _env_steady_entries(env: TwoModeEnvironment, params: OscillatorParams):
+    """:func:`steady_entries` of ``env``, for hbar = 1 and a matching lam."""
+    require_hbar_one(params)
+    require_matching_lam(env, params)
+    e = env
+    return steady_entries(e.Dxx, e.Dxpx, e.Dpxpx, e.Dyy, e.Dypy, e.Dpypy, e.Dxy, e.Dxpy,
+                          e.Dypx, e.Dpxpy, params)
+
+
 def steady_covariance_closed_form(env: TwoModeEnvironment,
                                   params: OscillatorParams) -> np.ndarray:
     """Asymptotic covariance of any environment: :func:`steady_entries` of its
     coefficients, stacked into a 4x4 matrix."""
-    require_hbar_one(params)
-    require_matching_lam(env, params)
-    e = env
-    (a00, a01, a10, a11), (b00, b01, b10, b11), (c00, c01, c10, c11) = steady_entries(
-        e.Dxx, e.Dxpx, e.Dpxpx, e.Dyy, e.Dypy, e.Dpypy, e.Dxy, e.Dxpy, e.Dypx, e.Dpxpy, params)
-    return stack_matrices([[a00, a01, c00, c01], [a10, a11, c10, c11],
-                           [c00, c10, b00, b01], [c01, c11, b10, b11]])
+    return stack_blocks(*_env_steady_entries(env, params))
 
 
 @np.errstate(over="ignore")  # beyond float64 an entry is inf, and S is not finite
@@ -181,25 +184,27 @@ def steady_entries(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
             (c_xx, c_xp + anti, c_xp - anti, c_pp))
 
 
+def propagate_entries(a0, b0, c0, env: TwoModeEnvironment, params: OscillatorParams, t):
+    """Exact covariance at times t >= 0 from an initial one, both as the
+    entries of the blocks A, B and C (``core.entry_invariants``' form), which
+    broadcast with ``t``.  M(t) is block-diagonal, so each block relaxes on
+    its own.  A and B have one off-diagonal value, so their stacks are
+    exactly symmetric."""
+    _warn_mu_ignored(params)
+    a_inf, b_inf, c_inf = _env_steady_entries(env, params)
+    m = block_entries(single_mode.moment_propagator(replace(params, mu=0.0), t))
+    (a00, a01, _, a11), (b00, b01, _, b11), c = (
+        single_mode.relaxed_entries(m, x0, x_inf)
+        for x0, x_inf in ((a0, a_inf), (b0, b_inf), (c0, c_inf)))
+    return (a00, a01, a01, a11), (b00, b01, b01, b11), c
+
+
 def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
                          params: OscillatorParams, t) -> np.ndarray:
-    """Exact covariance at time t >= 0 from the initial covariance sigma0.
-
-    ``t`` may be an array of times; the result has shape t.shape + (4, 4).
-    The stationary covariance is solved once per call, and the propagators
-    are built in one broadcast per NODE_BLOCK times, so the temporaries stay
-    small however many times the call covers.
-    """
-    sigma0 = require_covariance4(sigma0)
-    s_inf = steady_covariance_closed_form(env, params)
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape + (4, 4))
-    times, stack = t.reshape(-1), out.reshape(-1, 4, 4)
-    for start in range(0, times.size, NODE_BLOCK):
-        block = slice(start, start + NODE_BLOCK)
-        stack[block] = single_mode.relaxed_covariance(propagator(params, times[block]),
-                                                      sigma0, s_inf)
-    return out
+    """Exact covariance at times t >= 0 from the initial covariance sigma0:
+    :func:`propagate_entries` of its blocks, stacked as t.shape + (4, 4)."""
+    blocks = covariance_blocks(require_covariance4(sigma0))
+    return stack_blocks(*propagate_entries(*blocks, env, params, t))
 
 
 def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
@@ -237,8 +242,3 @@ def is_physical(sigma: np.ndarray):
     values, passed = bona_fide_checks(require_covariance4(sigma))
     passed = (passed & np.isfinite(values)).all(axis=-1)
     return bool(passed) if passed.ndim == 0 else passed
-
-
-def scalar_or_array(values: np.ndarray):
-    """A float for a 0-d result (one matrix in), else the array (a stack in)."""
-    return float(values) if values.ndim == 0 else values

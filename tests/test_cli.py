@@ -409,6 +409,16 @@ class TestDensityCommand:
         code, _, _ = run(capsys, ["density", "--config", cfg, "--n", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_t_is_a_config_error_from_flag_and_file(self, tmp_path, capsys, value):
+        # as the file's value, so the flag's: exit 1 naming density.t, not
+        # the physics exit 2 that a finite negative t takes
+        want = f"config error: 'density.t' must be a finite number, got {float(value)!r}\n"
+        cfg = write_config(tmp_path, FIG1)
+        assert run(capsys, ["density", "--config", cfg, f"--t={value}"]) == (1, "", want)
+        cfg = write_config(tmp_path, dict(FIG1, density={"t": float(value)}))
+        assert run(capsys, ["density", "--config", cfg]) == (1, "", want)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [[], ["--stationary"]])
     def test_overflowing_exponent_is_warning_free(self, capsys, flags):

@@ -27,13 +27,14 @@ from lindosc.core import (
     SCORE_RTOL,
     GaussianState1D,
     bona_fide_checks,
+    covariance_blocks,
     diffusion_matrix,
     entry_invariants,
     entry_invariants_and_sums,
     gibbs_diffusion,
-    invariants,
     not_negative,
     one_mode_checks,
+    stack_blocks,
 )
 from lindosc.separability import simon_verdicts
 
@@ -391,6 +392,11 @@ def _random_env(rng):
     )
 
 
+def invariants(sigma, sign=-1.0):
+    """The six INVARIANTS of a (..., 4, 4) stack on a last axis."""
+    return np.stack(entry_invariants(*covariance_blocks(sigma), sign), axis=-1)
+
+
 def _env_sigma(envs):
     """Stack of D/lam of the environments (hbar = 1)."""
     return np.stack([diffusion_matrix(env) / env.lam for env in envs])
@@ -527,6 +533,19 @@ def _kernel_stacks(rng):
 class TestEntryKernel:
     """The stack forms are wrappers of the entries kernel, bit for bit."""
 
+    def test_stack_blocks_inverts_covariance_blocks(self):
+        rng = np.random.default_rng(18)
+        for sigma in _kernel_stacks(rng):
+            blocks = _block_entries(sigma)
+            assert np.array_equal(stack_blocks(*blocks), sigma)
+            for got, want in zip(covariance_blocks(stack_blocks(*blocks)), blocks):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        # floats broadcast with arrays; one matrix for floats alone
+        block = (1.0, 2.0, 3.0, 4.0)
+        assert stack_blocks(block, block, (np.arange(3.0), 0.0, 0.0, 0.0)).shape == (3, 4, 4)
+        np.testing.assert_array_equal(stack_blocks(block, block, (0.0,) * 4),
+                                      np.kron(np.eye(2), [[1.0, 2.0], [3.0, 4.0]]))
+
     def test_stack_wrappers_equal_the_entries_kernel(self):
         rng = np.random.default_rng(16)
         for sigma in _kernel_stacks(rng):
@@ -559,8 +578,8 @@ class TestEntryKernel:
         assert not finite  # the last stack, with its 1e100 entries, overflows
 
     def test_invariants_read_every_block_entry(self):
-        # invariants takes a stack that is not symmetric as it is: each of
-        # the twelve entries it reads lands where the kernel expects it
+        # covariance_blocks takes a stack that is not symmetric as it is: each
+        # of the twelve entries it reads lands where the kernel expects it
         rng = np.random.default_rng(17)
         sigma = rng.standard_normal((200, 4, 4))
         blocks = _block_entries(sigma)

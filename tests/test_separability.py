@@ -20,7 +20,6 @@ from lindosc.separability import (
     SCAN_STATUSES,
     closed_form_route,
     entanglement_window,
-    is_separable,
     scan_separability,
     simon_score,
     simon_score_closed_form,
@@ -138,31 +137,27 @@ class TestIsSeparable:
             b = rng.uniform(0.5, 2.0)
             sigma = np.diag([a, max(0.26 / a, rng.uniform(0.3, 2.0)),
                              b, max(0.26 / b, rng.uniform(0.3, 2.0))])
-            result = is_separable(sigma)
+            result = simon_verdicts(sigma)
             assert result.separable
 
     def test_window_environment_entangled(self):
         sigma = steady_covariance_closed_form(WINDOW_ENV, PARAMS)
-        result = is_separable(sigma)
+        result = simon_verdicts(sigma)
         assert not result.separable
         assert result.verdict == "entangled"
         assert result.score == pytest.approx(-0.1825998520710059, abs=1e-10)
 
     def test_boundary_flag(self):
-        result = is_separable(np.diag([0.5, 0.5, 0.5, 0.5]))
+        result = simon_verdicts(np.diag([0.5, 0.5, 0.5, 0.5]))
         assert result.separable and result.boundary
         assert result.verdict == "separable-boundary"
-
-    def test_rejects_a_stack(self):
-        with pytest.raises(ShapeError):
-            is_separable(np.stack([np.eye(4), np.eye(4)]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_score_is_boundary(self, bad):
         sigma = np.diag([0.5, 0.5, 0.5, 0.5])
         sigma[0, 2] = sigma[2, 0] = bad
         with np.errstate(invalid="ignore"):
-            result = is_separable(sigma)
+            result = simon_verdicts(sigma)
         assert not math.isfinite(result.score)
         assert result.boundary
         assert result.verdict == "separable-boundary"
@@ -178,7 +173,6 @@ class TestSimonVerdicts:
         for k, sigma in enumerate(stack):
             one = simon_verdicts(sigma)
             assert one == (batch.score[k], batch.separable[k], batch.boundary[k], batch.bound[k])
-            assert one == is_separable(sigma)
             assert type(one.score) is float and type(one.boundary) is bool
         assert batch.boundary[-1] and not batch.boundary[:-1].any()
         assert {True, False} <= set(batch.separable[:-1])
@@ -550,7 +544,7 @@ def _scan_reference(template, params, dxx_values, dxpy_values):
             env = TwoModeEnvironment.symmetric_env(
                 Dxx=dxx, Dxpx=0.0, Dpxpx=mw2 * dxx, Dxy=template.Dxy, Dxpy=dxpy,
                 Dpxpy=mw2 * template.Dxy, lam=template.lam)
-            result = is_separable(steady_covariance_closed_form(env, params))
+            result = simon_verdicts(steady_covariance_closed_form(env, params))
             windowed = template.Dxy == 0.0
             in_window = None
             if windowed:

@@ -33,6 +33,7 @@ from lindosc.single_mode import (
     moment_propagator,
     propagate_moments,
     relaxation_time,
+    relaxed_entries,
     short_time_coherence_coefficient,
     short_time_uncertainty_determinant,
     stationary_covariance,
@@ -107,6 +108,23 @@ class TestMomentPropagator:
         times = np.array([0.0, 1.0, bad, -2.0, math.inf])
         with pytest.raises(ParameterError, match=f"t must be finite and >= 0, got {bad!r}$"):
             moment_propagator(FIG_PARAMS, times)
+
+
+class TestRelaxedEntries:
+    def test_matches_the_matrix_products(self):
+        # any 2x2 matrices, not only symmetric ones, with array entries that
+        # broadcast against float entries
+        rng = np.random.default_rng(44)
+        M, s0, s_inf = rng.standard_normal((3, 50, 2, 2))
+        want = M @ (s0 - s_inf) @ np.swapaxes(M, 1, 2) + s_inf
+        got = relaxed_entries(*(tuple(x[:, i, j] for i in (0, 1) for j in (0, 1))
+                                for x in (M, s0, s_inf)))
+        np.testing.assert_allclose(np.stack(got, -1).reshape(50, 2, 2), want,
+                                   rtol=0.0, atol=1e-14 * np.abs(want).max())
+        one = relaxed_entries(tuple(M[0].ravel()), (1.0, 0.5, 0.5, 2.0), tuple(s_inf[0].ravel()))
+        np.testing.assert_allclose(np.reshape(one, (2, 2)),
+                                   M[0] @ ([[1.0, 0.5], [0.5, 2.0]] - s_inf[0]) @ M[0].T + s_inf[0],
+                                   rtol=1e-14)
 
 
 class TestPropagateMoments:
