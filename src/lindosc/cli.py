@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,14 @@ def _cov_entries(a, b, c):
     return a[0], a[1], c[0], c[1], a[3], c[2], c[3], b[0], b[1], b[3]
 
 
+class Gather(NamedTuple):
+    """A :class:`CsvTable` column given as its distinct ``values`` and each
+    row's ``index`` into them, as a grid axis or a column of labels is."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+
 class _Rows:
     """Row count and row tuples of a :class:`CsvTable`, built on access."""
 
@@ -73,36 +82,37 @@ class _Rows:
         self._blocks = blocks
 
     def __len__(self):
-        return sum(len(cells[0]) for cells in self._blocks)
+        return sum(size for size, _ in self._blocks)
 
     def __iter__(self):
-        for cells in self._blocks:
-            yield from zip(*(c.tolist() for c in cells))
+        for _, columns in self._blocks:
+            yield from zip(*((np.take(*c) if isinstance(c, Gather) else c).tolist()
+                             for c in columns))
 
 
 class CsvTable:
     """Rectangular table rendered deterministically, as ASCII bytes.
 
-    The table keeps blocks of equally long 1-D column arrays: one block per
+    The table keeps blocks of equally long 1-D columns: one block per
     :meth:`add_columns` call, and a block of one row per :meth:`add`.  Each
     column renders by its dtype: floats as ``%.14e`` (15 significant
     digits), bools as ``true``/``false``, bytes as they are, everything
     else through ``str``.  Text must be ASCII.  :meth:`add` types each value
-    on its own, so a column may mix types.
+    on its own, so a column may mix types.  A :class:`Gather` column, such
+    as a grid axis or a column of labels, holds its distinct values once.
 
-    :meth:`render` first casts every float column of a block to float64, as
-    ``'%.14e'`` converts a value to a Python float, and formats the distinct
-    values of a float column that repeats them, such as a grid coordinate,
-    once per block (:func:`_distinct_cells`).  It then works on slices of the
-    block, of at most ``_SLICE_CELLS`` cells.  Each column's slice becomes a
-    cell matrix: a row of bytes per cell, its text padded with NUL bytes.
-    Repeating columns gather their rows; the other float columns are stacked
-    and formatted in one call of the numpy kernel :func:`_float_cells`; a
-    bytes column is its own cell matrix, and any other column takes the
-    characters of its text (:func:`_text_cells`).  The slice's matrices are
-    then joined with ``,`` and ``\\n`` columns, and the NUL bytes deleted
-    (:func:`_join_rows`).  The slices' bytes are appended to one buffer, the
-    bytes of formatting value by value.
+    :meth:`render` formats the values of each gathered column once per
+    block.  It casts every float column to float64, as ``'%.14e'`` converts
+    a value to a Python float, and then works on slices of the block, of at
+    most ``_SLICE_CELLS`` cells.  Each column's slice becomes a cell matrix:
+    a row of bytes per cell, its text padded with NUL bytes.  Gathered
+    columns take their rows (:func:`_take_rows`); the other float columns
+    are stacked and formatted in one call of the numpy kernel
+    :func:`_float_cells`; a bytes column is its own cell matrix, and any
+    other column takes the characters of its text (:func:`_text_cells`).
+    The slice's matrices are then joined with ``,`` and ``\\n`` columns, and
+    the NUL bytes deleted (:func:`_join_rows`).  The slices' bytes are
+    appended to one buffer, the bytes of formatting value by value.
     """
 
     def __init__(self, columns):
@@ -117,24 +127,33 @@ class CsvTable:
         self.add_columns(*([v] for v in values))
 
     def add_columns(self, *columns):
-        """Append one row per entry of the equally long 1-D ``columns``."""
+        """Append one row per entry of the equally long 1-D ``columns``; a
+        :class:`Gather` column has a row per entry of its ``index``."""
         if len(columns) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} columns, got {len(columns)}")
-        cells = tuple(map(np.asarray, columns))
-        if len({c.shape for c in cells}) > 1 or cells[0].ndim != 1:
-            raise ValueError(f"columns differ in shape: {[c.shape for c in cells]}")
-        self._blocks.append(cells)
+        cells = tuple(Gather(*map(np.asarray, c)) if isinstance(c, Gather) else np.asarray(c)
+                      for c in columns)
+        shapes = [c.index.shape if isinstance(c, Gather) else c.shape for c in cells]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+            raise ValueError(f"columns differ in shape: {shapes}")
+        for c in cells:
+            if isinstance(c, Gather) and not (
+                    c.values.ndim == 1 and c.index.dtype.kind in "iu"
+                    and (c.index.size == 0 or 0 <= c.index.min() <= c.index.max() < c.values.size)):
+                raise ValueError(f"a gathered column needs 1-D values and integer indices "
+                                 f"into them, got {c.values.size} values")
+        self._blocks.append((shapes[0][0], cells))
 
     def render(self) -> bytearray:
         out = bytearray(",".join(self.columns).encode() + b"\n")
-        for cells in self._blocks:
-            with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
-                cells = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
-                         for c in cells]
+        for size, cells in self._blocks:
             # None marks a column of text, or of the slice's stacked float call
-            tables = [_distinct_cells(c) if c.dtype == float else None for c in cells]
-            stacked = [c for c, table in zip(cells, tables) if c.dtype == float and table is None]
-            size = len(cells[0])
+            tables = [(_column_cells(c.values), c.index) if isinstance(c, Gather) else None
+                      for c in cells]
+            with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
+                cells = [c.astype(float, copy=False) if table is None and c.dtype.kind == "f"
+                         else c for c, table in zip(cells, tables)]
+            stacked = [c for c, table in zip(cells, tables) if table is None and c.dtype == float]
             slices = -(-size * len(cells) // _SLICE_CELLS)  # rounded up
             for k in range(slices):
                 rows = slice(k * size // slices, (k + 1) * size // slices)
@@ -149,28 +168,31 @@ class CsvTable:
         return out
 
 
-#: Cells per render slice, at most: its temporaries take about 250 bytes a cell.
+#: Cells per render slice, at most.  A float cell's temporaries take about
+#: 250 bytes in the kernel, a gathered cell one 25-byte take: twice this
+#: raised the peak memory of an all-float table of 12 columns by 0.7 MiB.
 _SLICE_CELLS = 4 * NODE_BLOCK
 
 
-def _distinct_cells(c: np.ndarray):
-    """The cell matrix of the distinct values of the float64 column ``c`` and
-    each row's index into it, or None when it has more than a quarter as
-    many distinct values as rows.  Values are keyed on their bit pattern,
-    so -0.0 and 0.0 stay apart."""
-    keys = c.view(np.int64)
-    ordered = np.sort(keys)
-    new = ordered[1:] != ordered[:-1]
-    if 4 * (1 + np.count_nonzero(new)) > c.size:
-        return None
-    distinct = ordered[np.concatenate(([True], new))]
-    index = np.searchsorted(distinct, keys).astype(np.min_scalar_type(distinct.size))
-    return _float_cells(distinct.view(np.float64)), index
+def _column_cells(c: np.ndarray) -> np.ndarray:
+    """Cell matrix of the whole 1-D column ``c``: floats, cast to float64,
+    through :func:`_float_cells`, anything else through :func:`_text_cells`."""
+    if c.dtype.kind != "f":
+        return _text_cells(c)
+    with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
+        return _float_cells(c.astype(float, copy=False))
 
 
 def _take_rows(cells: np.ndarray, index: np.ndarray, rows: slice) -> np.ndarray:
     """The cell matrix of ``rows``, gathered from the distinct values' ``cells``."""
     return np.take(cells, index[rows].astype(np.intp), axis=0)
+
+
+def _grid_columns(outer: np.ndarray, inner: np.ndarray) -> tuple:
+    """Gathered columns of the row-major product of two axes, ``outer``
+    slowest."""
+    i, j = (np.arange(a.size, dtype=np.min_scalar_type(a.size - 1)) for a in (outer, inner))
+    return Gather(outer, np.repeat(i, inner.size)), Gather(inner, np.tile(j, outer.size))
 
 
 def _text_cells(c: np.ndarray) -> np.ndarray:
@@ -396,6 +418,10 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK if all(report.passed for _, report in reports) else EXIT_INVALID
 
 
+#: ``deco-grid``'s text of a C node that fails (0) or passes (1) validation.
+_DECO_STATUS = np.array([b"invalid", b"ok"])
+
+
 def cmd_deco_grid(cfg: RunConfig, args) -> int:
     initial = cfg.require("initial", "deco-grid")
     params = cfg.oscillator
@@ -415,22 +441,21 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
               "(rerun with --skip-invalid to keep going)", file=sys.stderr)
         return EXIT_INVALID
 
-    # row-major nodes: t outer, C inner; only the valid ones are evaluated
-    t = np.repeat(t_grid, c_grid.size)
-    C = np.tile(c_grid, t_grid.size)
-    ok = np.tile(valid, t_grid.size)
-    sigma = np.full(t.size, math.nan)
-    qd = np.full(t.size, math.nan)
-    if ok.any():
-        c_ok, t_ok = C[ok], t[ok]
+    # on the axes: t down, C across, only the valid C evaluated; row-major
+    # nodes then run t outer, C inner
+    sigma = np.full((t_grid.size, c_grid.size), math.nan)
+    qd = np.full_like(sigma, math.nan)
+    if valid.any():
+        c_ok, t_col = c_grid[valid], t_grid[:, None]
         sigma_ok = single_mode.uncertainty_determinants(initial.delta, initial.r,
-                                                        params, c_ok, t_ok)
-        sigma[ok] = sigma_ok
-        qd[ok] = single_mode.degrees_from_uncertainty(sigma_ok, params, c_ok, t_ok)
-        del c_ok, t_ok, sigma_ok  # rendering is the peak of memory
-    columns = {"t": t, "C": C, "sigma_det": sigma, "delta_qd": qd}
+                                                        params, c_ok, t_col)
+        sigma[:, valid] = sigma_ok
+        qd[:, valid] = single_mode.degrees_from_uncertainty(sigma_ok, params, c_ok, t_col)
+        del sigma_ok  # rendering is the peak of memory
+    columns = dict(zip(("t", "C"), _grid_columns(t_grid, c_grid)),
+                   sigma_det=sigma.ravel(), delta_qd=qd.ravel())
     if args.skip_invalid:
-        columns["status"] = np.where(ok, b"ok", b"invalid")
+        columns["status"] = Gather(_DECO_STATUS, np.tile(valid.view(np.uint8), t_grid.size))
     table = CsvTable(columns)
     table.add_columns(*columns.values())
     _emit(table.render(), args.out)
@@ -447,19 +472,21 @@ def cmd_density(cfg: RunConfig, args) -> int:
         raise ConfigError(f"density grid needs n >= 2, got {grid['n']}")
     x_grid = _linspace(grid["x_min"], grid["x_max"], grid["n"], "x grid")
 
-    x, xp = (a.ravel() for a in np.meshgrid(x_grid, x_grid, indexing="ij"))
+    # on the axes: x down, x' across; row-major nodes run x outer, x' inner
+    x, xp = x_grid[:, None], x_grid
     table = CsvTable(["x", "xp", "re", "im"])
     if args.stationary:
-        value = single_mode.stationary_density_matrix_element(params, thermal, x, xp)
-        table.add_columns(x, xp, value, np.zeros(value.size))
+        value = single_mode.stationary_density_matrix_element(params, thermal, x, xp).ravel()
+        table.add_columns(*_grid_columns(x_grid, x_grid), value,
+                          Gather(np.zeros(1), np.zeros(value.size, np.uint8)))
     else:
         initial = cfg.require("initial", "density")
         env = gibbs_coefficients(params, thermal)
         state0 = correlated_coherent_state(initial.delta, initial.r, params,
                                            x0=initial.x0, p0=initial.p0)
         state = single_mode.propagate_moments(state0, env, params, grid["t"])
-        value = single_mode.density_matrix_element(state, x, xp)
-        table.add_columns(x, xp, value.real, value.imag)
+        value = single_mode.density_matrix_element(state, x, xp).ravel()
+        table.add_columns(*_grid_columns(x_grid, x_grid), value.real, value.imag)
     _emit(table.render(), args.out)
     return EXIT_OK
 
@@ -575,13 +602,14 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     dxpy_grid = _linspace(grid["dxpy_min"], grid["dxpy_max"], grid["dxpy_steps"],
                           "Dxpy grid")
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
-    separable = _SEPARABLE_LABELS[np.where(scan.boundary, 2, scan.separable)]
+    verdicts = np.where(scan.boundary, np.uint8(2), scan.separable.view(np.uint8))
     in_window = scan.in_window
     if in_window is None:
         in_window = np.zeros(scan.Dxx.size, "S1")
     table = CsvTable(["Dxx", "Dxpy", "S", "separable", "in_window", "status"])
-    table.add_columns(scan.Dxx, scan.Dxpy, scan.score, separable, in_window,
-                      _STATUS_LABELS[scan.status])
+    table.add_columns(*_grid_columns(dxx_grid, dxpy_grid), scan.score,
+                      Gather(_SEPARABLE_LABELS, verdicts), in_window,
+                      Gather(_STATUS_LABELS, scan.status))
     _emit(table.render(), args.out)
     return EXIT_OK
 

@@ -1089,7 +1089,11 @@ class TestCsvTable:
         table = cli.CsvTable(["x", "b", "w"])
         table.add_columns(np.array([]), np.array([], dtype=bool), np.array([], dtype=np.float32))
         assert table.render() == b"x,b,w\n"
-        assert cli._distinct_cells(np.array([])) is None
+        # an empty gathered column formats its values but takes no rows
+        table = cli.CsvTable(["g", "x", "e"])
+        table.add_columns(cli.Gather(np.array([0.5, -0.0]), np.array([], np.uint8)), np.array([]),
+                          cli.Gather(np.array([]), np.array([], np.intp)))
+        assert table.render() == b"g,x,e\n" and len(table.rows) == 0
 
     def test_add_and_add_columns_interleave(self):
         rng = random.Random(11)
@@ -1114,71 +1118,73 @@ class TestCsvTable:
     def _bits(*patterns):
         return np.array(patterns, dtype=np.uint64).view(np.float64)
 
-    @staticmethod
-    def _repeated(column):
-        """``render``'s distinct-value table of a float column, cast as ``render`` does."""
-        return cli._distinct_cells(column.astype(float, copy=False))
-
-    def _assert_repeated_column_renders(self, column):
-        """``column`` takes the repeated-value path and renders as ``_fmt`` does."""
-        assert self._repeated(column) is not None
+    def _assert_gathered_column_renders(self, values, index):
+        """``Gather(values, index)`` renders and iterates as ``values[index]``
+        does, cast as ``render`` casts."""
         table = cli.CsvTable(["v", "i"])
-        table.add_columns(column, np.arange(column.size))
-        want = self._reference(["v", "i"], zip(column.tolist(), range(column.size)))
-        assert table.render() == want.encode()
+        table.add_columns(cli.Gather(values, index), np.arange(index.size))
+        rows = list(zip(values[index].tolist(), range(index.size)))
+        assert table.render() == self._reference(["v", "i"], rows).encode()
+        assert len(table.rows) == index.size and repr(list(table.rows)) == repr(rows)
 
     def test_repeated_signed_zeros_stay_apart(self):
-        rng = np.random.default_rng(1)
-        self._assert_repeated_column_renders(rng.choice([-0.0, 0.0], 400))
-        table = self._repeated(np.array([-0.0, 0.0] * 4))
-        assert _cell_texts(cli._take_rows(*table, slice(0, 2))) == ["-0.00000000000000e+00",
-                                                                    "0.00000000000000e+00"]
+        values = np.array([-0.0, 0.0])
+        self._assert_gathered_column_renders(values, np.random.default_rng(1).integers(0, 2, 400))
+        assert _cell_texts(cli._column_cells(values)) == ["-0.00000000000000e+00",
+                                                          "0.00000000000000e+00"]
 
     def test_repeated_nans_of_any_payload_and_sign(self):
         nans = self._bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
                           0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)
         assert np.isnan(nans).all()
-        column = np.concatenate([np.tile(nans, 40), [1.5, -2.5] * 20])
-        np.random.default_rng(2).shuffle(column)
-        self._assert_repeated_column_renders(column)
+        values = np.concatenate([nans, [1.5, -2.5]])
+        self._assert_gathered_column_renders(values, np.random.default_rng(2).integers(0, 7, 240))
 
     def test_repeated_infinities_and_subnormals(self):
-        values = [math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
-                  -1.7976931348623157e308]
-        column = np.array(values * 30)
-        np.random.default_rng(3).shuffle(column)
-        self._assert_repeated_column_renders(column)
-
-    @pytest.mark.parametrize("distinct, repeated", [(100, True), (101, False)])
-    def test_quarter_threshold(self, distinct, repeated):
-        rng = np.random.default_rng(distinct)
-        values = rng.standard_normal(distinct)
-        column = np.concatenate([values, rng.choice(values, 400 - distinct)])
-        assert (self._repeated(column) is not None) == repeated
-        table = cli.CsvTable(["v"])
-        table.add_columns(column)
-        assert table.render() == self._reference(["v"], ((v,) for v in column.tolist())).encode()
+        values = np.array([math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+                           -1.7976931348623157e308])
+        self._assert_gathered_column_renders(values, np.random.default_rng(3).integers(0, 7, 210))
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
     def test_repeated_column_of_another_width(self, dtype):
-        column = np.tile(np.array([0.1, -0.0, 0.0, 1e-40, np.nan, np.inf], dtype=dtype), 50)
-        self._assert_repeated_column_renders(column)
+        values = np.array([0.1, -0.0, 0.0, 1e-40, np.nan, np.inf], dtype=dtype)
+        self._assert_gathered_column_renders(values, np.tile(np.arange(6, dtype=np.uint8), 50))
 
     def test_repeated_column_across_blocks_and_slices(self):
+        # one axis, gathered in blocks of both sides of the slice edges
         rng = np.random.default_rng(4)
         grid = np.array([-0.0, 0.0, 0.25, math.nan, -math.inf, 1.0 / 3.0, 5e-324])
         table = cli.CsvTable(["x", "y"])
         rows = []
-        for n in (1, 2500, 3, 1024, 0, 1025):
+        for n in (1, 2500, 3, 1024, 0, 1025, 9000):
             if n == 1:
                 row = (float(rng.choice(grid)), float(rng.standard_normal()))
                 table.add(*row)
                 rows.append(row)
                 continue
-            x, y = rng.choice(grid, n), rng.standard_normal(n)
-            table.add_columns(x, y)
-            rows.extend(zip(x.tolist(), y.tolist()))
+            index, y = rng.integers(0, grid.size, n, dtype=np.uint8), rng.standard_normal(n)
+            table.add_columns(cli.Gather(grid, index), y)
+            rows.extend(zip(grid[index].tolist(), y.tolist()))
         assert table.render() == self._reference(["x", "y"], rows).encode()
+        assert len(table.rows) == len(rows)
+
+    def test_gathered_column_is_one_dimensional_and_as_long_as_the_rest(self):
+        table = cli.CsvTable(["g", "x"])
+        values = np.array([0.5, 1.5])
+        for bad in (cli.Gather(values, np.zeros((2, 1), np.uint8)),  # 2-D index
+                    cli.Gather(values, np.zeros(3, np.uint8)),  # 3 rows against 2
+                    cli.Gather(values[:, None], np.zeros(2, np.uint8)),  # 2-D values
+                    cli.Gather(values, np.zeros(2))):  # not an integer index
+            with pytest.raises(ValueError):
+                table.add_columns(bad, np.zeros(2))
+        assert len(table.rows) == 0 and table.render() == b"g,x\n"
+
+    @pytest.mark.parametrize("index", [[0, 2], [-1, 0], [1, -3]])
+    def test_out_of_range_index_raises_instead_of_wrapping(self, index):
+        table = cli.CsvTable(["g"])
+        with pytest.raises(ValueError, match="gathered column"):
+            table.add_columns(cli.Gather(np.array([0.5, 1.5]), np.array(index)))
+        assert len(table.rows) == 0
 
 
 class TestFloatKernel:
@@ -1307,6 +1313,11 @@ class TestRenderAtTheCli:
         tables = []
 
         class Recording(cli.CsvTable):
+            def add_columns(self, *columns):
+                self.gathered = [name for name, c in zip(self.columns, columns)
+                                 if isinstance(c, cli.Gather)]
+                super().add_columns(*columns)
+
             def render(self):
                 tables.append(self)
                 return super().render()
@@ -1315,10 +1326,12 @@ class TestRenderAtTheCli:
         return tables
 
     @staticmethod
-    def _check(tables, capsys, argv):
+    def _check(tables, capsys, argv, gathered):
         code, out, _ = run(capsys, argv)
         assert code == 0 and len(tables) == 1
         table = tables[0]
+        # axes and labels reach the table as values and indices, not one cell per row
+        assert table.gathered == gathered
         want = "\n".join([",".join(table.columns)]
                          + [",".join(_fmt(v) for v in row) for row in table.rows]) + "\n"
         assert out.encode() == table.render() == want.encode()
@@ -1330,18 +1343,22 @@ class TestRenderAtTheCli:
         ["--asymptotic", "--c-min", "1", "--c-max", "1.2", "--c-steps", "40", "--skip-invalid"],
     ])
     def test_deco_grid(self, tmp_path, capsys, tables, flags):
-        self._check(tables, capsys, ["deco-grid", "--config", write_config(tmp_path, FIG1), *flags])
+        gathered = ["t", "C", "status"] if "--skip-invalid" in flags else ["t", "C"]
+        self._check(tables, capsys, ["deco-grid", "--config", write_config(tmp_path, FIG1), *flags],
+                    gathered)
 
     @pytest.mark.parametrize("flags", [["--t", "3.5"], ["--stationary"]])
     def test_density(self, tmp_path, capsys, tables, flags):
         body = json.loads(json.dumps(FIG1))
         body["initial"].update(x0=0.7, p0=-0.4)
         self._check(tables, capsys, ["density", "--config", write_config(tmp_path, body),
-                                     "--n", "45", *flags])
+                                     "--n", "45", *flags],
+                    ["x", "xp", "im"] if "--stationary" in flags else ["x", "xp"])
 
     def test_scan(self, tmp_path, capsys, tables):
         body = json.loads(json.dumps(dict(FIG1, two_mode_env=WINDOW_ENV)))
         body["oscillator"]["mu"] = 0.0
         self._check(tables, capsys, ["scan", "--config", write_config(tmp_path, body),
                                      "--dxx-min", "0.05", "--dxx-max", "0.3", "--dxx-steps", "6",
-                                     "--dxpy-min", "0", "--dxpy-max", "1.5", "--dxpy-steps", "40"])
+                                     "--dxpy-min", "0", "--dxpy-max", "1.5", "--dxpy-steps", "40"],
+                    ["Dxx", "Dxpy", "separable", "status"])

@@ -312,6 +312,27 @@ class TestUncertaintyDeterminants:
             # exp, cos and sin round as the C library's: the same digits, not just close
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_axis_evaluation_is_node_evaluation(self, seed):
+        # on (C, t[:, None]) exp, cos and sin run on t's shape only; each node
+        # keeps its operations in order, so the bits are the flattened call's
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.05, 0.5)
+        params = OscillatorParams(lam=lam, mu=rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9) * lam,
+                                  m=rng.uniform(0.5, 2.0), omega=rng.uniform(0.5, 2.0),
+                                  hbar=rng.uniform(0.5, 2.0))
+        delta, r = rng.uniform(0.3, 6.0), rng.uniform(-0.8, 0.8)
+        C = rng.uniform(1.0, 50.0, 23)
+        t = np.concatenate([[0.0, math.inf, 1e308], rng.uniform(0.0, 60.0, 30)])
+        sigma = uncertainty_determinants(delta, r, params, C, t[:, None])
+        degrees = degrees_from_uncertainty(sigma, params, C, t[:, None])
+        c_node, t_node = np.tile(C, t.size), np.repeat(t, C.size)
+        sigma_node = uncertainty_determinants(delta, r, params, c_node, t_node)
+        assert np.array_equal(sigma.ravel(), sigma_node, equal_nan=True)
+        assert np.array_equal(degrees.ravel(),
+                              degrees_from_uncertainty(sigma_node, params, c_node, t_node),
+                              equal_nan=True)
+
     def test_scalar_call_is_a_batch_of_one(self):
         got = uncertainty_determinants(3.0, 0.4, self.PARAMS, self.C[None, :], self.T[:, None])
         for i, t in enumerate(self.T.tolist()):
