@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from typing import NamedTuple
 
@@ -103,16 +104,18 @@ class CsvTable:
 
     :meth:`render` formats the values of each gathered column once per
     block.  It casts every float column to float64, as ``'%.14e'`` converts
-    a value to a Python float, and then works on slices of the block, of at
-    most ``_SLICE_CELLS`` cells.  Each column's slice becomes a cell matrix:
-    a row of bytes per cell, its text padded with NUL bytes.  Gathered
-    columns take their rows (:func:`_take_rows`); the other float columns
-    are stacked and formatted in one call of the numpy kernel
+    a value to a Python float, and then works on slices of the block: a
+    slice holds at most ``_SLICE_CELLS`` cells of the float kernel, and at
+    most twice as many cells in all.  Each column's slice becomes a cell
+    matrix: a row of bytes per cell, its text padded with NUL bytes.
+    Gathered columns take their rows (:func:`_take_rows`); the other float
+    columns are stacked and formatted in one call of the numpy kernel
     :func:`_float_cells`; a bytes column is its own cell matrix, and any
     other column takes the characters of its text (:func:`_text_cells`).
-    The slice's matrices are then joined with ``,`` and ``\\n`` columns, and
-    the NUL bytes deleted (:func:`_join_rows`).  The slices' bytes are
-    appended to one buffer, the bytes of formatting value by value.
+    The slice's matrices are then joined with ``,`` and ``\\n`` columns in
+    a ``bytearray``, and its NUL bytes deleted (:func:`_join_rows`).  The
+    slices' bytes are appended to one buffer, the bytes of formatting value
+    by value.
     """
 
     def __init__(self, columns):
@@ -154,7 +157,9 @@ class CsvTable:
                 cells = [c.astype(float, copy=False) if table is None and c.dtype.kind == "f"
                          else c for c, table in zip(cells, tables)]
             stacked = [c for c, table in zip(cells, tables) if table is None and c.dtype == float]
-            slices = -(-size * len(cells) // _SLICE_CELLS)  # rounded up
+            # at most _SLICE_CELLS float cells and 2 _SLICE_CELLS cells in all
+            slices = max(-(-size * len(stacked) // _SLICE_CELLS),
+                         -(-size * len(cells) // (2 * _SLICE_CELLS)))  # rounded up
             for k in range(slices):
                 rows = slice(k * size // slices, (k + 1) * size // slices)
                 if stacked:
@@ -168,9 +173,12 @@ class CsvTable:
         return out
 
 
-#: Cells per render slice, at most.  A float cell's temporaries take about
-#: 250 bytes in the kernel, a gathered cell one 25-byte take: twice this
-#: raised the peak memory of an all-float table of 12 columns by 0.7 MiB.
+#: Float-kernel cells per render slice, at most; a slice holds at most
+#: twice as many cells in all.  The kernel holds about 100 bytes per value
+#: at its peak, the cells it returns included, where a gathered cell is a
+#: take of at most 25 bytes and a text cell its characters.  So each kernel
+#: call formats at most 4,096 values, and a table of few float columns
+#: takes slices of up to 8,192 cells.
 _SLICE_CELLS = 4 * NODE_BLOCK
 
 
@@ -212,15 +220,20 @@ def _text_cells(c: np.ndarray) -> np.ndarray:
     return cells.astype(np.uint8, copy=False)
 
 
-def _join_rows(cells: list) -> bytes:
+def _join_rows(cells: list) -> bytearray:
     """CSV lines of a slice from its columns' cell matrices, in column order:
-    each cell's bytes other than NUL, then ``,`` or, after the last, a newline."""
+    each cell's bytes other than NUL, then ``,`` or, after the last, a newline.
+
+    The row matrix is a view of a ``bytearray``, so deleting its NUL bytes
+    is the one copy of the slice's bytes."""
     ends = np.cumsum([c.shape[1] + 1 for c in cells])
-    chars = np.full((len(cells[0]), ends[-1]), ord(","), np.uint8)
+    buf = bytearray(len(cells[0]) * int(ends[-1]))
+    chars = np.frombuffer(buf, np.uint8).reshape(len(cells[0]), ends[-1])
     for c, end in zip(cells, ends):
         chars[:, end - 1 - c.shape[1]:end - 1] = c
+        chars[:, end - 1] = ord(",")
     chars[:, -1] = ord("\n")
-    return chars.tobytes().translate(None, b"\0")
+    return buf.translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +295,28 @@ _SPECIAL_WORDS = _words([b"0.00000000000000e+00", b"inf", b"nan"])  # zero, infi
 
 
 def _scaled(a: np.ndarray, row: np.ndarray):
-    """a 10^(14-e) as the double-double p + lo, with row = e - _E_MIN."""
-    hi, lo, hi1, hi2 = (np.take(t, row) for t in _POW10)
-    p = a * hi
-    c = a * _SPLITTER
-    a1 = c - (c - a)
-    a2 = a - a1
-    err = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2  # a hi - p, exactly
-    return p, err + a * lo
+    """a 10^(14-e) as the double-double p + lo, with row = e - _E_MIN.
+
+    ``a`` is only read; every other array is the function's own and is
+    updated in place."""
+    p, lo, hi1, hi2 = (np.take(t, row) for t in _POW10)  # p is hi until scaled
+    p *= a
+    a1 = a * _SPLITTER
+    a2 = a1 - a
+    a1 -= a2
+    np.subtract(a, a1, out=a2)
+    # a hi - p, exactly: ((a1 hi1 - p) + a1 hi2 + a2 hi1) + a2 hi2
+    err = a1 * hi1
+    err -= p
+    hi1 *= a2
+    a2 *= hi2
+    hi2 *= a1
+    err += hi2
+    err += hi1
+    err += a2
+    lo *= a
+    lo += err
+    return p, lo
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -300,48 +327,59 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     infinities and nans take fixed texts.  A cell outside the kernel's
     domain (``core.RENDER_EXP_MAX``), or whose rounding is within
     ``core.RENDER_TIE_MARGIN`` of a tie, takes Python's text.
+
+    ``x`` is only read.  The kernel works in place on arrays of its own
+    (four of floats, one of exponent rows and the result's words), so it
+    holds about 100 bytes per value at its peak, the result's 32 included.
     """
     shape, x = x.shape, x.ravel()
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-    fast = np.abs(e) <= RENDER_EXP_MAX  # false at 0, inf and nan
-    a = np.where(fast, a, 1.0)
-    row = np.where(fast, e - _E_MIN, -_E_MIN).astype(np.intp)
+        e = np.log10(a)
+    np.floor(e, out=e)
+    other = ~(np.abs(e) <= RENDER_EXP_MAX)  # true at 0, inf and nan
+    np.copyto(a, 1.0, where=other)
+    e -= _E_MIN
+    np.copyto(e, -_E_MIN, where=other)
+    row = e.astype(np.intp)
     p, lo = _scaled(a, row)
     # next to a power of ten log10 can land one off: y must be in [1e14, 1e15)
-    off = (p >= 1e15).astype(np.intp) - (p < 1e14)
+    off = (p >= 1e15).view(np.int8) - (p < 1e14).view(np.int8)
     redo = np.flatnonzero(off)
     if redo.size:
         row[redo] += off[redo]
         p[redo], lo[redo] = _scaled(a[redo], row[redo])
-    whole = np.floor(p)
-    r = (p - whole) + lo
-    q = np.floor(r)
-    frac = r - q
-    n = whole + q + (frac > 0.5)
+    # p + lo = whole + q + frac: N = whole + q + (frac > 0.5)
+    n = np.floor(p, out=e)
+    p -= n
+    p += lo
+    q = np.floor(p, out=lo)
+    frac = p
+    frac -= q
+    n += q
+    n += frac > 0.5
+    frac -= 0.5
+    slow = np.flatnonzero(np.abs(frac, out=frac) <= RENDER_TIE_MARGIN)
     carry = n == 1e15  # 9.99...95 10^e rounds to 1.00...00 10^(e+1)
     row += carry
     n[carry] = 1e14
-
-    # N in groups of 3, 4, 4 and 4 digits; each quotient is exact, as it is
-    # an integer or at least 10^-12 of itself away from one
-    head = np.floor(n / 1e12)
-    n -= head * 1e12
-    groups = np.empty((3, x.size))
-    groups[0] = np.floor(n / 1e8)
-    n -= groups[0] * 1e8
-    groups[1] = np.floor(n / 1e4)
-    groups[2] = n - groups[1] * 1e4
-    four = np.take(_FOUR_DIGITS, groups.astype(np.intp))
     words = np.empty((x.size, 4), np.uint64)
-    words[:, 1] = np.take(_POINT_DIGITS, head.astype(np.intp)) | four[0] << 32
-    words[:, 2] = four[1] | four[2] << 32
     words[:, 3] = np.take(_EXP_WORD, row)
 
+    # N in groups of 3, 4, 4 and 4 digits; each quotient is exact, as it is
+    # an integer or at least 10^-12 of itself away from one.  The first
+    # three take the spent arrays a, lo and p; n keeps the last.
+    head, g0, g1 = a, lo, p
+    for g, scale in ((head, 1e12), (g0, 1e8), (g1, 1e4)):
+        np.floor(np.divide(n, scale, out=g), out=g)
+        n -= g * scale
+    words[:, 1] = np.take(_POINT_DIGITS, head.astype(np.intp))
+    words[:, 1] |= np.take(_FOUR_DIGITS, g0.astype(np.intp)) << 32
+    words[:, 2] = np.take(_FOUR_DIGITS, g1.astype(np.intp))
+    words[:, 2] |= np.take(_FOUR_DIGITS, n.astype(np.intp)) << 32
+
     negative = np.signbit(x)
-    slow = np.flatnonzero(np.abs(frac - 0.5) <= RENDER_TIE_MARGIN)
-    rest = np.flatnonzero(~fast)
+    rest = np.flatnonzero(other)
     if rest.size:
         v = x[rest]
         special = (v == 0) | ~np.isfinite(v)
@@ -510,8 +548,13 @@ def cmd_timescales(cfg: RunConfig, args) -> int:
     table.add("t_deco_high_temperature",
               single_mode.decoherence_time(delta, r, params, thermal,
                                            "high_temperature"))
-    table.add("t_thermal_fluctuation",
-              single_mode.thermal_fluctuation_time(delta, r, params, thermal))
+    # its warning, if the filters in force let it through, prints as a
+    # warning line rather than with a source path and line number
+    with warnings.catch_warnings(record=True) as caught:
+        table.add("t_thermal_fluctuation",
+                  single_mode.thermal_fluctuation_time(delta, r, params, thermal))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     table.add("t_relaxation", single_mode.relaxation_time(params))
     _emit(table.render(), args.out)
     return EXIT_OK

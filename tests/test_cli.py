@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from lindosc import OscillatorParams, ThermalParams, TwoModeEnvironment, cli
+from lindosc.core import NODE_BLOCK
 from lindosc.separability import closed_form_route, simon_score, simon_score_closed_form
 from lindosc.single_mode import decoherence_degree
 from lindosc.two_mode import steady_covariance_closed_form
@@ -462,6 +464,20 @@ class TestTimescalesCommand:
         cfg = write_config(tmp_path, body)
         code, _, err = run(capsys, ["timescales", "--config", cfg])
         assert code == 2
+
+    def test_warning_is_a_line_without_source_location(self):
+        # C = 2 is outside the high-temperature regime: the command says so in
+        # a warning line, not in a Python warning with a path and line number
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindosc", "timescales", "--config",
+             str(ROOT / "configs" / "single_mode.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.startswith("name,value\n")
+        assert proc.stderr == ("warning: thermal_fluctuation_time assumes the high-temperature "
+                               "regime; C=2.0\n")
+        assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
 
     def test_high_temperature_concordance(self, tmp_path, capsys):
         body = json.loads(json.dumps(FIG1))
@@ -1186,6 +1202,42 @@ class TestCsvTable:
             table.add_columns(cli.Gather(np.array([0.5, 1.5]), np.array(index)))
         assert len(table.rows) == 0
 
+    @pytest.mark.parametrize("slice_cells", [1, 3, NODE_BLOCK, 64 * NODE_BLOCK])
+    def test_output_does_not_depend_on_the_slice_size(self, monkeypatch, slice_cells):
+        # a mixed table, one of no float column and an all-float one, each in
+        # blocks on both sides of the slice edges, render as the reference does
+        monkeypatch.setattr(cli, "_SLICE_CELLS", slice_cells)
+        rng = np.random.default_rng(20)
+        specials = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, -1.5e-300, 2.5e300,
+                             -7e-123, 9.999999999999995e100])
+        axis = np.concatenate([specials, rng.standard_normal(40)])
+        labels = np.array([b"ok", b"invalid", b"boundary-indeterminate"])
+
+        def floats(n):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+            values[rng.integers(0, n, n // 8)] = rng.choice(specials, n // 8)
+            return values
+
+        def gathered(values, n):
+            return cli.Gather(values, rng.integers(0, values.size, n).astype(np.uint8))
+
+        tables = {
+            "gfltsb": lambda n: (gathered(axis, n), floats(n), gathered(labels, n), floats(n),
+                                 np.zeros(n, "S1"), rng.random(n) < 0.5),
+            "lsbg": lambda n: (gathered(labels, n), np.zeros(n, "S1"), rng.random(n) < 0.5,
+                               gathered(labels, n)),
+            "ffff": lambda n: tuple(floats(n) for _ in range(4)),
+        }
+        for columns, block in tables.items():
+            table = cli.CsvTable(columns)
+            rows = []
+            for n in (700, 1, 0, 257):
+                cells = block(n)
+                table.add_columns(*cells)
+                rows.extend(zip(*((np.take(*c) if isinstance(c, cli.Gather) else c).tolist()
+                                  for c in cells)))
+            _assert_same_text(table.render(), self._reference(columns, rows))
+
 
 class TestFloatKernel:
     """The numpy float kernel renders every float64 as ``%.14e`` does."""
@@ -1273,6 +1325,25 @@ class TestFloatKernel:
         for xi, ei, pi, li in zip(x.tolist(), e.tolist(), p.tolist(), lo.tolist()):
             y = Fraction(xi) * Fraction(10) ** (14 - ei)
             assert abs(Fraction(pi) + Fraction(li) - y) <= 4 * u * u * y
+
+    def test_kernel_memory_and_purity(self):
+        # the kernel computes in place: on 4,096 values it holds at most 120
+        # bytes per value at its peak, its result included, and it leaves its
+        # input as it was
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 2 ** 64, 4096, dtype=np.uint64).view(np.float64)
+        x[::2] = rng.standard_normal(2048) * 10.0 ** rng.integers(-280, 281, 2048)
+        before = x.copy()
+        cli._float_cells(x)
+        tracemalloc.start()
+        try:
+            cells = cli._float_cells(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120 * x.size
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+        assert _cell_texts(cells) == ["%.14e" % v for v in x.tolist()]
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
     def test_columns_of_other_widths(self, dtype):
