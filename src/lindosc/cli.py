@@ -165,11 +165,12 @@ class CsvTable:
                 if stacked:
                     floats = iter(_float_cells(np.stack([c[rows] for c in stacked], axis=1))
                                   .swapaxes(0, 1))
-                out += _join_rows([
-                    _take_rows(*table, rows) if table is not None
-                    else next(floats) if c.dtype == float
-                    else _text_cells(c[rows])
-                    for c, table in zip(cells, tables)])
+                matrices = [_take_rows(*table, rows) if table is not None
+                            else next(floats) if c.dtype == float
+                            else _text_cells(c[rows])
+                            for c, table in zip(cells, tables)]
+                floats = None  # the kernel's words live on only in matrices
+                out += _join_rows(matrices)
         return out
 
 
@@ -225,13 +226,16 @@ def _join_rows(cells: list) -> bytearray:
     each cell's bytes other than NUL, then ``,`` or, after the last, a newline.
 
     The row matrix is a view of a ``bytearray``, so deleting its NUL bytes
-    is the one copy of the slice's bytes."""
+    is the one copy of the slice's bytes.  It empties ``cells`` first, so
+    that no cell matrix is alive during that copy."""
     ends = np.cumsum([c.shape[1] + 1 for c in cells])
     buf = bytearray(len(cells[0]) * int(ends[-1]))
     chars = np.frombuffer(buf, np.uint8).reshape(len(cells[0]), ends[-1])
     for c, end in zip(cells, ends):
         chars[:, end - 1 - c.shape[1]:end - 1] = c
         chars[:, end - 1] = ord(",")
+    del c
+    cells.clear()
     chars[:, -1] = ord("\n")
     return buf.translate(None, b"\0")
 
@@ -646,9 +650,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
                           "Dxpy grid")
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
     verdicts = np.where(scan.boundary, np.uint8(2), scan.separable.view(np.uint8))
-    in_window = scan.in_window
-    if in_window is None:
-        in_window = np.zeros(scan.Dxx.size, "S1")
+    # without a window (Dxy != 0) every in_window cell is empty
+    in_window = (Gather(np.array([b""]), np.zeros(scan.Dxx.size, np.uint8))
+                 if scan.in_window is None
+                 else Gather(_SEPARABLE_LABELS[:2], scan.in_window.view(np.uint8)))
     table = CsvTable(["Dxx", "Dxpy", "S", "separable", "in_window", "status"])
     table.add_columns(*_grid_columns(dxx_grid, dxpy_grid), scan.score,
                       Gather(_SEPARABLE_LABELS, verdicts), in_window,

@@ -35,6 +35,7 @@ are the tolerance policy of :mod:`lindosc.core`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -253,15 +254,26 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     so its agreement with ``in_window``, is not resolved) and "ok".  The
     first two are facts about the inputs.  A node status never aborts the
     scan.
+
+    What depends on one axis is evaluated on that axis: the finite checks,
+    A = B of :func:`lindosc.two_mode.steady_entries`, the mode entries of
+    D/lam and the window ends on the Dxx column, and C and the cross entries
+    of D/lam on the Dxpy row.  Only what mixes the two (S, the bona fide
+    checks of D/lam, ``in_window`` and the status) is evaluated per node, by
+    broadcasting the column against the row, in blocks of whole Dxx rows.
+    Each node's value comes from the same operations on the same operands,
+    in the same order, as on the node alone.
     """
     require_hbar_one(params)
     require_matching_lam(env_template, params)
-    dxx_values = np.asarray(dxx_values, dtype=float).ravel()
-    dxpy_values = np.asarray(dxpy_values, dtype=float).ravel()
-    dxx = np.repeat(dxx_values, dxpy_values.size)
-    dxpy = np.tile(dxpy_values, dxx_values.size)
+    dxx = np.asarray(dxx_values, dtype=float).ravel()
+    dxpy = np.asarray(dxpy_values, dtype=float).ravel()
+    if dxx.size * dxpy.size == 0:  # no node, so no value to check
+        dxx, dxpy = dxx[:0], dxpy[:0]
+    # a (rows, 1) column of Dxx and a (1, cols) row of Dxpy
+    column, row = dxx[:, None], dxpy[None, :]
     mw2 = (params.m * params.omega) ** 2
-    dpxpx = mw2 * dxx
+    dpxpx = mw2 * column
     dxy, dpxpy, lam = env_template.Dxy, mw2 * env_template.Dxy, env_template.lam
     for name, values in (("Dxx", dxx), ("Dpxpx", dpxpx), ("Dxpy", dxpy), ("Dpxpy", dpxpy)):
         bad = ~np.isfinite(values)
@@ -269,29 +281,52 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
             first = float(np.extract(bad, values)[0])
             raise ParameterError(f"{name} must be finite, got {first!r}")
 
-    score = np.empty(dxx.size)
-    separable, boundary, positive = (np.empty(dxx.size, dtype=bool) for _ in range(3))
-    for start in range(0, dxx.size, NODE_BLOCK):
-        k = slice(start, start + NODE_BLOCK)
-        score[k], separable[k], boundary[k], _ = _verdicts(*steady_entries(
-            dxx[k], 0.0, dpxpx[k], dxx[k], 0.0, dpxpx[k], dxy, dxpy[k], dxpy[k], dpxpy, params))
-        # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam;
-        # beyond float64 an entry is inf, whose checks are unresolved
-        with np.errstate(over="ignore"):
-            mode, xpy = (dxx[k] / lam, 0.0, 0.0, dpxpx[k] / lam), dxpy[k] / lam
-        checks = entry_invariants_and_sums(mode, mode, (dxy / lam, xpy, xpy, dpxpy / lam),
-                                           "checks")
-        positive[k] = np.logical_and.reduce([not_negative(*check) for check in zip(*checks)])
-
+    # B = A: both modes have the diffusion block diag(Dxx, Dpxpx)
+    a, _, c = steady_entries(column, 0.0, dpxpx, column, 0.0, dpxpx, dxy, row, row, dpxpy,
+                             params)
+    # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam;
+    # beyond float64 an entry is inf, whose checks are unresolved
+    with np.errstate(over="ignore"):
+        mode, xpy = (column / lam, 0.0, 0.0, dpxpx / lam), row / lam
+    cross = (dxy / lam, xpy, xpy, dpxpy / lam)
     windowed = dxy == 0.0
     has_window = _window_ratio(dxx, params) >= 0.5
+    no_window = windowed & ~has_window[:, None]
+
+    shape = (dxx.size, dxpy.size)
+    score = np.empty(shape)
+    separable, boundary = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    status = np.empty(shape, dtype=np.uint8)
+    # Blocks of whole Dxx rows, at most 4 NODE_BLOCK nodes each: a per-node
+    # temporary then takes at most 32 KiB, below the allocator's 128 KiB mmap
+    # threshold.  A Dxpy row longer than that is cut along Dxpy.
+    cols = max(1, min(dxpy.size, 4 * NODE_BLOCK))
+    rows = max(1, 4 * NODE_BLOCK // cols)
+    for i in range(0, dxx.size, rows):
+        for j in range(0, dxpy.size, cols):
+            r, k = slice(i, i + rows), slice(j, j + cols)
+            block_a, block_mode = _part(a, r), _part(mode, r)
+            score[r, k], separable[r, k], boundary[r, k], _ = _verdicts(
+                block_a, block_a, _part(c, np.s_[:, k]))
+            checks = entry_invariants_and_sums(block_mode, block_mode,
+                                               _part(cross, np.s_[:, k]), "checks")
+            positive = functools.reduce(np.logical_and, map(not_negative, *checks))
+            # the first status whose condition holds, in the documented order
+            status[r, k] = np.select([no_window[r], ~positive, ~np.isfinite(score[r, k]),
+                                      windowed & boundary[r, k]], [0, 1, 2, 3], 4)
+
     in_window = None
     if windowed:
         lo, hi = np.full(dxx.size, np.nan), np.full(dxx.size, np.nan)
         lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
-        in_window = (lo < np.abs(dxpy)) & (np.abs(dxpy) < hi)
-    # the first status whose condition holds, in the documented order
-    status = np.select([windowed & ~has_window, ~positive, ~np.isfinite(score),
-                        windowed & boundary], [0, 1, 2, 3], 4).astype(np.uint8)
-    return ScanColumns(Dxx=dxx, Dxpy=dxpy, score=score, separable=separable,
-                       boundary=boundary, in_window=in_window, status=status)
+        magnitude = np.abs(row)
+        in_window = ((lo[:, None] < magnitude) & (magnitude < hi[:, None])).ravel()
+    return ScanColumns(Dxx=np.repeat(dxx, dxpy.size), Dxpy=np.tile(dxpy, dxx.size),
+                       score=score.ravel(), separable=separable.ravel(),
+                       boundary=boundary.ravel(), in_window=in_window, status=status.ravel())
+
+
+def _part(entries, index):
+    """The entries of a block of nodes: each array entry at ``index``, each
+    float entry as it is, since it is every node's."""
+    return tuple(x[index] if isinstance(x, np.ndarray) else x for x in entries)

@@ -1238,6 +1238,42 @@ class TestCsvTable:
                                   for c in cells)))
             _assert_same_text(table.render(), self._reference(columns, rows))
 
+    def test_join_frees_the_cell_matrices(self, monkeypatch):
+        # a deco-grid-like table of 40,000 rows: two gathered axes, two float
+        # columns and a gathered status.  Each slice's join copies its row
+        # matrix once without the NUL bytes, and translate first allocates
+        # the copy at full size.  The join frees the slice's cell matrices
+        # (larger than the copy here) before that, so beyond what render held
+        # when the join began, it adds about one row matrix: 2.0 of them when
+        # the matrices outlive the copy.
+        rng = np.random.default_rng(22)
+        t, c = np.linspace(0.0, 30.0, 200), np.linspace(1.0, 10.0, 200)
+        n = t.size * c.size
+        status = cli.Gather(np.array([b"ok", b"invalid"]),
+                            (rng.random(n) < 0.1).astype(np.uint8))
+        table = cli.CsvTable(["t", "C", "sigma", "degree", "status"])
+        table.add_columns(*cli._grid_columns(t, c), rng.uniform(0.5, 3.0, n), rng.random(n),
+                          status)
+        want = bytes(table.render())
+        join, added = cli._join_rows, []
+
+        def traced_join(cells):
+            matrix = len(cells[0]) * sum(m.shape[1] + 1 for m in cells)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            joined = join(cells)
+            added.append((tracemalloc.get_traced_memory()[1] - before) / matrix)
+            return joined
+
+        monkeypatch.setattr(cli, "_join_rows", traced_join)
+        tracemalloc.start()
+        try:
+            out = table.render()
+        finally:
+            tracemalloc.stop()
+        assert out == want
+        assert len(added) > 1 and max(added) <= 1.25
+
 
 class TestFloatKernel:
     """The numpy float kernel renders every float64 as ``%.14e`` does."""
@@ -1432,4 +1468,4 @@ class TestRenderAtTheCli:
         self._check(tables, capsys, ["scan", "--config", write_config(tmp_path, body),
                                      "--dxx-min", "0.05", "--dxx-max", "0.3", "--dxx-steps", "6",
                                      "--dxpy-min", "0", "--dxpy-max", "1.5", "--dxpy-steps", "40"],
-                    ["Dxx", "Dxpy", "separable", "status"])
+                    ["Dxx", "Dxpy", "separable", "in_window", "status"])

@@ -25,8 +25,8 @@ from lindosc.separability import (
     simon_score_closed_form,
     simon_verdicts,
 )
-from lindosc import validate_two_mode
-from lindosc.core import SCORE_RTOL
+from lindosc import separability, validate_two_mode
+from lindosc.core import NODE_BLOCK, SCORE_RTOL, bona_fide_checks, stack_blocks
 from lindosc.lyapunov import steady_covariance
 from lindosc.two_mode import (
     det_cross_block,
@@ -34,6 +34,7 @@ from lindosc.two_mode import (
     drift_matrix,
     is_physical,
     steady_covariance_closed_form,
+    steady_entries,
 )
 
 from . import oracles
@@ -515,6 +516,118 @@ class TestScanSeparability:
         statuses = _statuses(scan)
         assert statuses[-dxpy_grid.size:] == ["indeterminate"] * dxpy_grid.size
         assert set(statuses[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
+
+
+class TestScanAxes:
+    """The scan evaluates on its axes what depends on one of them, and per
+    node only what mixes them: every field is that of the route that takes
+    each node on its own, bit for bit."""
+
+    @staticmethod
+    def _template(seed, scale, cross):
+        # (lam, m, w) over two decades; Dxx, Dxy and Dxpy up to ``scale``,
+        # with Dpxpx = m^2 w^2 Dxx and Dpxpy = m^2 w^2 Dxy still finite
+        rng = np.random.default_rng(seed)
+        lam, m, w = (10.0 ** rng.uniform(-1.0, 1.0, 3)).tolist()
+        params = OscillatorParams(lam=lam, m=m, omega=w)
+        mw2 = (m * w) ** 2
+        unit = scale * min(lam / (m * w), 1.0 / max(1.0, mw2))
+        dxy = rng.uniform(-1.0, 1.0) * unit if cross else 0.0
+        template = TwoModeEnvironment.symmetric_env(
+            Dxx=unit, Dxpx=0.0, Dpxpx=mw2 * unit, Dxy=dxy, Dxpy=0.0, Dpxpy=mw2 * dxy, lam=lam)
+        return template, params, rng, unit
+
+    @staticmethod
+    def _per_node(template, params, dxx_values, dxpy_values):
+        """The scan on the flattened node arrays: steady_entries of every
+        node, simon_verdicts of its covariance and bona_fide_checks of its
+        D/lam."""
+        dxx = np.repeat(dxx_values, len(dxpy_values))
+        dxpy = np.tile(dxpy_values, len(dxx_values))
+        mw2 = (params.m * params.omega) ** 2
+        dpxpx, dxy, dpxpy = mw2 * dxx, template.Dxy, mw2 * template.Dxy
+        zero = np.zeros(dxx.size)
+        with np.errstate(all="ignore"):  # beyond float64 an entry is inf
+            result = simon_verdicts(stack_blocks(*steady_entries(
+                dxx, 0.0, dpxpx, dxx, 0.0, dpxpx, dxy, dxpy, dxpy, dpxpy, params)))
+            mode = (dxx, zero, zero, dpxpx)
+            _, passed = bona_fide_checks(stack_blocks(mode, mode, (dxy, dxpy, dxpy, dpxpy))
+                                         / template.lam)
+            has_window = params.m * params.omega * dxx / params.lam >= 0.5
+        windowed = dxy == 0.0
+        in_window = None
+        if windowed:
+            lo, hi = np.full(dxx.size, np.nan), np.full(dxx.size, np.nan)
+            lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
+            in_window = (lo < np.abs(dxpy)) & (np.abs(dxpy) < hi)
+        status = np.select([windowed & ~has_window, ~passed.all(axis=-1),
+                            ~np.isfinite(result.score), windowed & result.boundary],
+                           [0, 1, 2, 3], 4).astype(np.uint8)
+        return (dxx, dxpy, result.score, result.separable, result.boundary, in_window, status)
+
+    @staticmethod
+    def _fields(scan):
+        return (scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary, scan.in_window,
+                scan.status)
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        """Equal fields, bit for bit but for the sign of a NaN score: it
+        comes from the SIMD or scalar loop that made the NaN, so it moves
+        with a node's place in its block, and the CSV prints nan for both."""
+        for x, y in zip(got, want, strict=True):
+            assert (x is None) == (y is None)
+            if x is None:
+                continue
+            assert x.dtype == y.dtype and x.shape == y.shape
+            if x.dtype.kind == "f":
+                nan = np.isnan(x)
+                assert np.array_equal(nan, np.isnan(y))
+                x, y = np.where(nan, 0.0, x), np.where(nan, 0.0, y)
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (2, 4 * NODE_BLOCK + 5), (30, 150)])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e308])
+    def test_axes_equal_nodes(self, scale, cross, shape):
+        seed = 3 * [1.0, 1e150, 1e308].index(scale) + 7 * cross + shape[1]
+        template, params, rng, unit = self._template(seed, scale, cross)
+        # Dxx rows on both sides of the one-mode bound and negative ones;
+        # Dxpy across the window and its mirror
+        dxx = unit * rng.uniform(-1.0, 1.0, shape[0])
+        dxpy = unit * rng.uniform(-1.0, 1.0, shape[1])
+        if shape[0] > 1:
+            dxx[0] = 0.0
+        scan = scan_separability(template, params, dxx, dxpy)
+        self._assert_same_bits(self._fields(scan), self._per_node(template, params, dxx, dxpy))
+
+    @pytest.mark.parametrize("node_block", [1, 3, 200, 65536])
+    def test_output_does_not_depend_on_the_block_size(self, monkeypatch, node_block):
+        for seed, cross, shape in ((5, False, (9, 37)), (6, True, (2, 4 * NODE_BLOCK + 5))):
+            template, params, rng, unit = self._template(seed, 1.0, cross)
+            dxx = unit * rng.uniform(-1.0, 4.0, shape[0])
+            dxpy = unit * rng.uniform(-4.0, 4.0, shape[1])
+            want = self._fields(scan_separability(template, params, dxx, dxpy))
+            with monkeypatch.context() as patch:
+                patch.setattr(separability, "NODE_BLOCK", node_block)
+                got = self._fields(scan_separability(template, params, dxx, dxpy))
+            self._assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dxx, dxpy, message", [
+        ([1.0, -1e308, 1e308], [0.0], "Dpxpx must be finite, got -inf"),
+        ([1.0, 1e308], [0.0, math.nan], "Dpxpx must be finite, got inf"),
+        ([0.5, math.inf], [0.0], "Dxx must be finite, got inf"),
+        ([0.5, 1.0], [0.0, math.nan, -math.inf], "Dxpy must be finite, got nan"),
+        ([0.5], [-math.inf, math.nan], "Dxpy must be finite, got -inf"),
+    ])
+    def test_first_non_finite_value_is_reported(self, dxx, dxpy, message):
+        # m w = 10, so Dpxpx = 100 Dxx overflows at Dxx = +-1e308
+        params = OscillatorParams(lam=0.2, m=2.0, omega=5.0)
+        template = TwoModeEnvironment.symmetric_env(
+            Dxx=1.0, Dxpx=0.0, Dpxpx=100.0, Dxy=0.0, Dxpy=0.0, Dpxpy=0.0, lam=0.2)
+        with np.errstate(over="ignore"), pytest.raises(ParameterError) as caught:
+            scan_separability(template, params, dxx, dxpy)
+        assert str(caught.value) == message
 
 
 def _statuses(scan) -> list:
