@@ -108,14 +108,16 @@ class CsvTable:
     slice holds at most ``_SLICE_CELLS`` cells of the float kernel, and at
     most twice as many cells in all.  Each column's slice becomes a cell
     matrix: a row of bytes per cell, its text padded with NUL bytes.
-    Gathered columns take their rows (:func:`_take_rows`); the other float
-    columns are stacked and formatted in one call of the numpy kernel
-    :func:`_float_cells`; a bytes column is its own cell matrix, and any
-    other column takes the characters of its text (:func:`_text_cells`).
-    The slice's matrices are then joined with ``,`` and ``\\n`` columns in
-    a ``bytearray``, and its NUL bytes deleted (:func:`_join_rows`).  The
-    slices' bytes are appended to one buffer, the bytes of formatting value
-    by value.
+    Gathered columns take their rows (:func:`_take_rows`) from their
+    distinct cells, cut once per block to the bytes those use; the other
+    float columns are stacked column by column and formatted in one call of
+    the numpy kernel :func:`_float_cells`, and each column's cells are cut
+    to the bytes that its slice uses (:func:`_float_columns`); a bytes
+    column is its own cell matrix, and any other column takes the
+    characters of its text (:func:`_text_cells`).  The slice's matrices are
+    then joined with ``,`` and ``\\n`` columns in a ``bytearray``, and its
+    NUL bytes deleted (:func:`_join_rows`).  The slices' bytes are appended
+    to one buffer, the bytes of formatting value by value.
     """
 
     def __init__(self, columns):
@@ -157,14 +159,14 @@ class CsvTable:
                 cells = [c.astype(float, copy=False) if table is None and c.dtype.kind == "f"
                          else c for c, table in zip(cells, tables)]
             stacked = [c for c, table in zip(cells, tables) if table is None and c.dtype == float]
-            # at most _SLICE_CELLS float cells and 2 _SLICE_CELLS cells in all
-            slices = max(-(-size * len(stacked) // _SLICE_CELLS),
-                         -(-size * len(cells) // (2 * _SLICE_CELLS)))  # rounded up
+            # at most _SLICE_CELLS float cells and 2 _SLICE_CELLS cells in all,
+            # and no slice empty
+            slices = min(size, max(-(-size * len(stacked) // _SLICE_CELLS),
+                                   -(-size * len(cells) // (2 * _SLICE_CELLS))))  # rounded up
             for k in range(slices):
                 rows = slice(k * size // slices, (k + 1) * size // slices)
                 if stacked:
-                    floats = iter(_float_cells(np.stack([c[rows] for c in stacked], axis=1))
-                                  .swapaxes(0, 1))
+                    floats = iter(_float_columns(np.stack([c[rows] for c in stacked])))
                 matrices = [_take_rows(*table, rows) if table is not None
                             else next(floats) if c.dtype == float
                             else _text_cells(c[rows])
@@ -177,7 +179,7 @@ class CsvTable:
 #: Float-kernel cells per render slice, at most; a slice holds at most
 #: twice as many cells in all.  The kernel holds about 100 bytes per value
 #: at its peak, the cells it returns included, where a gathered cell is a
-#: take of at most 25 bytes and a text cell its characters.  So each kernel
+#: take of at most 22 bytes and a text cell its characters.  So each kernel
 #: call formats at most 4,096 values, and a table of few float columns
 #: takes slices of up to 8,192 cells.
 _SLICE_CELLS = 4 * NODE_BLOCK
@@ -185,11 +187,26 @@ _SLICE_CELLS = 4 * NODE_BLOCK
 
 def _column_cells(c: np.ndarray) -> np.ndarray:
     """Cell matrix of the whole 1-D column ``c``: floats, cast to float64,
-    through :func:`_float_cells`, anything else through :func:`_text_cells`."""
+    through :func:`_float_cells`, anything else through :func:`_text_cells`;
+    cut to the span of byte columns that some cell fills."""
     if c.dtype.kind != "f":
-        return _text_cells(c)
-    with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
-        return _float_cells(c.astype(float, copy=False))
+        cells = _text_cells(c)
+    else:
+        with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
+            cells = _float_cells(c.astype(float, copy=False))
+    used = np.flatnonzero(cells.any(axis=0))
+    return np.ascontiguousarray(cells[:, used[0]:used[-1] + 1] if used.size else cells[:, :0])
+
+
+def _float_columns(stack: np.ndarray) -> list:
+    """Cell matrices of the columns of a slice, the rows of the float64
+    ``stack``, each cut to the bytes that its cells use: the sign byte only
+    if one of them is ``-``, and body byte 21 only if a three-digit exponent
+    fills it."""
+    cells = _float_cells(stack)
+    start = (cells[..., 0].max(axis=1) == 0).tolist()
+    stop = (cells[..., _CELL_BYTES - 1].max(axis=1) != 0).tolist()
+    return [c[:, i:_CELL_BYTES - 1 + j] for c, i, j in zip(cells, start, stop)]
 
 
 def _take_rows(cells: np.ndarray, index: np.ndarray, rows: slice) -> np.ndarray:
@@ -227,7 +244,11 @@ def _join_rows(cells: list) -> bytearray:
 
     The row matrix is a view of a ``bytearray``, so deleting its NUL bytes
     is the one copy of the slice's bytes.  It empties ``cells`` first, so
-    that no cell matrix is alive during that copy."""
+    that no cell matrix is alive during that copy.  ``translate`` tests each
+    byte with a branch that follows the data, so its cost follows the edges
+    of NUL runs more than the bytes: cut to the bytes they use, the cells of
+    the three benchmark workloads leave 2.0 to 5.0 edges per row, where
+    25-byte cells left 17.8 to 42.0."""
     ends = np.cumsum([c.shape[1] + 1 for c in cells])
     buf = bytearray(len(cells[0]) * int(ends[-1]))
     chars = np.frombuffer(buf, np.uint8).reshape(len(cells[0]), ends[-1])
@@ -250,14 +271,16 @@ def _join_rows(cells: list) -> bytearray:
 # y = |x| 10^(14-e) is a double-double (Dekker's exact product of |x| and
 # the double nearest the power, plus |x| times the power's low part), whose
 # error core's tolerance block bounds far below the rounding of N.  A cell
-# is the sign byte and a body of three little-endian words: d0 '.' d1-d6,
-# then d7-d14, then the exponent text, NUL-padded.  They are built as four
-# words, the sign (or NUL) in the last byte of the first, which the cell
-# starts at.
+# is the sign byte and a body of 21 bytes: d0 '.' d1-d6, then d7-d14, then
+# the exponent text, NUL-padded; only a three-digit exponent fills byte 21.
+# The cells are four little-endian words per value, the sign (or NUL) in
+# the last byte of the first, which the cell starts at.  Each digit group of
+# N is one uint32 lane of a word, looked up in a 40 KB table of four-digit
+# texts (4 KB for the 'd.dd' group).
 
 _SPLITTER = 2.0 ** 27 + 1  # Veltkamp: x = x1 + x2, each half of 26 bits
 _E_MIN = -RENDER_EXP_MAX - 1  # the tables cover e in [_E_MIN, -_E_MIN]
-_CELL_BYTES = 25
+_CELL_BYTES = 22
 _MINUS_WORD = np.uint64(ord("-") << 56)
 
 
@@ -283,18 +306,18 @@ def _words(data: list) -> np.ndarray:
     return np.frombuffer(buf, "<u8").reshape(len(data), width // 8).astype(np.uint64)
 
 
-def _digit_words() -> tuple:
+def _digit_lanes() -> tuple:
     """The text of i as four digits, and of i/100 as 'd.dd' for i < 1000,
-    as the low half of a word."""
+    as a little-endian uint32 lane."""
     digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
     point = digits[0].reshape(-1, 4)[:, [1, 0, 2, 3]].copy()
     point[:, 1] = ord(".")
-    return tuple(t.reshape(-1, 4).view("<u4")[:, 0].astype(np.uint64) for t in (digits, point))
+    return tuple(t.reshape(-1, 4).view("<u4")[:, 0].copy() for t in (digits, point))
 
 
 _POW10 = _pow10_table()
 _EXP_WORD = _words([b"e%+03d" % e for e in range(_E_MIN, 1 - _E_MIN)])[:, 0]
-_FOUR_DIGITS, _POINT_DIGITS = _digit_words()
+_FOUR_DIGITS, _POINT_DIGITS = _digit_lanes()
 _SPECIAL_WORDS = _words([b"0.00000000000000e+00", b"inf", b"nan"])  # zero, infinity, nan
 
 
@@ -326,8 +349,8 @@ def _scaled(a: np.ndarray, row: np.ndarray):
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """Cell matrix of ``'%.14e' % v`` for every float64 ``v`` of ``x``.
 
-    Returns ``uint8`` bytes of shape ``x.shape + (25,)``: byte 0 is ``-``
-    for a negative value, and bytes 1-24 the body; NUL pads both.  Zeros,
+    Returns ``uint8`` bytes of shape ``x.shape + (22,)``: byte 0 is ``-``
+    for a negative value, and bytes 1-21 the body; NUL pads both.  Zeros,
     infinities and nans take fixed texts.  A cell outside the kernel's
     domain (``core.RENDER_EXP_MAX``), or whose rounding is within
     ``core.RENDER_TIE_MARGIN`` of a tie, takes Python's text.
@@ -367,20 +390,24 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     carry = n == 1e15  # 9.99...95 10^e rounds to 1.00...00 10^(e+1)
     row += carry
     n[carry] = 1e14
-    words = np.empty((x.size, 4), np.uint64)
+    words = np.empty((x.size, 4), "<u8")
     words[:, 3] = np.take(_EXP_WORD, row)
 
-    # N in groups of 3, 4, 4 and 4 digits; each quotient is exact, as it is
-    # an integer or at least 10^-12 of itself away from one.  The first
-    # three take the spent arrays a, lo and p; n keeps the last.
-    head, g0, g1 = a, lo, p
-    for g, scale in ((head, 1e12), (g0, 1e8), (g1, 1e4)):
-        np.floor(np.divide(n, scale, out=g), out=g)
-        n -= g * scale
-    words[:, 1] = np.take(_POINT_DIGITS, head.astype(np.intp))
-    words[:, 1] |= np.take(_FOUR_DIGITS, g0.astype(np.intp)) << 32
-    words[:, 2] = np.take(_FOUR_DIGITS, g1.astype(np.intp))
-    words[:, 2] |= np.take(_FOUR_DIGITS, n.astype(np.intp)) << 32
+    # N, an integer below 2^53, in groups of 3, 4, 4 and 4 digits by integer
+    # floor division in the spent arrays: whole takes a and keeps the last
+    # group, the first three take lo, p and e.  Each group's text is one
+    # uint32 lane of the words.
+    whole = a.view(np.int64)
+    np.copyto(whole, n, casting="unsafe")
+    head, g0, g1 = (t.view(np.int64) for t in (lo, p, e))
+    for g, scale in ((head, 10 ** 12), (g0, 10 ** 8), (g1, 10 ** 4)):
+        np.floor_divide(whole, scale, out=g)
+        whole -= g * scale
+    lanes = words.view("<u4")
+    lanes[:, 2] = _POINT_DIGITS[head]
+    lanes[:, 3] = _FOUR_DIGITS[g0]
+    lanes[:, 4] = _FOUR_DIGITS[g1]
+    lanes[:, 5] = _FOUR_DIGITS[whole]
 
     negative = np.signbit(x)
     rest = np.flatnonzero(other)
@@ -396,7 +423,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         words[slow, 1:] = _words(bodies)
     words[:, 0] = np.where(negative, _MINUS_WORD, 0)
 
-    chars = words.astype("<u8", copy=False).view(np.uint8)[:, 8 - 1:]
+    chars = words.view(np.uint8)[:, 8 - 1:8 - 1 + _CELL_BYTES]
     return chars.reshape(shape + (_CELL_BYTES,))
 
 

@@ -1025,6 +1025,7 @@ CELL_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
                b""]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCsvTable:
     def test_render_matches_per_value_reference(self):
         rng = random.Random(5)
@@ -1238,6 +1239,68 @@ class TestCsvTable:
                                   for c in cells)))
             _assert_same_text(table.render(), self._reference(columns, rows))
 
+    @pytest.mark.parametrize("slice_cells", [1, 3, NODE_BLOCK, 64 * NODE_BLOCK])
+    def test_cells_are_cut_to_the_bytes_they_use(self, monkeypatch, slice_cells):
+        # Float columns whose features (a sign, a three-digit exponent, +-0,
+        # +-inf and nan, Python's text) sit in stretches of rows, so that some
+        # slices have them and others not, beside a gathered float and a
+        # gathered label column whose values differ in width, in blocks on
+        # both sides of the slice edges.  The output is the reference's, and
+        # no cell matrix reaching the join keeps a byte column that is NUL in
+        # every row: a float column's cells are cut per slice (a slice of
+        # inf and nan alone keeps the 20-byte body of finite values), and a
+        # gathered column's once per block (over the block's rows).
+        monkeypatch.setattr(cli, "_SLICE_CELLS", slice_cells)
+        rng = np.random.default_rng(23)
+        features = [[-2.5, -1e-3], [1e-100, 1e250], [0.0, -0.0], [math.inf, -math.inf, math.nan],
+                    [5e-324, 2.0 ** -22], [-1e-100, 1e250, -0.0]]
+        axis = np.array([1e-3, -2.0, 1e250, 0.5, math.nan, -0.0])
+        labels = np.array([b"ok", b"invalid", b"", b"boundary-indeterminate"])
+
+        def floats(n, order):
+            values = rng.uniform(1e-3, 1.0, n)  # no sign, two-digit exponents
+            stretches = np.array_split(np.arange(n), 2 * len(features))
+            for rows, feature in zip(stretches[1::2], [features[k] for k in order]):
+                rows = rows[::3]
+                values[rows] = rng.choice(feature, rows.size)
+            return values
+
+        def gathered(values, n):
+            if n == 1:  # one value, so that the block uses all of them
+                return cli.Gather(values[rng.integers(0, values.size, 1)], np.zeros(1, np.uint8))
+            return cli.Gather(values, rng.permutation(np.resize(np.arange(values.size), n)))
+
+        columns, blocks, rows = ["g", "f0", "l", "f1", "f2"], (700, 1, 0, 257, 2100), []
+        table = cli.CsvTable(columns)
+        for n in blocks:
+            cells = (gathered(axis, n), floats(n, range(6)), gathered(labels, n),
+                     floats(n, range(5, -1, -1)), floats(n, [1, 3]))
+            table.add_columns(*cells)
+            rows.extend(zip(*((np.take(*c) if isinstance(c, cli.Gather) else c).tolist()
+                              for c in cells)))
+        join, seen = cli._join_rows, []
+
+        def spy(cells):
+            seen.append([m.copy() for m in cells])
+            return join(cells)
+
+        monkeypatch.setattr(cli, "_join_rows", spy)
+        _assert_same_text(table.render(), self._reference(columns, rows))
+
+        def dead(m):
+            return not m.any(axis=0).all()
+
+        for matrices in seen:
+            for j in (1, 3, 4):
+                texts = _cell_texts(matrices[j])
+                assert not dead(matrices[j]) or all(t.lstrip("-") in ("inf", "nan") for t in texts)
+        ends = np.cumsum([len(m[0]) for m in seen])
+        for end, n in zip(np.cumsum(blocks), blocks):
+            block = [m for m, e in zip(seen, ends) if end - n < e <= end]
+            assert sum(len(m[0]) for m in block) == n
+            for j in (0, 2):
+                assert n == 0 or not dead(np.concatenate([m[j] for m in block]))
+
     def test_join_frees_the_cell_matrices(self, monkeypatch):
         # a deco-grid-like table of 40,000 rows: two gathered axes, two float
         # columns and a gathered status.  Each slice's join copies its row
@@ -1275,6 +1338,7 @@ class TestCsvTable:
         assert len(added) > 1 and max(added) <= 1.25
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFloatKernel:
     """The numpy float kernel renders every float64 as ``%.14e`` does."""
 
@@ -1318,7 +1382,10 @@ class TestFloatKernel:
     def test_carries_and_powers_of_ten(self):
         values = []
         for k in range(-323, 309):
-            for text in (f"9.999999999999995e{k}", f"9.99999999999999e{k}", f"1e{k}"):
+            # the carry, then digit groups of 999|9999|9999|9999, 100|0000|0000|0000,
+            # 100|0099|9900|0099 and 999|0000|9999|0000
+            for text in (f"9.999999999999995e{k}", f"9.99999999999999e{k}", f"1e{k}",
+                         f"1.00009999000099e{k}", f"9.99000099990000e{k}"):
                 v = float(text)
                 for ulps in range(-2, 3):
                     values.append(v)
@@ -1326,6 +1393,7 @@ class TestFloatKernel:
                 values.extend([np.nextafter(values[-5], 0.0), np.nextafter(values[-5], 0.0)])
         values = np.array(values)
         assert "%.14e" % 9.999999999999995e100 == "1.00000000000000e+101"  # a carry
+        assert "%.14e" % 1.00009999000099e-05 == "1.00009999000099e-05"
         self._assert_renders(np.concatenate([values, -values]), width=5)
 
     def test_edges_of_the_float_range(self):
