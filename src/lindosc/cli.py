@@ -112,8 +112,11 @@ class CsvTable:
     distinct cells, cut once per block to the bytes those use; the other
     float columns are stacked column by column and formatted in one call of
     the numpy kernel :func:`_float_cells`, and each column's cells are cut
-    to the bytes that its slice uses (:func:`_float_columns`); a bytes
-    column is its own cell matrix, and any other column takes the
+    to the bytes that its slice uses (:func:`_float_columns`).  A float
+    column object that a block holds at more than one position (one array
+    passed twice to :meth:`add_columns`) is stacked once, its cell matrix
+    joined at each position, and the kernel's cell count takes it once.  A
+    bytes column is its own cell matrix, and any other column takes the
     characters of its text (:func:`_text_cells`).  The slice's matrices are
     then joined with ``,`` and ``\\n`` columns in a ``bytearray``, and its
     NUL bytes deleted (:func:`_join_rows`).  The slices' bytes are appended
@@ -155,20 +158,20 @@ class CsvTable:
             # None marks a column of text, or of the slice's stacked float call
             tables = [(_column_cells(c.values), c.index) if isinstance(c, Gather) else None
                       for c in cells]
+            # each distinct float column object once, by id, cast to float64
             with np.errstate(over="ignore"):  # as float(): beyond float64, a wider float is inf
-                cells = [c.astype(float, copy=False) if table is None and c.dtype.kind == "f"
-                         else c for c, table in zip(cells, tables)]
-            stacked = [c for c, table in zip(cells, tables) if table is None and c.dtype == float]
+                stacked = {id(c): c.astype(float, copy=False) for c, table in zip(cells, tables)
+                           if table is None and c.dtype.kind == "f"}
             # at most _SLICE_CELLS float cells and 2 _SLICE_CELLS cells in all,
             # and no slice empty
             slices = min(size, max(-(-size * len(stacked) // _SLICE_CELLS),
                                    -(-size * len(cells) // (2 * _SLICE_CELLS))))  # rounded up
             for k in range(slices):
                 rows = slice(k * size // slices, (k + 1) * size // slices)
-                if stacked:
-                    floats = iter(_float_columns(np.stack([c[rows] for c in stacked])))
+                floats = dict(zip(stacked, _float_columns(
+                    np.stack([c[rows] for c in stacked.values()])))) if stacked else {}
                 matrices = [_take_rows(*table, rows) if table is not None
-                            else next(floats) if c.dtype == float
+                            else floats[id(c)] if id(c) in floats
                             else _text_cells(c[rows])
                             for c, table in zip(cells, tables)]
                 floats = None  # the kernel's words live on only in matrices
@@ -652,9 +655,14 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     blocks = propagate_entries(one, one, (0.0,) * 4, env, params, t_grid)
 
     table = CsvTable(["t", *COV_ENTRIES, "simon_score"])
-    for start in range(0, t_grid.size, NODE_BLOCK):
-        k = slice(start, start + NODE_BLOCK)
-        a, b, c = ([x[k] for x in block] for block in blocks)
+    # Blocks of 4 NODE_BLOCK rows, as scan's: a per-node temporary then takes
+    # at most 32 KiB, below the allocator's 128 KiB mmap threshold.  Each
+    # entry array is cut once per block, so that an entry B shares with A (a
+    # mirror environment) stays one column object, which render formats once.
+    for start in range(0, t_grid.size, 4 * NODE_BLOCK):
+        k = slice(start, start + 4 * NODE_BLOCK)
+        cut = {id(x): x[k] for block in blocks for x in block}
+        a, b, c = ([cut[id(x)] for x in block] for block in blocks)
         table.add_columns(t_grid[k], *_cov_entries(a, b, c),
                           entry_invariants(a, b, c, which="score"))
     _emit(table.render(), args.out)

@@ -24,9 +24,10 @@ Kronecker vectorization as an independent reference route.
 The kernels take arrays first, and give the entries of the blocks A, B
 and C: :func:`steady_entries` over arrays of diffusion coefficients and
 :func:`propagate_entries` over an array of times, relaxing each block on
-its own.  :func:`propagator` and :func:`propagate_covariance` stack one
-4x4 matrix per time as (..., 4, 4).  Nothing is cached: each call solves
-for S_inf once, whatever the number of times it covers.
+its own, and B not again where its inputs are A's.  :func:`propagator`
+and :func:`propagate_covariance` stack one 4x4 matrix per time as
+(..., 4, 4).  Nothing is cached: each call solves for S_inf once,
+whatever the number of times it covers.
 
 :func:`is_physical` tests a covariance with core's invariants, not with
 eigenvalues.
@@ -184,19 +185,35 @@ def steady_entries(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
             (c_xx, c_xp + anti, c_xp - anti, c_pp))
 
 
+def _same_bits(x, y) -> bool:
+    """Whether the tuples of floats or arrays ``x`` and ``y`` hold the same
+    entries bit for bit: dtype, shape and bytes (so -0.0 is not 0.0)."""
+    return all(u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+               for u, v in zip(map(np.asarray, x), map(np.asarray, y)))
+
+
 def propagate_entries(a0, b0, c0, env: TwoModeEnvironment, params: OscillatorParams, t):
     """Exact covariance at times t >= 0 from an initial one, both as the
     entries of the blocks A, B and C (``core.entry_invariants``' form), which
     broadcast with ``t``.  M(t) is block-diagonal, so each block relaxes on
     its own.  A and B have one off-diagonal value, so their stacks are
-    exactly symmetric."""
+    exactly symmetric.
+
+    Where B's inputs are A's bit for bit, its initial entries and (Dyy, Dypy,
+    Dpypy) against (Dxx, Dxpx, Dpxpx), B relaxes exactly as A does, and the
+    result's B is A's tuple: the same arrays.  Entries may alias one another
+    in this way, so callers must treat them as read-only."""
     _warn_mu_ignored(params)
     a_inf, b_inf, c_inf = _env_steady_entries(env, params)
     m = block_entries(single_mode.moment_propagator(replace(params, mu=0.0), t))
-    (a00, a01, _, a11), (b00, b01, _, b11), c = (
-        single_mode.relaxed_entries(m, x0, x_inf)
-        for x0, x_inf in ((a0, a_inf), (b0, b_inf), (c0, c_inf)))
-    return (a00, a01, a01, a11), (b00, b01, b01, b11), c
+    (a00, a01, _, a11), c = (single_mode.relaxed_entries(m, x0, x_inf)
+                             for x0, x_inf in ((a0, a_inf), (c0, c_inf)))
+    a = (a00, a01, a01, a11)
+    if _same_bits(b0, a0) and _same_bits((env.Dyy, env.Dypy, env.Dpypy),
+                                         (env.Dxx, env.Dxpx, env.Dpxpx)):
+        return a, a, c
+    b00, b01, _, b11 = single_mode.relaxed_entries(m, b0, b_inf)
+    return a, (b00, b01, b01, b11), c
 
 
 def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,

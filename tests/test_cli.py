@@ -672,6 +672,22 @@ class TestPropagateCommand:
         assert code == 0 and len(parse_csv(out)) == 2500
         assert len(solves) == 1
 
+    def test_output_does_not_depend_on_the_block_size(self, capsys, monkeypatch):
+        # 9,000 rows are several blocks of 4 NODE_BLOCK rows.  In the mirror
+        # environment B's entries are A's arrays, so each slice formats 9
+        # distinct float columns of the 12.
+        argv = ["propagate", "--config", str(ROOT / "configs" / "two_mode_window.json"),
+                "--steps", "9000"]
+        kernel, stacks = cli._float_cells, []
+        monkeypatch.setattr(cli, "_float_cells",
+                            lambda x: stacks.append(x.shape) or kernel(x))
+        code, want, err = run(capsys, argv)
+        assert code == 0 and len(parse_csv(want)) == 9000
+        assert stacks and all(shape[0] == 9 for shape in stacks)
+        for node_block in (1, 3, 65536):
+            monkeypatch.setattr(cli, "NODE_BLOCK", node_block)
+            assert run(capsys, argv) == (code, want, err)
+
 
 class TestScanCommand:
     def _config(self, tmp_path, dxx=0.1):
@@ -1300,6 +1316,50 @@ class TestCsvTable:
             assert sum(len(m[0]) for m in block) == n
             for j in (0, 2):
                 assert n == 0 or not dead(np.concatenate([m[j] for m in block]))
+
+    @pytest.mark.parametrize("slice_cells", [1, 3, NODE_BLOCK, 64 * NODE_BLOCK])
+    def test_repeated_float_column_is_formatted_once(self, monkeypatch, slice_cells):
+        # A float64 and a float32 column object, each at two positions apart,
+        # beside another float column, gathered and text columns, in blocks
+        # on both sides of the slice edges.  The output is the per-value
+        # reference's; each slice's stacked kernel call formats each distinct
+        # float column once, and the slice rule counts those: 3 per row here.
+        monkeypatch.setattr(cli, "_SLICE_CELLS", slice_cells)
+        rng = np.random.default_rng(24)
+        specials = np.array([-0.0, 0.0, math.nan, math.inf, -1e-300, 2.5e300, -7e-123])
+        axis = np.concatenate([specials, rng.standard_normal(20)])
+        labels = np.array([b"ok", b"invalid", b"boundary-indeterminate"])
+
+        def floats(n, decades=300):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-decades, decades + 1, n)
+            values[rng.integers(0, n, n // 8)] = rng.choice(specials[:4], n // 8)
+            return values
+
+        columns, blocks, rows = ["f", "g", "w", "h", "f2", "l", "b", "w2"], (700, 1, 0, 2100), []
+        table = cli.CsvTable(columns)
+        for n in blocks:
+            f, w = floats(n), floats(n, 30).astype(np.float32)
+            cells = (f, cli.Gather(axis, rng.integers(0, axis.size, n).astype(np.uint8)), w,
+                     floats(n), f, cli.Gather(labels, rng.integers(0, 3, n).astype(np.uint8)),
+                     rng.random(n) < 0.5, w)
+            table.add_columns(*cells)
+            rows.extend(zip(*((np.take(*c) if isinstance(c, cli.Gather) else c).tolist()
+                              for c in cells)))
+        kernel, stacks = cli._float_cells, []
+
+        def spy(x):
+            if x.ndim == 2:  # a slice's stack; a gathered column's values are 1-D
+                stacks.append(x.shape)
+            return kernel(x)
+
+        monkeypatch.setattr(cli, "_float_cells", spy)
+        _assert_same_text(table.render(), self._reference(columns, rows))
+        assert all(distinct == 3 and distinct * size <= max(slice_cells, 3)
+                   for distinct, size in stacks)
+        assert sum(size for _, size in stacks) == sum(blocks)
+        assert len(stacks) == sum(min(n, max(-(-n * 3 // slice_cells),
+                                             -(-n * len(columns) // (2 * slice_cells))))
+                                  for n in blocks)
 
     def test_join_frees_the_cell_matrices(self, monkeypatch):
         # a deco-grid-like table of 40,000 rows: two gathered axes, two float

@@ -15,8 +15,8 @@ from lindosc import (
     TwoModeEnvironment,
     correlated_coherent_state,
 )
-from lindosc import lyapunov, two_mode
-from lindosc.core import NODE_BLOCK, covariance_blocks
+from lindosc import lyapunov, single_mode, two_mode
+from lindosc.core import NODE_BLOCK, block_entries, covariance_blocks, stack_blocks
 from lindosc.separability import simon_score
 from lindosc.lyapunov import steady_covariance
 from lindosc.single_mode import moment_propagator
@@ -307,6 +307,50 @@ class TestPropagateCovariance:
                 lambda t: propagate_covariance(sigma0, WINDOW_ENV, PARAMS, t), times))
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
+
+
+def _bits(entries) -> list:
+    return [np.asarray(x).tobytes() for x in entries]
+
+
+class TestMirrorModes:
+    """B relaxes once with A where its inputs are A's bit for bit, and on its
+    own otherwise; either way it is, bit for bit, the one-mode relaxation of
+    its own initial entries and diffusion block."""
+
+    TIMES = np.linspace(0.0, 30.0, 41)
+    C0 = (0.1, -0.05, 0.02, 0.2)
+
+    @staticmethod
+    def _state(delta, r):
+        s = correlated_coherent_state(delta, r, PARAMS)
+        return (s.sxx, s.sxp, s.sxp, s.spp)
+
+    def _relaxed(self, x0, dxx, dxp, dpp):
+        """One mode's block, relaxed through single_mode alone."""
+        p = replace(PARAMS, mu=0.0)
+        s_xx, s_xp, s_pp = single_mode.stationary_covariance(p, dxx, dxp, dpp)
+        m = block_entries(moment_propagator(p, self.TIMES))
+        r00, r01, _, r11 = single_mode.relaxed_entries(m, x0, (s_xx, s_xp, s_xp, s_pp))
+        return r00, r01, r01, r11
+
+    @pytest.mark.parametrize("case", ["mirror", "next_dyy", "signed_zero_dypy", "other_b0"])
+    def test_b_is_its_own_relaxation(self, case):
+        env, a0 = WINDOW_ENV, self._state(2.0, 0.3)
+        b0 = self._state(1.5, -0.2) if case == "other_b0" else a0
+        if case == "next_dyy":
+            env = replace(env, Dyy=float(np.nextafter(env.Dxx, math.inf)))
+        elif case == "signed_zero_dypy":
+            env = replace(env, Dxpx=0.0, Dypy=-0.0)
+        a, b, c = propagate_entries(a0, b0, self.C0, env, PARAMS, self.TIMES)
+        shared = case == "mirror"
+        assert (b is a) is shared and all((y is x) is shared for x, y in zip(a, b))
+        want_a = self._relaxed(a0, env.Dxx, env.Dxpx, env.Dpxpx)
+        want_b = self._relaxed(b0, env.Dyy, env.Dypy, env.Dpypy)
+        assert _bits(a) == _bits(want_a) and _bits(b) == _bits(want_b)
+        # the stacked route, from blocks that are views of one matrix
+        sigma = propagate_covariance(stack_blocks(a0, b0, self.C0), env, PARAMS, self.TIMES)
+        assert sigma.tobytes() == stack_blocks(want_a, want_b, c).tobytes()
 
 
 COEFFICIENTS = ("Dxx", "Dxpx", "Dpxpx", "Dyy", "Dypy", "Dpypy", "Dxy", "Dxpy", "Dypx", "Dpxpy")
