@@ -39,7 +39,7 @@ from .core import (
     validate_single_mode,
     validate_two_mode,
 )
-from .errors import ConfigError, LindoscError, ParameterError
+from .errors import ConfigError, InvalidEnvironmentError, LindoscError, ParameterError
 from .separability import (
     SCAN_STATUSES,
     closed_form_route,
@@ -606,28 +606,23 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
     params = cfg.oscillator
     env = cfg.require("two_mode_env", "asymptotic")
     _warn_env_validity(env, params)
-    Y = drift_matrix(params)
-    D = diffusion_matrix(env)
     s_inf = steady_covariance_closed_form(env, params)
-    resid = lyapunov.residual(Y, s_inf, D)
+    resid = lyapunov.residual(drift_matrix(params), s_inf, diffusion_matrix(env))
     full = simon_verdicts(s_inf)
     det_c, det_c_size = cross_block_route(env, params)
 
     # The closed form takes det C where the criterion takes -|det C|: unless
     # det C is resolved positive, the two routes to S must agree within the
-    # sum of their rounding bounds.
+    # sum of their rounding bounds, where the environment is in its family.
     closed_score = None
-    try:
-        closed_score, closed_bound = closed_form_route(env, params)
-    except LindoscError:
-        pass
-    if not not_negative(-det_c, det_c_size):
-        closed_score = None
+    if not_negative(-det_c, det_c_size):
+        try:
+            closed_score, closed_bound = closed_form_route(env, params)
+        except InvalidEnvironmentError:
+            pass
     if closed_score is not None and abs(closed_score - full.score) > closed_bound + full.bound:
-        raise ParameterError(
-            f"closed-form and full separability scores disagree: "
-            f"{closed_score!r} vs {full.score!r}"
-        )
+        raise ParameterError("closed-form and full separability scores disagree: "
+                             f"{closed_score!r} vs {full.score!r}")
 
     table = CsvTable(["name", "value"])
     for name, value in zip(COV_ENTRIES, _cov_entries(*covariance_blocks(s_inf))):
@@ -686,7 +681,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     scan = scan_separability(env, params, dxx_grid, dxpy_grid)
     verdicts = np.where(scan.boundary, np.uint8(2), scan.separable.view(np.uint8))
     # without a window (Dxy != 0) every in_window cell is empty
-    in_window = (Gather(np.array([b""]), np.zeros(scan.Dxx.size, np.uint8))
+    in_window = (Gather(np.array([b""]), np.zeros(scan.score.size, np.uint8))
                  if scan.in_window is None
                  else Gather(_SEPARABLE_LABELS[:2], scan.in_window.view(np.uint8)))
     table = CsvTable(["Dxx", "Dxpy", "S", "separable", "in_window", "status"])

@@ -105,12 +105,17 @@ __all__ = [
 #   (:func:`not_negative`).  A product is rounded at most 3 times in
 #   det A - 1/4 (2 in det A, 1 in the difference), 5 times in the 3x3 minor
 #   (2 in a cofactor, 1 in its product, 2 in the sum of three), 5 in
-#   Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as in S) and 15 in
-#   the det C of ``two_mode.cross_block_route`` (10 in its numerator, 4 in
-#   its denominator, 1 in the quotient).  The entries of sigma = D/(hbar lam)
-#   are rounded by at most eps < 6.75 eps.  A non-finite x is unresolved:
-#   the itemized validate reports fail it, and a scan node with one reports
-#   it through its non-finite S.
+#   Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as in S) and 16 in
+#   the det C of ``two_mode.cross_block_route``: 11 in its numerator (4 in
+#   each term of m w^2 Dxy + Dpxpy/m, 1 in their product, then 2 in the sum
+#   of three terms), 4 in its denominator, 1 in the quotient.  Its term
+#   w^2 (Dxpy - Dypx)^2 is its own magnitude, as a difference is rounded
+#   relative to its result: 3 products and its 2 factors, then 1 in the sum.
+#   So |fl(det C) - det C| <= 16 (eps/2) Sigma = 8 eps Sigma, under
+#   SCORE_RTOL, on coefficients taken as they are.  The entries of sigma =
+#   D/(hbar lam) are rounded by at most eps < 6.75 eps.  A non-finite x is
+#   unresolved: the itemized validate reports fail it, and a scan node with
+#   one reports it through its non-finite S.
 # * RENDER_TIE_MARGIN: the CSV float kernel of ``cli`` rounds
 #   y = |x| 10^(14-e), y in [10^14, 10^15), to the 15-digit mantissa of
 #   ``%.14e``.  It holds y as p + lo, a double-double (Dekker, Numer. Math.

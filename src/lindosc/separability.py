@@ -105,15 +105,14 @@ SCAN_STATUSES = ("invalid-window", "invalid", "indeterminate", "boundary-indeter
 
 @dataclass(frozen=True)
 class ScanColumns:
-    """A separability scan over (Dxx, Dxpy), one array entry per node.
+    """A separability scan over (Dxx, Dxpy), one array entry per node in
+    row-major order, Dxx slowest.
 
     ``in_window`` is None when the template has Dxy != 0 (no window).
     ``status`` holds each node's status as a ``uint8`` code, the index of
     its label in :data:`SCAN_STATUSES`.
     """
 
-    Dxx: np.ndarray
-    Dxpy: np.ndarray
     score: np.ndarray
     separable: np.ndarray
     boundary: np.ndarray
@@ -321,8 +320,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
         lo[has_window], hi[has_window] = entanglement_window(dxx[has_window], params)
         magnitude = np.abs(row)
         in_window = ((lo[:, None] < magnitude) & (magnitude < hi[:, None])).ravel()
-    return ScanColumns(Dxx=np.repeat(dxx, dxpy.size), Dxpy=np.tile(dxpy, dxx.size),
-                       score=score.ravel(), separable=separable.ravel(),
+    return ScanColumns(score=score.ravel(), separable=separable.ravel(),
                        boundary=boundary.ravel(), in_window=in_window, status=status.ravel())
 
 

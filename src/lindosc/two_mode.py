@@ -54,7 +54,7 @@ from .core import (
     diffusion_matrix,
     stack_blocks,
 )
-from .errors import InvalidEnvironmentError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 __all__ = [
     "drift_matrix",
@@ -127,14 +127,6 @@ def propagator(params: OscillatorParams, t) -> np.ndarray:
     require_hbar_one(params)
     _warn_mu_ignored(params)
     return _block_diagonal(single_mode.moment_propagator(replace(params, mu=0.0), t))
-
-
-def _require_symmetric_env(env: TwoModeEnvironment):
-    if not env.symmetric:
-        raise InvalidEnvironmentError(
-            "the closed-form det C needs a mirror-symmetric environment "
-            "(Dxx = Dyy, Dxpx = Dypy, Dpxpx = Dpypy, Dxpy = Dypx)"
-        )
 
 
 def require_matching_lam(env: TwoModeEnvironment, params: OscillatorParams):
@@ -225,10 +217,10 @@ def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
 
 
 def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
-    """Determinant of the asymptotic cross-covariance block.
+    """Determinant of the asymptotic cross-covariance block of any environment.
 
-    det C = ((m w^2 Dxy + Dpxpy/m)^2 + 4 lam^2 (Dxy Dpxpy - Dxpy^2))
-            / (4 lam^2 (lam^2 + w^2)).
+    det C = ((m w^2 Dxy + Dpxpy/m)^2 + 4 lam^2 (Dxy Dpxpy - Dxpy Dypx)
+             + w^2 (Dxpy - Dypx)^2) / (4 lam^2 (lam^2 + w^2)).
 
     Negative values are the precondition for asymptotic entanglement.
     """
@@ -237,17 +229,19 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
 
 def cross_block_route(env: TwoModeEnvironment, params: OscillatorParams) -> tuple[float, float]:
     """:func:`det_cross_block` and its magnitude sum: the same products with
-    every coefficient and sign taken by its magnitude."""
+    every coefficient and sign taken by its magnitude.  The square of
+    Dxpy - Dypx is its own magnitude, as a difference is rounded relative to
+    its result."""
     require_hbar_one(params)
-    _require_symmetric_env(env)
     require_matching_lam(env, params)
     m, w, lam = params.m, params.omega, params.lam
     q = lam * lam + w * w
     lead = m * w * w * env.Dxy + env.Dpxpy / m
     size = m * w * w * abs(env.Dxy) + abs(env.Dpxpy) / m
-    cross = env.Dxy * env.Dpxpy
-    return ((lead * lead + 4.0 * lam * lam * (cross - env.Dxpy**2)) / (4.0 * lam * lam * q),
-            (size * size + 4.0 * lam * lam * (abs(cross) + env.Dxpy**2)) / (4.0 * lam * lam * q))
+    cross, skew, diff = env.Dxy * env.Dpxpy, env.Dxpy * env.Dypx, env.Dxpy - env.Dypx
+    anti, den = w * w * diff * diff, 4.0 * lam * lam * q
+    return ((lead * lead + 4.0 * lam * lam * (cross - skew) + anti) / den,
+            (size * size + 4.0 * lam * lam * (abs(cross) + abs(skew)) + anti) / den)
 
 
 def is_physical(sigma: np.ndarray):

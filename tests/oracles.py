@@ -200,11 +200,31 @@ def exact_invariants(sigma):
             delta - Fraction(1, 2), u, u + min(det_c, 0))
 
 
+def exact_cross_block_det(env, params):
+    """det C of the asymptotic covariance in exact arithmetic on the float
+    inputs: Y1 C + C Y1^T = -2 D_C, vectorized by Kronecker product as
+    (I (x) Y1 + Y1 (x) I) vec C = -2 vec D_C and solved by Cramer's rule."""
+    lam, m, w = (Fraction(x) for x in (params.lam, params.m, params.omega))
+    y1 = [[-lam, 1 / m], [-m * w * w, -lam]]
+    d_c = [[env.Dxy, env.Dxpy], [env.Dypx, env.Dpxpy]]
+    order = [(0, 0), (1, 0), (0, 1), (1, 1)]  # vec: column-major
+    kron = [[(y1[i][k] if l == j else 0) + (y1[j][l] if k == i else 0) for k, l in order]
+            for i, j in order]
+    rhs = [-2 * Fraction(d_c[i][j]) for i, j in order]
+    det_k = _det(kron)
+    c00, c10, c01, c11 = (_det([row[:n] + [b] + row[n + 1:] for row, b in zip(kron, rhs)])
+                          / det_k for n in range(4))
+    return c00 * c11 - c01 * c10
+
+
 def cross_block_det_formula(Dxy, Dxpy, Dpxpy, lam, m=1.0, omega=1.0):
-    """Asymptotic cross-block determinant, written out independently."""
+    """Asymptotic cross-block determinant of a mirror-symmetric environment
+    (Dypx = Dxpy), written out independently.  Its squares are products:
+    Python's float ``**`` calls the C library's pow, which need not round
+    x**2 as it rounds x*x."""
     q = lam * lam + omega * omega
     lead = m * omega * omega * Dxy + Dpxpy / m
-    return (lead * lead + 4.0 * lam * lam * (Dxy * Dpxpy - Dxpy**2)) / (4.0 * lam * lam * q)
+    return (lead * lead + 4.0 * lam * lam * (Dxy * Dpxpy - Dxpy * Dxpy)) / (4.0 * lam * lam * q)
 
 
 def random_valid_symmetric_env(rng, require_detc_nonneg=False):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindosc import OscillatorParams, ThermalParams, TwoModeEnvironment, cli
+from lindosc import OscillatorParams, ParameterError, ThermalParams, TwoModeEnvironment, cli
 from lindosc.core import NODE_BLOCK
 from lindosc.separability import closed_form_route, simon_score, simon_score_closed_form
 from lindosc.single_mode import decoherence_degree
@@ -604,6 +604,28 @@ class TestAsymptoticCommand:
         assert code == 2
         assert "closed-form and full separability scores disagree" in err
         assert out == ""
+
+    def test_closed_form_parameter_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # only the closed form's family gate is a reason to omit its row
+        cfg = write_config(tmp_path, dict(oscillator={"lambda": 0.2}, two_mode_env=WINDOW_ENV))
+
+        def failing(env, params):
+            raise ParameterError("closed form failed")
+
+        monkeypatch.setattr(cli, "closed_form_route", failing)
+        code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+        assert code == 2
+        assert "closed form failed" in err
+        assert out == ""
+
+    def test_mirror_env_outside_the_family_omits_the_closed_form(self, tmp_path, capsys):
+        env = dict(WINDOW_ENV, Dxpx=0.01)  # det C < 0, but Dxpx != 0
+        cfg = write_config(tmp_path, dict(oscillator={"lambda": 0.2}, two_mode_env=env))
+        code, out, err = run(capsys, ["asymptotic", "--config", cfg])
+        assert code == 0, err
+        values = {r["name"]: r["value"] for r in parse_csv(out)}
+        assert float(values["det_cross_block"]) < 0.0
+        assert "simon_score_closed_form" not in values
 
     def test_requires_env_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG1)

@@ -429,9 +429,10 @@ class TestScanSeparability:
         assert (scan.score >= 0.0).all()
 
     def test_sign_matches_window_away_from_endpoints(self):
-        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1], np.linspace(0.0, 1.5, 200))
+        dxpy_grid = np.linspace(0.0, 1.5, 200)
+        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1], dxpy_grid)
         lo, hi = entanglement_window(0.1, PARAMS)
-        for dxpy, score, in_window in zip(scan.Dxpy, scan.score, scan.in_window):
+        for dxpy, score, in_window in zip(dxpy_grid, scan.score, scan.in_window):
             margin = 1e-6 * hi
             if lo + margin < dxpy < hi - margin:
                 assert score < 0.0 and in_window
@@ -459,9 +460,12 @@ class TestScanSeparability:
                                    + ["ok", "ok", "invalid"] + ["indeterminate"] * 3)
 
     def test_row_major_order(self):
-        scan = scan_separability(WINDOW_ENV, PARAMS, [0.1, 0.2], [0.0, 0.5])
-        assert list(zip(scan.Dxx, scan.Dxpy)) == \
-            [(0.1, 0.0), (0.1, 0.5), (0.2, 0.0), (0.2, 0.5)]
+        # node k is (Dxx[k // 2], Dxpy[k % 2]): the scan of that node alone
+        dxx_grid, dxpy_grid = [0.1, 0.2], [0.0, 0.5]
+        scan = scan_separability(WINDOW_ENV, PARAMS, dxx_grid, dxpy_grid)
+        nodes = zip(np.repeat(dxx_grid, 2), np.tile(dxpy_grid, 2))
+        assert [scan_separability(WINDOW_ENV, PARAMS, [dxx], [dxpy]).score[0]
+                for dxx, dxpy in nodes] == scan.score.tolist()
 
     def test_nonzero_dxy_template_has_no_window_column(self):
         env = TwoModeEnvironment.symmetric_env(Dxx=0.3, Dxpx=0.0, Dpxpx=0.3,
@@ -489,7 +493,7 @@ class TestScanSeparability:
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
         want = _scan_reference(template, params, dxx_grid, dxpy_grid)
         assert len(scan.score) == len(want)
-        assert _scan_rows(scan) == want
+        assert _scan_rows(scan, dxx_grid, dxpy_grid) == want
         statuses = set(_statuses(scan))
         assert statuses >= ({"ok", "invalid"} if dxy else
                             {"invalid-window", "boundary-indeterminate", "invalid"})
@@ -512,7 +516,7 @@ class TestScanSeparability:
         dxpy_grid = np.concatenate([[0.0], math.hypot(lam, w) * rng.uniform(-5.0, 5.0, 24)])
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
         want = _scan_reference(template, params, dxx_grid, dxpy_grid)
-        assert _scan_rows(scan) == want
+        assert _scan_rows(scan, dxx_grid, dxpy_grid) == want
         statuses = _statuses(scan)
         assert statuses[-dxpy_grid.size:] == ["indeterminate"] * dxpy_grid.size
         assert set(statuses[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
@@ -539,9 +543,9 @@ class TestScanAxes:
 
     @staticmethod
     def _per_node(template, params, dxx_values, dxpy_values):
-        """The scan on the flattened node arrays: steady_entries of every
-        node, simon_verdicts of its covariance and bona_fide_checks of its
-        D/lam."""
+        """The scan's fields on the flattened node arrays: steady_entries of
+        every node, simon_verdicts of its covariance and bona_fide_checks of
+        its D/lam."""
         dxx = np.repeat(dxx_values, len(dxpy_values))
         dxpy = np.tile(dxpy_values, len(dxx_values))
         mw2 = (params.m * params.omega) ** 2
@@ -563,12 +567,11 @@ class TestScanAxes:
         status = np.select([windowed & ~has_window, ~passed.all(axis=-1),
                             ~np.isfinite(result.score), windowed & result.boundary],
                            [0, 1, 2, 3], 4).astype(np.uint8)
-        return (dxx, dxpy, result.score, result.separable, result.boundary, in_window, status)
+        return (result.score, result.separable, result.boundary, in_window, status)
 
     @staticmethod
     def _fields(scan):
-        return (scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary, scan.in_window,
-                scan.status)
+        return (scan.score, scan.separable, scan.boundary, scan.in_window, scan.status)
 
     @staticmethod
     def _assert_same_bits(got, want):
@@ -635,11 +638,13 @@ def _statuses(scan) -> list:
     return [SCAN_STATUSES[code] for code in scan.status]
 
 
-def _scan_rows(scan):
-    """The scan's columns as rows, in the order of :func:`_scan_reference`."""
+def _scan_rows(scan, dxx_values, dxpy_values):
+    """The scan's columns as rows, each led by its node's (Dxx, Dxpy) in
+    row-major order, Dxx slowest, as :func:`_scan_reference` gives them."""
     in_window = [None] * len(scan.score) if scan.in_window is None else scan.in_window
-    return list(zip(scan.Dxx, scan.Dxpy, scan.score, scan.separable, scan.boundary, in_window,
-                    _statuses(scan)))
+    return list(zip(np.repeat(dxx_values, len(dxpy_values)),
+                    np.tile(dxpy_values, len(dxx_values)), scan.score, scan.separable,
+                    scan.boundary, in_window, _statuses(scan)))
 
 
 def _scan_reference(template, params, dxx_values, dxpy_values):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lindosc import (
     correlated_coherent_state,
 )
 from lindosc import lyapunov, single_mode, two_mode
-from lindosc.core import NODE_BLOCK, block_entries, covariance_blocks, stack_blocks
+from lindosc.core import NODE_BLOCK, SCORE_RTOL, block_entries, covariance_blocks, stack_blocks
 from lindosc.separability import simon_score
 from lindosc.lyapunov import steady_covariance
 from lindosc.single_mode import moment_propagator
@@ -470,6 +471,44 @@ class TestDetCrossBlock:
             S = steady_covariance_closed_form(env, p)
             det_direct = float(np.linalg.det(S[:2, 2:]))
             assert det_cross_block(env, p) == pytest.approx(det_direct, rel=1e-10, abs=1e-12)
+
+    @staticmethod
+    def _random_env(rng):
+        """Ten coefficients of magnitude 1e-3 to 1e3, the cross ones of
+        either sign, with lam from 0.05 to 2 and m, omega from 0.1 to 10."""
+        lam = rng.uniform(0.05, 2.0)
+        m, w = (10.0 ** rng.uniform(-1.0, 1.0, 2)).tolist()
+        d = 10.0 ** rng.uniform(-3.0, 3.0, 10)
+        d[6:] *= rng.choice([-1.0, 1.0], 4)
+        env = TwoModeEnvironment(*d.tolist(), lam=lam)  # Dxx, Dxpx, ..., Dpxpy, field order
+        return env, OscillatorParams(lam=lam, m=m, omega=w)
+
+    def test_any_environment_matches_the_exact_kronecker_solve(self):
+        # a float Kronecker solve is off by more than 100 eps of the
+        # magnitude sum at these scales, so the reference is exact
+        rng = np.random.default_rng(30)
+        for _ in range(1000):
+            env, p = self._random_env(rng)
+            det_c, size = two_mode.cross_block_route(env, p)
+            assert abs(Fraction(det_c) - oracles.exact_cross_block_det(env, p)) \
+                <= Fraction(SCORE_RTOL * size)
+
+    def test_mode_swap_gives_the_same_bits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5000):
+            env, p = self._random_env(rng)
+            assert two_mode.cross_block_route(env.swapped(), p) == \
+                two_mode.cross_block_route(env, p)
+
+    def test_mirror_environment_gives_the_mirror_only_formula(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5000):
+            env, p = self._random_env(rng)
+            env = TwoModeEnvironment.symmetric_env(
+                Dxx=env.Dxx, Dxpx=env.Dxpx, Dpxpx=env.Dpxpx, Dxy=env.Dxy, Dxpy=env.Dxpy,
+                Dpxpy=env.Dpxpy, lam=env.lam)
+            assert det_cross_block(env, p) == oracles.cross_block_det_formula(
+                env.Dxy, env.Dxpy, env.Dpxpy, env.lam, p.m, p.omega)
 
 
 class TestPhysicalityDiagnostic:
