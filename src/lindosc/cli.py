@@ -18,6 +18,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from .separability import (
     simon_verdicts,
 )
 from .two_mode import (
+    MU_IGNORED,
     cross_block_route,
     diffusion_matrix,
     drift_matrix,
@@ -602,9 +604,18 @@ def _warn_env_validity(env, params):
               "results describe the formal dynamics", file=sys.stderr)
 
 
+def _two_mode_oscillator(cfg: RunConfig):
+    """The config's oscillator as the two-mode commands take it: their model
+    has no friction asymmetry, so a nonzero mu is said once, as a warning
+    line, and set to 0."""
+    if cfg.oscillator.mu != 0.0:
+        print(f"warning: {MU_IGNORED}", file=sys.stderr)
+    return replace(cfg.oscillator, mu=0.0)
+
+
 def cmd_asymptotic(cfg: RunConfig, args) -> int:
-    params = cfg.oscillator
     env = cfg.require("two_mode_env", "asymptotic")
+    params = _two_mode_oscillator(cfg)
     _warn_env_validity(env, params)
     s_inf = steady_covariance_closed_form(env, params)
     resid = lyapunov.residual(drift_matrix(params), s_inf, diffusion_matrix(env))
@@ -638,9 +649,9 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
 
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
-    params = cfg.oscillator
     initial = cfg.require("initial", "propagate")
     env = cfg.require("two_mode_env", "propagate")
+    params = _two_mode_oscillator(cfg)
     _warn_env_validity(env, params)
     grid = _grid(cfg, args, "propagate")
     t_grid = _linspace(0.0, grid["t_max"], grid["steps"], "t grid")
@@ -670,8 +681,8 @@ _STATUS_LABELS = np.array(SCAN_STATUSES, dtype="S")
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
-    params = cfg.oscillator
     env = cfg.require("two_mode_env", "scan")
+    params = _two_mode_oscillator(cfg)
     grid = _grid(cfg, args, "scan")
     dxx_grid = _linspace(env.Dxx if grid["dxx_min"] is None else grid["dxx_min"],
                          env.Dxx if grid["dxx_max"] is None else grid["dxx_max"],

@@ -34,6 +34,10 @@ the first five alone.  The stack forms (:func:`bona_fide_checks` here, the
 Simon score of ``separability`` and ``two_mode.is_physical``) unpack one
 4x4 matrix or a (..., 4, 4) stack with :func:`covariance_blocks` and call
 the kernel; :func:`stack_blocks`, its inverse, is the one writer of the layout.
+Where B = A, :func:`axis_factors` gives S and the five checks as sums of
+products of a factor of A's entries and one of C's, which
+:func:`sum_products` adds: on a grid whose A varies along one axis and C
+along the other, the factors stay on the axes and only the sums are per node.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ __all__ = [
     "correlated_coherent_state",
     "entry_invariants",
     "entry_invariants_and_sums",
+    "axis_factors",
+    "sum_products",
     "block_entries",
     "covariance_blocks",
     "stack_blocks",
@@ -87,7 +93,14 @@ __all__ = [
 #   terms; 5 times in a product of the trace term (2 + 2 + 1), then 3 in
 #   summing its four products and 2 in the final sum; det A det B 5 + 3
 #   times and (det A + det B)/4 3 + 1.  With eps the machine epsilon,
-#   |fl(S) - S| <= 10 (eps/2) Sigma = 5 eps Sigma.
+#   |fl(S) - S| <= 10 (eps/2) Sigma = 5 eps Sigma.  The axis route
+#   (:func:`axis_factors`, for B = A) sums eight products of a factor of A's
+#   entries and one of C's pairwise, 3 sums deep (:func:`sum_products`), and
+#   keeps the count: det A det B - (det A + det B)/4 is rounded 6 times (5
+#   in det A^2, 2 in det A/2, 1 in their difference), (1/4 - |det C|)^2 7
+#   times, and each other product 4 times (1 in a monomial of A's entries,
+#   2 in a quadratic of C's, 1 in their product), so at most 7 + 3 = 10.
+#   Its Sigma is the same sum on the magnitudes, grouped by factors.
 #   The matrix is rounded too: a relative error eta in each entry moves a
 #   product of four entries by at most 4 eta of its size, and
 #   SCORE_RTOL = 32 eps leaves eta up to (32 - 5)/4 = 6.75 eps.  On both
@@ -104,8 +117,10 @@ __all__ = [
 #   only where x < -SCORE_RTOL * Sigma_x, Sigma_x being x on the magnitudes
 #   (:func:`not_negative`).  A product is rounded at most 3 times in
 #   det A - 1/4 (2 in det A, 1 in the difference), 5 times in the 3x3 minor
-#   (2 in a cofactor, 1 in its product, 2 in the sum of three), 5 in
-#   Delta - 1/2 (2, then 3 in the sum of four), 10 in U (as in S) and 16 in
+#   (2 in a cofactor, 1 in its product, 2 in the sum of three; on the axis
+#   route 3 in a00 det A, 2 in the other three terms, then 2 sums), 5 in
+#   Delta - 1/2 (2, then 3 in the sum of four; 4 on the axis route, as
+#   2 det A + (2 det C + 1/2)), 10 in U (as in S, on either route) and 16 in
 #   the det C of ``two_mode.cross_block_route``: 11 in its numerator (4 in
 #   each term of m w^2 Dxy + Dpxpy/m, 1 in their product, then 2 in the sum
 #   of three terms), 4 in its denominator, 1 in the quotient.  Its term
@@ -465,6 +480,61 @@ def entry_invariants(a, b, c, sign: float = -1.0, which: str = "all"):
     checks = (a00, det_a + sign * 0.25, minor_3, det_a + det_b + 2.0 * det_c + sign * 0.5,
               head + base * base + cross + quarter)
     return checks if which == "checks" else checks + (score,)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives a non-finite value: unresolved
+def axis_factors(a, c, sign: float = -1.0, which: str = "score"):
+    """:func:`entry_invariants` of a covariance with B = A, A symmetric, as
+    sums of products of a factor of A's entries and one of C's.  A is given
+    as (a00, a01, a11) and C as (c00, c01, c10, c11), floats or arrays that
+    broadcast together.
+
+    Each invariant comes as a pair (alpha, gamma) of tuples of factors, A's
+    and C's, and is :func:`sum_products` (alpha, gamma); a term of one block
+    alone has the factor 1.0 on the other.  S is det A det B - (det A +
+    det B)/4 + (1/4 - |det C|)^2 + sum_k alpha_k gamma_k: the trace term of
+    :func:`entry_invariants` expanded over the six monomials alpha_k of A's
+    entries, each times a quadratic gamma_k of C's.  U is S with det C for
+    |det C|.  ``which`` = "score" gives S's pair alone, "checks" the pairs of
+    the five checks, of which sigma_00 and det A - 1/4 have A's factors
+    alone.  As in :func:`entry_invariants`, sign = +1 on the magnitudes of
+    the entries gives the magnitude sums, from the same products.
+    """
+    a00, a01, a11 = a
+    c00, c01, c10, c11 = c
+    det_a, det_c = a00 * a11 + sign * a01 * a01, c00 * c11 + sign * c01 * c10
+    head = det_a * det_a + sign * 0.5 * det_a
+    c_sum = c01 + c10
+    # the terms in their order of summation: in the scan's D/lam, whose A has
+    # a01 = 0 and whose C has the same corner entries at every node, the first
+    # two products lie on the Dxx axis and the next two on the Dxpy axis, and
+    # their sums stay there
+    alpha = (a00 * a00, a11 * a11, a01 * a01, 1.0, a00 * a11, a00 * a01, a01 * a11, head)
+
+    def with_base(det):  # S with |det C| for det, U with det C
+        base = 0.25 + sign * det
+        return alpha, (sign * c11 * c11, sign * c00 * c00, 2.0 * sign * (c00 * c11 + c01 * c10),
+                       base * base, sign * (c01 * c01 + c10 * c10), 2.0 * c11 * c_sum,
+                       2.0 * c00 * c_sum, 1.0)
+
+    if which == "score":
+        return (with_base(np.abs(det_c)),)
+    return (((a00,), (1.0,)), ((det_a + sign * 0.25,), (1.0,)),
+            ((a00 * det_a, a11, a01, a00),
+             (1.0, sign * c00 * c00, 2.0 * c00 * c10, sign * c10 * c10)),
+            ((det_a + det_a, 1.0), (1.0, 2.0 * det_c + sign * 0.5)),
+            with_base(det_c))
+
+
+def sum_products(alpha, gamma):
+    """sum_k alpha_k gamma_k over factors that broadcast together, in a fixed
+    order: the products, then pairwise sums, ceil(log2 k) deep.  Overflow is
+    reported as numpy's error state says: a caller that takes a non-finite
+    sum as unresolved sets it."""
+    terms = [x * y for x, y in zip(alpha, gamma, strict=True)]
+    while len(terms) > 1:
+        terms = [x + y for x, y in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0]
 
 
 def entry_invariants_and_sums(a, b, c, which: str):

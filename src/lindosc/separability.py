@@ -23,12 +23,13 @@ regardless.
 S is the last of the invariants that :func:`lindosc.core.entry_invariants`
 writes out over the entries of A, B and C; :func:`simon_score` and
 :func:`simon_verdicts` unpack one 4x4 matrix or an (N, 4, 4) stack into
-them, and :func:`scan_separability` passes the closed-form entries of each
-block of nodes directly.  S cancels terms of the fourth power of the
-covariance entries, so its sign is resolved only where |S| exceeds its
-rounding bound; the bound is the same written-out S taken on the
-magnitudes of the entries with J replaced by |J|, so S and its bound come
-from the same products.  :func:`simon_verdicts` gives the score, the verdict and that
+them.  :func:`scan_separability`, whose nodes have B = A with A on the Dxx
+axis and C on the Dxpy axis, takes S as
+:func:`lindosc.core.axis_factors` writes it: sums of products of a factor
+on each axis.  S cancels terms of the fourth power of the covariance
+entries, so its sign is resolved only where |S| exceeds its rounding
+bound; the bound is the same S taken on the magnitudes of the entries
+with J replaced by |J|, so S and its bound come from the same products.  :func:`simon_verdicts` gives the score, the verdict and that
 bound, and calls the node "boundary" inside it; the rule and its constant
 are the tolerance policy of :mod:`lindosc.core`.
 """
@@ -48,11 +49,13 @@ from .core import (  # noqa: F401
     SCORE_RTOL,
     OscillatorParams,
     TwoModeEnvironment,
+    axis_factors,
     covariance_blocks,
     entry_invariants,
     entry_invariants_and_sums,
     negligible,
     not_negative,
+    sum_products,
     validate_two_mode,
 )
 from .errors import InvalidEnvironmentError, ParameterError
@@ -131,10 +134,9 @@ def simon_score(sigma: np.ndarray):
     return float(score) if score.ndim == 0 else score
 
 
-def _verdicts(a, b, c) -> SeparabilityResult:
-    """:func:`simon_verdicts` of a covariance given by the entries of its
-    blocks, as :func:`lindosc.core.entry_invariants` takes them."""
-    score, size = entry_invariants_and_sums(a, b, c, "score")
+def _verdicts(score, size) -> SeparabilityResult:
+    """The verdicts of a score S and its magnitude sum: the bound is
+    ``core.SCORE_RTOL`` times the sum."""
     bound = SCORE_RTOL * size
     return SeparabilityResult(score, score >= 0.0, ~(np.abs(score) > bound), bound)
 
@@ -148,7 +150,8 @@ def simon_verdicts(sigma: np.ndarray) -> SeparabilityResult:
     it, or with a non-finite S, is on the boundary.  See the tolerance
     policy in :mod:`lindosc.core`.
     """
-    result = _verdicts(*covariance_blocks(require_covariance4(sigma)))
+    result = _verdicts(*entry_invariants_and_sums(*covariance_blocks(require_covariance4(sigma)),
+                                                  "score"))
     if result.score.ndim == 0:
         return SeparabilityResult(float(result.score), bool(result.separable),
                                   bool(result.boundary), float(result.bound))
@@ -256,12 +259,18 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
 
     What depends on one axis is evaluated on that axis: the finite checks,
     A = B of :func:`lindosc.two_mode.steady_entries`, the mode entries of
-    D/lam and the window ends on the Dxx column, and C and the cross entries
-    of D/lam on the Dxpy row.  Only what mixes the two (S, the bona fide
-    checks of D/lam, ``in_window`` and the status) is evaluated per node, by
-    broadcasting the column against the row, in blocks of whole Dxx rows.
-    Each node's value comes from the same operations on the same operands,
-    in the same order, as on the node alone.
+    D/lam, its first two bona fide checks and the window ends on the Dxx
+    column, and C and the cross entries of D/lam on the Dxpy row.  S, the
+    other three checks of D/lam and the magnitude sums of all four are
+    :func:`lindosc.core.axis_factors`: sums of products of a factor on the
+    column and one on the row, each factor built on its axis once.  Per
+    node, in blocks of whole Dxx rows, go only those sums
+    (:func:`lindosc.core.sum_products`), the verdicts, ``in_window`` and the
+    status.  A node's values do not depend on the block that holds it, and
+    they are those of a scan of that node alone.  S rounds differently from
+    :func:`simon_verdicts` of the node's covariance: the two differ by less
+    than the sum of their bounds, and the bound is the same polynomial (see
+    the tolerance policy of :mod:`lindosc.core`).
     """
     require_hbar_one(params)
     require_matching_lam(env_template, params)
@@ -281,16 +290,29 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
             raise ParameterError(f"{name} must be finite, got {first!r}")
 
     # B = A: both modes have the diffusion block diag(Dxx, Dpxpx)
-    a, _, c = steady_entries(column, 0.0, dpxpx, column, 0.0, dpxpx, dxy, row, row, dpxpy,
-                             params)
+    (a_xx, a_xp, _, a_pp), _, c = steady_entries(column, 0.0, dpxpx, column, 0.0, dpxpx, dxy,
+                                                 row, row, dpxpy, params)
+    a = (a_xx, a_xp, a_pp)
     # D/lam: diag(Dxx, Dpxpx)/lam twice, and [[Dxy, Dxpy], [Dxpy, Dpxpy]]/lam;
     # beyond float64 an entry is inf, whose checks are unresolved
     with np.errstate(over="ignore"):
-        mode, xpy = (column / lam, 0.0, 0.0, dpxpx / lam), row / lam
+        mode, xpy = (column / lam, 0.0, dpxpx / lam), row / lam
     cross = (dxy / lam, xpy, xpy, dpxpy / lam)
+    # S, the bona fide checks of D/lam and their magnitude sums as sums of
+    # products of factors on the axes: A's on the Dxx column, C's on the row
+    magnitudes = [[np.abs(x) for x in entries] for entries in (a, c, mode, cross)]
+    (score_sum,), (size_sum,) = axis_factors(a, c), axis_factors(*magnitudes[:2], 1.0)
+    checks = axis_factors(mode, cross, -1.0, "checks")
+    sizes = axis_factors(*magnitudes[2:], 1.0, "checks")
     windowed = dxy == 0.0
     has_window = _window_ratio(dxx, params) >= 0.5
     no_window = windowed & ~has_window[:, None]
+    # the first two checks are of D/lam's mode block alone, on the column
+    with np.errstate(over="ignore", invalid="ignore"):
+        mode_ok = functools.reduce(np.logical_and, (
+            not_negative(sum_products(*check), sum_products(*size))
+            for check, size in zip(checks[:2], sizes[:2])))
+    per_node = (score_sum, size_sum, *checks[2:], *sizes[2:])
 
     shape = (dxx.size, dxpy.size)
     score = np.empty(shape)
@@ -301,18 +323,27 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     # threshold.  A Dxpy row longer than that is cut along Dxpy.
     cols = max(1, min(dxpy.size, 4 * NODE_BLOCK))
     rows = max(1, 4 * NODE_BLOCK // cols)
-    for i in range(0, dxx.size, rows):
-        for j in range(0, dxpy.size, cols):
-            r, k = slice(i, i + rows), slice(j, j + cols)
-            block_a, block_mode = _part(a, r), _part(mode, r)
-            score[r, k], separable[r, k], boundary[r, k], _ = _verdicts(
-                block_a, block_a, _part(c, np.s_[:, k]))
-            checks = entry_invariants_and_sums(block_mode, block_mode,
-                                               _part(cross, np.s_[:, k]), "checks")
-            positive = functools.reduce(np.logical_and, map(not_negative, *checks))
-            # the first status whose condition holds, in the documented order
-            status[r, k] = np.select([no_window[r], ~positive, ~np.isfinite(score[r, k]),
-                                      windowed & boundary[r, k]], [0, 1, 2, 3], 4)
+    for j in range(0, dxpy.size, cols):
+        k = slice(j, j + cols)
+        on_row = [(alpha, _part(gamma, np.s_[:, k])) for alpha, gamma in per_node]
+        for i in range(0, dxx.size, rows):
+            r = slice(i, i + rows)
+            # overflow gives a non-finite sum: unresolved
+            with np.errstate(over="ignore", invalid="ignore"):
+                score_k, size_k, *values = (sum_products(_part(alpha, r), gamma)
+                                            for alpha, gamma in on_row)
+            score[r, k], separable[r, k], boundary[r, k], _ = _verdicts(score_k, size_k)
+            positive = functools.reduce(np.logical_and,
+                                        map(not_negative, values[:3], values[3:]), mode_ok[r])
+            # the first status whose condition holds, in the documented order:
+            # written from the last to the first, an earlier one over a later
+            block = status[r, k]
+            block.fill(4)
+            if windowed:
+                np.copyto(block, 3, where=boundary[r, k])
+            np.copyto(block, 2, where=~np.isfinite(score_k))
+            np.copyto(block, 1, where=~positive)
+            np.copyto(block, 0, where=no_window[r])
 
     in_window = None
     if windowed:

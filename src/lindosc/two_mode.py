@@ -96,12 +96,13 @@ def require_covariance4(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
+#: What the two-mode operations say when ``params.mu`` is not 0.
+MU_IGNORED = "the two-mode model has no friction asymmetry; params.mu is ignored"
+
+
 def _warn_mu_ignored(params: OscillatorParams):
     if params.mu != 0.0:
-        warnings.warn(
-            "the two-mode model has no friction asymmetry; params.mu is ignored",
-            stacklevel=3,
-        )
+        warnings.warn(MU_IGNORED, stacklevel=3)
 
 
 def _block_diagonal(block: np.ndarray) -> np.ndarray:

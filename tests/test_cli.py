@@ -808,6 +808,23 @@ class TestScanCommand:
         assert out1 == out2
 
 
+class TestTwoModeMuWarning:
+    """The two-mode model has no friction asymmetry: a nonzero mu is said once,
+    as a warning line without a source location, and changes no output."""
+
+    @pytest.mark.parametrize("command", ["asymptotic", "propagate", "scan"])
+    def test_mu_is_one_warning_line(self, tmp_path, capsys, recwarn, command):
+        body = json.loads((ROOT / "configs/two_mode_window.json").read_text())
+        without = write_config(tmp_path, body, "mu_zero.json")
+        body["oscillator"]["mu"] = 0.1
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, body)])
+        want_code, want_out, want_err = run(capsys, [command, "--config", without])
+        assert code == want_code == 0 and out == want_out
+        assert err == ("warning: the two-mode model has no friction asymmetry; "
+                       "params.mu is ignored\n" + want_err)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
 class TestMain:
     def test_calls_do_not_share_parsed_state(self, tmp_path, capsys):
         # the parser is built once per process; each call parses afresh

@@ -26,6 +26,7 @@ from lindosc.core import (
     SCALE_RTOL,
     SCORE_RTOL,
     GaussianState1D,
+    axis_factors,
     bona_fide_checks,
     covariance_blocks,
     diffusion_matrix,
@@ -35,10 +36,13 @@ from lindosc.core import (
     not_negative,
     one_mode_checks,
     stack_blocks,
+    sum_products,
 )
 from lindosc.separability import simon_verdicts
 
 from . import oracles
+
+EPS = np.finfo(float).eps
 
 
 class TestOscillatorParams:
@@ -586,3 +590,77 @@ class TestEntryKernel:
         assert np.array_equal(invariants(sigma), np.stack(entry_invariants(*blocks), axis=-1))
         assert np.array_equal(bona_fide_checks(sigma)[0],
                               np.stack(entry_invariants(*blocks, which="checks"), axis=-1))
+
+
+def _mirror_entries(rng):
+    """Seeded entries of covariances with B = A: A's (a00, a01, a11) and C's
+    four, over physical covariances and random entries of both signs across
+    six and twelve decades, C not C^T."""
+    physical = np.stack([oracles.random_physical_covariance(rng) for _ in range(60)])
+    stacks = [physical]
+    for decades in (3.0, 6.0):
+        shape = (150, 4, 4)
+        raw = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+        stacks.append(raw + np.swapaxes(raw, -1, -2))
+    for sigma in stacks:
+        (a00, a01, _, a11), _, c = _block_entries(sigma)
+        yield (a00, a01, a11), c
+
+
+class TestAxisFactors:
+    """core.axis_factors with core.sum_products: the invariants of a
+    covariance with B = A as sums of products of A's and C's factors."""
+
+    @staticmethod
+    def _invariants(a, c, sign=-1.0):
+        """The six invariants in INVARIANTS order, by the axis route."""
+        pairs = axis_factors(a, c, sign, "checks") + axis_factors(a, c, sign, "score")
+        return [sum_products(*pair) for pair in pairs]
+
+    def test_values_within_their_rounding_counts(self):
+        # the axis route's rounding counts in core's tolerance block: 3 in
+        # det A - 1/4, 5 in the 3x3 minor, 4 in Delta - 1/2 and 10 in U and S,
+        # each (eps/2) times the magnitude sum, against the exact invariants
+        # of the float entries
+        counts = (0, 3, 5, 4, 10, 10)
+        rng = np.random.default_rng(26)
+        for a, c in _mirror_entries(rng):
+            values = self._invariants(a, c)
+            sums = self._invariants([np.abs(x) for x in a], [np.abs(x) for x in c], 1.0)
+            sigma = stack_blocks((a[0], a[1], a[1], a[2]), (a[0], a[1], a[1], a[2]), c)
+            for k in range(0, len(sigma), 3):
+                exact = oracles.exact_invariants(sigma[k])
+                for count, value, size, want in zip(counts, values, sums, exact, strict=True):
+                    error = abs(Fraction(float(value[k])) - want)
+                    assert error <= Fraction(count, 2) * Fraction(EPS) * Fraction(float(size[k]))
+
+    def test_magnitude_sums_are_the_entry_sums(self):
+        # sums of positive terms, rounded at most 10 times on either route
+        rng = np.random.default_rng(27)
+        for a, c in _mirror_entries(rng):
+            blocks = ((a[0], a[1], a[1], a[2]),) * 2 + (c,)
+            _, sums = entry_invariants_and_sums(*blocks, "all")
+            got = self._invariants([np.abs(x) for x in a], [np.abs(x) for x in c], 1.0)
+            for x, y in zip(got, sums, strict=True):
+                assert (np.abs(x - y) <= 10.0 * EPS * y).all()
+            # the first two checks are A's alone: entry_invariants' bits
+            assert np.array_equal(got[0], sums[0]) and np.array_equal(got[1], sums[1])
+
+    def test_a_grid_is_its_nodes(self):
+        # factors on a column of A and a row of C, summed over the grid, give
+        # each node's bits: the per-node work is elementwise, whatever the
+        # block; the first two checks stay on the column
+        rng = np.random.default_rng(28)
+        (a00, a01, a11), c = next(_mirror_entries(rng))
+        a, c = (a00[:12], a01[:12], a11[:12]), tuple(x[:20] for x in c)
+        for sign, entries in ((-1.0, (a, c)), (1.0, ([np.abs(x) for x in a],
+                                                       [np.abs(x) for x in c]))):
+            a_col = [x[:, None] for x in entries[0]]
+            c_row = [x[None, :] for x in entries[1]]
+            a_node = [np.repeat(x, 20) for x in entries[0]]
+            c_node = [np.tile(x, 12) for x in entries[1]]
+            grid = self._invariants(a_col, c_row, sign)
+            nodes = self._invariants(a_node, c_node, sign)
+            assert grid[0].shape == grid[1].shape == (12, 1)
+            for x, y in zip(grid, nodes, strict=True):
+                assert np.broadcast_to(x, (12, 20)).ravel().tobytes() == y.tobytes()

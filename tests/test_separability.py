@@ -26,7 +26,16 @@ from lindosc.separability import (
     simon_verdicts,
 )
 from lindosc import separability, validate_two_mode
-from lindosc.core import NODE_BLOCK, SCORE_RTOL, bona_fide_checks, stack_blocks
+from lindosc.core import (
+    NODE_BLOCK,
+    SCORE_RTOL,
+    axis_factors,
+    bona_fide_checks,
+    covariance_blocks,
+    entry_invariants_and_sums,
+    stack_blocks,
+    sum_products,
+)
 from lindosc.lyapunov import steady_covariance
 from lindosc.two_mode import (
     det_cross_block,
@@ -39,6 +48,7 @@ from lindosc.two_mode import (
 
 from . import oracles
 
+EPS = np.finfo(float).eps
 PARAMS = OscillatorParams(lam=0.2)
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 WINDOW_ENV = TwoModeEnvironment.symmetric_env(
@@ -491,9 +501,7 @@ class TestScanSeparability:
         dxpy_grid = np.concatenate([np.linspace(-4.0, 4.0, 65),
                                     [lo, hi, lo + 1e-10, hi - 5e-10, hi + 1e-6, -lo, -hi]])
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
-        want = _scan_reference(template, params, dxx_grid, dxpy_grid)
-        assert len(scan.score) == len(want)
-        assert _scan_rows(scan, dxx_grid, dxpy_grid) == want
+        _assert_agrees_with_reference(scan, template, params, dxx_grid, dxpy_grid)
         statuses = set(_statuses(scan))
         assert statuses >= ({"ok", "invalid"} if dxy else
                             {"invalid-window", "boundary-indeterminate", "invalid"})
@@ -515,8 +523,7 @@ class TestScanSeparability:
         dxx_grid = np.concatenate([ratios * unit, [1e100]])
         dxpy_grid = np.concatenate([[0.0], math.hypot(lam, w) * rng.uniform(-5.0, 5.0, 24)])
         scan = scan_separability(template, params, dxx_grid, dxpy_grid)
-        want = _scan_reference(template, params, dxx_grid, dxpy_grid)
-        assert _scan_rows(scan, dxx_grid, dxpy_grid) == want
+        _assert_agrees_with_reference(scan, template, params, dxx_grid, dxpy_grid)
         statuses = _statuses(scan)
         assert statuses[-dxpy_grid.size:] == ["indeterminate"] * dxpy_grid.size
         assert set(statuses[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
@@ -524,8 +531,9 @@ class TestScanSeparability:
 
 class TestScanAxes:
     """The scan evaluates on its axes what depends on one of them, and per
-    node only what mixes them: every field is that of the route that takes
-    each node on its own, bit for bit."""
+    node sums of products of axis factors: every field agrees with the
+    route that takes each node on its own, and each magnitude sum is the
+    node's within its rounding."""
 
     @staticmethod
     def _template(seed, scale, cross):
@@ -541,22 +549,37 @@ class TestScanAxes:
             Dxx=unit, Dxpx=0.0, Dpxpx=mw2 * unit, Dxy=dxy, Dxpy=0.0, Dpxpy=mw2 * dxy, lam=lam)
         return template, params, rng, unit
 
+    def _grid(self, scale, cross, shape):
+        # Dxx rows on both sides of the one-mode bound and negative ones;
+        # Dxpy across the window and its mirror
+        seed = 3 * [1.0, 1e150, 1e308].index(scale) + 7 * cross + shape[1]
+        template, params, rng, unit = self._template(seed, scale, cross)
+        dxx = unit * rng.uniform(-1.0, 1.0, shape[0])
+        dxpy = unit * rng.uniform(-1.0, 1.0, shape[1])
+        if shape[0] > 1:
+            dxx[0] = 0.0
+        return template, params, dxx, dxpy
+
     @staticmethod
     def _per_node(template, params, dxx_values, dxpy_values):
         """The scan's fields on the flattened node arrays: steady_entries of
         every node, simon_verdicts of its covariance and bona_fide_checks of
-        its D/lam."""
+        its D/lam; then the bound of S, and the magnitude sums of S and of
+        the five checks, from core.entry_invariants_and_sums."""
         dxx = np.repeat(dxx_values, len(dxpy_values))
         dxpy = np.tile(dxpy_values, len(dxx_values))
         mw2 = (params.m * params.omega) ** 2
         dpxpx, dxy, dpxpy = mw2 * dxx, template.Dxy, mw2 * template.Dxy
         zero = np.zeros(dxx.size)
         with np.errstate(all="ignore"):  # beyond float64 an entry is inf
-            result = simon_verdicts(stack_blocks(*steady_entries(
-                dxx, 0.0, dpxpx, dxx, 0.0, dpxpx, dxy, dxpy, dxpy, dpxpy, params)))
+            sigma = stack_blocks(*steady_entries(
+                dxx, 0.0, dpxpx, dxx, 0.0, dpxpx, dxy, dxpy, dxpy, dpxpy, params))
+            result = simon_verdicts(sigma)
             mode = (dxx, zero, zero, dpxpx)
-            _, passed = bona_fide_checks(stack_blocks(mode, mode, (dxy, dxpy, dxpy, dpxpy))
-                                         / template.lam)
+            env = stack_blocks(mode, mode, (dxy, dxpy, dxpy, dpxpy)) / template.lam
+            _, passed = bona_fide_checks(env)
+            sums = [entry_invariants_and_sums(*covariance_blocks(sigma), "score")[1],
+                    *entry_invariants_and_sums(*covariance_blocks(env), "checks")[1]]
             has_window = params.m * params.omega * dxx / params.lam >= 0.5
         windowed = dxy == 0.0
         in_window = None
@@ -567,7 +590,8 @@ class TestScanAxes:
         status = np.select([windowed & ~has_window, ~passed.all(axis=-1),
                             ~np.isfinite(result.score), windowed & result.boundary],
                            [0, 1, 2, 3], 4).astype(np.uint8)
-        return (result.score, result.separable, result.boundary, in_window, status)
+        return (result.score, result.separable, result.boundary, in_window, status,
+                result.bound, sums)
 
     @staticmethod
     def _fields(scan):
@@ -593,16 +617,33 @@ class TestScanAxes:
     @pytest.mark.parametrize("cross", [False, True])
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e308])
     def test_axes_equal_nodes(self, scale, cross, shape):
-        seed = 3 * [1.0, 1e150, 1e308].index(scale) + 7 * cross + shape[1]
-        template, params, rng, unit = self._template(seed, scale, cross)
-        # Dxx rows on both sides of the one-mode bound and negative ones;
-        # Dxpy across the window and its mirror
-        dxx = unit * rng.uniform(-1.0, 1.0, shape[0])
-        dxpy = unit * rng.uniform(-1.0, 1.0, shape[1])
-        if shape[0] > 1:
-            dxx[0] = 0.0
+        template, params, dxx, dxpy = self._grid(scale, cross, shape)
         scan = scan_separability(template, params, dxx, dxpy)
-        self._assert_same_bits(self._fields(scan), self._per_node(template, params, dxx, dxpy))
+        *want, bound, _ = self._per_node(template, params, dxx, dxpy)
+        axis_bound = SCORE_RTOL * _axis_sums(template, params, dxx, dxpy)[0]
+        _assert_agrees(self._fields(scan), want, bound + axis_bound)
+
+    @pytest.mark.parametrize("shape", [(7, 13), (30, 150)])
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e308])
+    def test_axis_sums_match_the_nodes(self, scale, cross, shape):
+        # the axis route's magnitude sums of S and of the five checks of D/lam
+        # are the node route's: non-finite at the same nodes, and elsewhere
+        # within both routes' roundings of positive terms, (10 + 10) eps/2
+        template, params, dxx, dxpy = self._grid(scale, cross, shape)
+        *fields, _, sums = self._per_node(template, params, dxx, dxpy)
+        for got, want in zip(_axis_sums(template, params, dxx, dxpy), sums, strict=True):
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            got, want = got[finite], want[finite]
+            assert (np.abs(got - want) <= 10.0 * EPS * want).all()
+        # S overflows at every node of the two larger scales, and at none of
+        # the first
+        finite = np.isfinite(fields[0])
+        assert finite.all() if scale == 1.0 else not finite.any()
+        scan = scan_separability(template, params, dxx, dxpy)
+        assert np.array_equal(np.isfinite(scan.score), np.isfinite(fields[0]))
+        assert np.array_equal(scan.status, fields[4])
 
     @pytest.mark.parametrize("node_block", [1, 3, 200, 65536])
     def test_output_does_not_depend_on_the_block_size(self, monkeypatch, node_block):
@@ -638,20 +679,69 @@ def _statuses(scan) -> list:
     return [SCAN_STATUSES[code] for code in scan.status]
 
 
-def _scan_rows(scan, dxx_values, dxpy_values):
-    """The scan's columns as rows, each led by its node's (Dxx, Dxpy) in
-    row-major order, Dxx slowest, as :func:`_scan_reference` gives them."""
-    in_window = [None] * len(scan.score) if scan.in_window is None else scan.in_window
-    return list(zip(np.repeat(dxx_values, len(dxpy_values)),
-                    np.tile(dxpy_values, len(dxx_values)), scan.score, scan.separable,
-                    scan.boundary, in_window, _statuses(scan)))
+def _axis_sums(template, params, dxx_values, dxpy_values):
+    """The magnitude sums of S and of the five checks of D/lam as the scan
+    takes them, one array each over the nodes in row-major order:
+    core.axis_factors of the magnitudes of the entries, on a Dxx column and
+    a Dxpy row, summed by core.sum_products over the grid."""
+    column = np.asarray(dxx_values, dtype=float)[:, None]
+    row = np.asarray(dxpy_values, dtype=float)[None, :]
+    mw2, lam = (params.m * params.omega) ** 2, template.lam
+    dxy, dpxpy = template.Dxy, mw2 * template.Dxy
+    with np.errstate(all="ignore"):  # beyond float64 an entry is inf
+        (a00, a01, _, a11), _, c = steady_entries(column, 0.0, mw2 * column, column, 0.0,
+                                                  mw2 * column, dxy, row, row, dpxpy, params)
+        mode, cross = (column / lam, 0.0, mw2 * column / lam), (dxy / lam, row / lam,
+                                                                row / lam, dpxpy / lam)
+        pairs = [pair for blocks, which in ((((a00, a01, a11), c), "score"),
+                                            ((mode, cross), "checks"))
+                 for pair in axis_factors(*([np.abs(x) for x in block] for block in blocks),
+                                          1.0, which)]
+        shape = (column.size, row.size)
+        return [np.broadcast_to(sum_products(*pair), shape).ravel() for pair in pairs]
+
+
+def _assert_agrees(got, want, summed_bound):
+    """Scan fields (score, separable, boundary, in_window, status) against
+    the node-by-node route's: in_window and status equal, S non-finite at
+    the same nodes and elsewhere within the two routes' summed bound, and a
+    verdict that both resolve of the same sign."""
+    (score, separable, boundary, in_window, status), (
+        want_score, want_separable, want_boundary, want_in_window, want_status) = got, want
+    assert (in_window is None) == (want_in_window is None)
+    if in_window is not None:
+        assert np.array_equal(in_window, want_in_window)
+    assert np.array_equal(status, want_status)
+    finite = np.isfinite(want_score)
+    assert np.array_equal(np.isfinite(score), finite)
+    assert (np.abs(score[finite] - want_score[finite]) <= summed_bound[finite]).all()
+    assert (boundary | want_boundary)[~finite].all()
+    resolved = ~(boundary | want_boundary)
+    assert np.array_equal(separable[resolved], want_separable[resolved])
+
+
+def _assert_agrees_with_reference(scan, template, params, dxx_values, dxpy_values):
+    """:func:`_assert_agrees` against :func:`_scan_reference`, whose rows
+    lead with the nodes' coordinates in the scan's order."""
+    rows = _scan_reference(template, params, dxx_values, dxpy_values)
+    dxx, dxpy, score, separable, boundary, in_window, status, bound = (
+        np.array(column) for column in zip(*rows))
+    assert np.array_equal(dxx, np.repeat(dxx_values, len(dxpy_values)))
+    assert np.array_equal(dxpy, np.tile(dxpy_values, len(dxx_values)))
+    fields = (scan.score, scan.separable, scan.boundary, scan.in_window,
+              np.array(_statuses(scan)))
+    axis_bound = SCORE_RTOL * _axis_sums(template, params, dxx_values, dxpy_values)[0]
+    _assert_agrees(fields, (score, separable, boundary,
+                            None if scan.in_window is None else in_window, status),
+                   bound + axis_bound)
 
 
 def _scan_reference(template, params, dxx_values, dxpy_values):
     """The scan node by node through the public scalar functions, with the
-    statuses in their documented order.  A check of D/lam whose slack is
-    not finite is unresolved, not failed (the tolerance policy of core): a
-    node with one reports it through its non-finite S."""
+    statuses in their documented order, and the bound of each node's S.  A
+    check of D/lam whose slack is not finite is unresolved, not failed (the
+    tolerance policy of core): a node with one reports it through its
+    non-finite S."""
     mw2 = (params.m * params.omega) ** 2
     rows = []
     for dxx in map(float, dxx_values):
@@ -679,5 +769,5 @@ def _scan_reference(template, params, dxx_values, dxpy_values):
             else:
                 status = "ok"
             rows.append((dxx, dxpy, result.score, result.separable, result.boundary,
-                         in_window, status))
+                         in_window, status, result.bound))
     return rows
