@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -121,8 +121,9 @@ class CsvTable:
     bytes column is its own cell matrix, and any other column takes the
     characters of its text (:func:`_text_cells`).  The slice's matrices are
     then joined with ``,`` and ``\\n`` columns in a ``bytearray``, and its
-    NUL bytes deleted (:func:`_join_rows`).  The slices' bytes are appended
-    to one buffer, the bytes of formatting value by value.
+    NUL bytes deleted (:func:`_join_rows`).  Each slice's bytes go to the
+    writer as soon as they are joined, so the output is never held whole;
+    they are the bytes of formatting value by value.
     """
 
     def __init__(self, columns):
@@ -154,8 +155,16 @@ class CsvTable:
                                  f"into them, got {c.values.size} values")
         self._blocks.append((shapes[0][0], cells))
 
-    def render(self) -> bytearray:
-        out = bytearray(",".join(self.columns).encode() + b"\n")
+    def render(self, write=None):
+        """The header line, then each slice's lines as soon as they are
+        joined, passed to ``write`` as ``bytes`` or ``bytearray``; without a
+        ``write``, all of them collected in one ``bytearray``, which is
+        returned."""
+        out = None
+        if write is None:
+            out = bytearray()
+            write = out.extend
+        write((",".join(self.columns) + "\n").encode())
         for size, cells in self._blocks:
             # None marks a column of text, or of the slice's stacked float call
             tables = [(_column_cells(c.values), c.index) if isinstance(c, Gather) else None
@@ -177,17 +186,21 @@ class CsvTable:
                             else _text_cells(c[rows])
                             for c, table in zip(cells, tables)]
                 floats = None  # the kernel's words live on only in matrices
-                out += _join_rows(matrices)
+                write(_join_rows(matrices))
         return out
 
 
 #: Float-kernel cells per render slice, at most; a slice holds at most
 #: twice as many cells in all.  The kernel holds about 100 bytes per value
 #: at its peak, the cells it returns included, where a gathered cell is a
-#: take of at most 22 bytes and a text cell its characters.  So each kernel
-#: call formats at most 4,096 values, and a table of few float columns
-#: takes slices of up to 8,192 cells.
-_SLICE_CELLS = 4 * NODE_BLOCK
+#: take of at most 22 bytes and a text cell its characters, and the join's
+#: row matrix takes one byte per cell byte.  So a slice's buffers stay near
+#: 0.8 MB, and they are all that render holds of the output: each slice
+#: goes to the writer as soon as it is joined.  The output once held whole
+#: (3.5 MB for the benchmark's 40,000-row deco-grid) pays for slices twice
+#: as large as then, and ``main`` pins the heap they come from
+#: (:func:`_pin_heap`).
+_SLICE_CELLS = 8 * NODE_BLOCK
 
 
 def _column_cells(c: np.ndarray) -> np.ndarray:
@@ -432,8 +445,12 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return chars.reshape(shape + (_CELL_BYTES,))
 
 
-def _emit(data, out_path):
-    """Write the bytes ``data`` to the file ``out_path``, or to standard output."""
+@contextmanager
+def _sink(out_path):
+    """A command's writer: it opens the file ``out_path``, or takes standard
+    output, once, and sends each bytes it is given through :func:`_emit`.
+    A command opens it after all its checks, so an exit 1 or 2 writes
+    nothing, and an unwritable ``out_path`` is a :class:`ConfigError`."""
     if out_path:
         try:
             target = open(out_path, "wb")
@@ -443,15 +460,31 @@ def _emit(data, out_path):
         sys.stdout.flush()  # text written to it before goes first
         target = nullcontext(getattr(sys.stdout, "buffer", None))
     with target as fh:
-        if fh is None:  # a text stream without bytes underneath, such as io.StringIO
-            sys.stdout.write(data.decode())
-            return
-        # In slices: a reader that closes the pipe mid-output must stop the
-        # command with BrokenPipeError, which one write of the whole buffer
-        # was seen not to raise.
-        view = memoryview(data)
-        for start in range(0, len(view), 1 << 16):
-            fh.write(view[start:start + (1 << 16)])
+        # _emit looked up at each call, so that a rebound _emit is the one called
+        yield lambda data: _emit(data, fh)
+
+
+def _emit(data, fh):
+    """Write the bytes ``data``, the header or one render slice, to the
+    binary stream ``fh``; to standard output as text where ``fh`` is None, a
+    text stream without bytes underneath, such as ``io.StringIO``.  The
+    pieces it writes are views of ``data``, so it holds no copy."""
+    if fh is None:
+        sys.stdout.write(data.decode())
+        return
+    # In pieces: a reader that closes the pipe mid-output must stop the
+    # command with BrokenPipeError, which one write of a large buffer was
+    # seen not to raise.
+    view = memoryview(data)
+    for start in range(0, len(view), 1 << 16):
+        fh.write(view[start:start + (1 << 16)])
+
+
+def _write_table(table: CsvTable, out_path) -> int:
+    """Render ``table`` slice by slice into the command's sink; exit code 0."""
+    with _sink(out_path) as write:
+        table.render(write)
+    return EXIT_OK
 
 
 def _grid(cfg: RunConfig, args, section: str) -> dict:
@@ -488,7 +521,8 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     lines = []
     for title, report in reports:
         lines += [title + ":"] + ["  " + line for line in report.lines()]
-    _emit(("\n".join(lines) + "\n").encode(), args.out)
+    with _sink(args.out) as write:
+        write(("\n".join(lines) + "\n").encode())
     return EXIT_OK if all(report.passed for _, report in reports) else EXIT_INVALID
 
 
@@ -532,8 +566,7 @@ def cmd_deco_grid(cfg: RunConfig, args) -> int:
         columns["status"] = Gather(_DECO_STATUS, np.tile(valid.view(np.uint8), t_grid.size))
     table = CsvTable(columns)
     table.add_columns(*columns.values())
-    _emit(table.render(), args.out)
-    return EXIT_OK
+    return _write_table(table, args.out)
 
 
 def cmd_density(cfg: RunConfig, args) -> int:
@@ -561,8 +594,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
         state = single_mode.propagate_moments(state0, env, params, grid["t"])
         value = single_mode.density_matrix_element(state, x, xp).ravel()
         table.add_columns(*_grid_columns(x_grid, x_grid), value.real, value.imag)
-    _emit(table.render(), args.out)
-    return EXIT_OK
+    return _write_table(table, args.out)
 
 
 def cmd_timescales(cfg: RunConfig, args) -> int:
@@ -592,8 +624,7 @@ def cmd_timescales(cfg: RunConfig, args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     table.add("t_relaxation", single_mode.relaxation_time(params))
-    _emit(table.render(), args.out)
-    return EXIT_OK
+    return _write_table(table, args.out)
 
 
 def _warn_env_validity(env, params):
@@ -644,8 +675,7 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
         table.add("simon_score_closed_form", closed_score)
     table.add("separable", full.verdict)
     table.add("lyapunov_residual", resid)
-    _emit(table.render(), args.out)
-    return EXIT_OK
+    return _write_table(table, args.out)
 
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
@@ -662,17 +692,16 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
 
     table = CsvTable(["t", *COV_ENTRIES, "simon_score"])
     # Blocks of 4 NODE_BLOCK rows, as scan's: a per-node temporary then takes
-    # at most 32 KiB, below the allocator's 128 KiB mmap threshold.  Each
-    # entry array is cut once per block, so that an entry B shares with A (a
-    # mirror environment) stays one column object, which render formats once.
+    # at most 32 KiB.  Each entry array is cut once per block, so that an
+    # entry B shares with A (a mirror environment) stays one column object,
+    # which render formats once.
     for start in range(0, t_grid.size, 4 * NODE_BLOCK):
         k = slice(start, start + 4 * NODE_BLOCK)
         cut = {id(x): x[k] for block in blocks for x in block}
         a, b, c = ([cut[id(x)] for x in block] for block in blocks)
         table.add_columns(t_grid[k], *_cov_entries(a, b, c),
                           entry_invariants(a, b, c, which="score"))
-    _emit(table.render(), args.out)
-    return EXIT_OK
+    return _write_table(table, args.out)
 
 
 #: ``scan``'s text of a node's verdict (false, true, boundary) and status code.
@@ -699,8 +728,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     table.add_columns(*_grid_columns(dxx_grid, dxpy_grid), scan.score,
                       Gather(_SEPARABLE_LABELS, verdicts), in_window,
                       Gather(_STATUS_LABELS, scan.status))
-    _emit(table.render(), args.out)
-    return EXIT_OK
+    return _write_table(table, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +780,40 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+#: glibc's mallopt parameters and the values that :func:`_pin_heap` fixes.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_PIN = {_M_TRIM_THRESHOLD: 64 << 20, _M_MMAP_THRESHOLD: 16 << 20}
+_heap_pinned = None
+
+
+def _pin_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds, once per process; whether they
+    are fixed.  Left dynamic, glibc raises them after a large block is freed,
+    and its later choices then follow the heap's layout: a command's slice
+    buffers could be returned to the kernel and faulted in again on every
+    call.  Pinned, a block below 16 MiB comes from the heap, and free memory
+    at its top is kept up to 64 MiB; the heap's free memory at this point,
+    what the imports left, is returned to the kernel once instead.
+    Elsewhere than glibc it does nothing."""
+    global _heap_pinned
+    if _heap_pinned is not None:
+        return _heap_pinned
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, OSError, ValueError):  # no such name: not glibc
+        _heap_pinned = False
+        return False
+    import ctypes  # numpy has imported it already
+
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = ctypes.c_int, ctypes.c_int
+    _heap_pinned = all([libc.mallopt(k, v) == 1 for k, v in _HEAP_PIN.items()])
+    libc.malloc_trim(ctypes.c_size_t(0))
+    return _heap_pinned
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)

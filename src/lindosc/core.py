@@ -508,14 +508,18 @@ def axis_factors(a, c, sign: float = -1.0, which: str = "score"):
     # the terms in their order of summation: in the scan's D/lam, whose A has
     # a01 = 0 and whose C has the same corner entries at every node, the first
     # two products lie on the Dxx axis and the next two on the Dxpy axis, and
-    # their sums stay there
-    alpha = (a00 * a00, a11 * a11, a01 * a01, 1.0, a00 * a11, a00 * a01, a01 * a11, head)
+    # their sums stay there.  A scalar a01 = 0 makes the a00 a01 and a01 a11
+    # terms zeros, each summed first with a neighbour: left out, they leave
+    # every sum's bits as they were
+    cross = np.ndim(a01) > 0 or a01 != 0.0
+    alpha = (a00 * a00, a11 * a11, a01 * a01, 1.0, a00 * a11,
+             *((a00 * a01, a01 * a11) if cross else ()), head)
 
     def with_base(det):  # S with |det C| for det, U with det C
         base = 0.25 + sign * det
         return alpha, (sign * c11 * c11, sign * c00 * c00, 2.0 * sign * (c00 * c11 + c01 * c10),
-                       base * base, sign * (c01 * c01 + c10 * c10), 2.0 * c11 * c_sum,
-                       2.0 * c00 * c_sum, 1.0)
+                       base * base, sign * (c01 * c01 + c10 * c10),
+                       *((2.0 * c11 * c_sum, 2.0 * c00 * c_sum) if cross else ()), 1.0)
 
     if which == "score":
         return (with_base(np.abs(det_c)),)

@@ -344,6 +344,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
             np.copyto(block, 2, where=~np.isfinite(score_k))
             np.copyto(block, 1, where=~positive)
             np.copyto(block, 0, where=no_window[r])
+            del score_k, size_k, values, positive  # not alive through the next block
 
     in_window = None
     if windowed:

@@ -167,15 +167,21 @@ def steady_entries(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
     A, B and the symmetric part of C are :func:`single_mode.stationary_covariance`
     of their blocks of D.  The antisymmetric part (Dxpy - Dypx)/2 J of D_C
     gives (Dxpy - Dypx)/(2 lam) J, as Y1 J + J Y1^T = tr(Y1) J = -2 lam J.
-    Halving before the sums keeps them from overflowing.
+    Halving before the sums keeps them from overflowing.  Where B's
+    coefficients are A's bit for bit, B is A's tuple, solved once: the same
+    arrays, so callers must treat the entries as read-only.
     """
     params = replace(params, mu=0.0)
     a_xx, a_xp, a_pp = single_mode.stationary_covariance(params, Dxx, Dxpx, Dpxpx)
-    b_xx, b_xp, b_pp = single_mode.stationary_covariance(params, Dyy, Dypy, Dpypy)
+    a = (a_xx, a_xp, a_xp, a_pp)
+    if _same_bits((Dyy, Dypy, Dpypy), (Dxx, Dxpx, Dpxpx)):
+        b = a
+    else:
+        b_xx, b_xp, b_pp = single_mode.stationary_covariance(params, Dyy, Dypy, Dpypy)
+        b = (b_xx, b_xp, b_xp, b_pp)
     sym, anti = 0.5 * Dxpy + 0.5 * Dypx, (0.5 * Dxpy - 0.5 * Dypx) / params.lam
     c_xx, c_xp, c_pp = single_mode.stationary_covariance(params, Dxy, sym, Dpxpy)
-    return ((a_xx, a_xp, a_xp, a_pp), (b_xx, b_xp, b_xp, b_pp),
-            (c_xx, c_xp + anti, c_xp - anti, c_pp))
+    return a, b, (c_xx, c_xp + anti, c_xp - anti, c_pp)
 
 
 def _same_bits(x, y) -> bool:
@@ -202,8 +208,7 @@ def propagate_entries(a0, b0, c0, env: TwoModeEnvironment, params: OscillatorPar
     (a00, a01, _, a11), c = (single_mode.relaxed_entries(m, x0, x_inf)
                              for x0, x_inf in ((a0, a_inf), (c0, c_inf)))
     a = (a00, a01, a01, a11)
-    if _same_bits(b0, a0) and _same_bits((env.Dyy, env.Dypy, env.Dpypy),
-                                         (env.Dxx, env.Dxpx, env.Dpxpx)):
+    if b_inf is a_inf and _same_bits(b0, a0):
         return a, a, c
     b00, b01, _, b11 = single_mode.relaxed_entries(m, b0, b_inf)
     return a, (b00, b01, b01, b11), c

@@ -913,6 +913,140 @@ class TestClosedStdout:
         assert "Traceback" not in err and "Error" not in err
 
 
+def _configs(argv):
+    """``argv`` with each bare ``*.json`` name taken from ``configs/``."""
+    return [str(ROOT / "configs" / a) if a.endswith(".json") and "/" not in a else a
+            for a in argv]
+
+
+class TestStreamedOutput:
+    """A command hands its header and then each render slice to its sink as
+    soon as the slice is joined: one ``cli._emit`` call each, of ``bytes`` or
+    ``bytearray``."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        seen = {"writes": [], "joins": 0, "tables": []}
+        emit, join = cli._emit, cli._join_rows
+
+        def recording_emit(data, fh):
+            seen["writes"].append(data)
+            emit(data, fh)
+
+        def counting_join(cells):
+            seen["joins"] += 1
+            return join(cells)
+
+        class Recording(cli.CsvTable):
+            def render(self, write=None):
+                seen["tables"].append(self)
+                return super().render(write)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        monkeypatch.setattr(cli, "_join_rows", counting_join)
+        monkeypatch.setattr(cli, "CsvTable", Recording)
+        return seen
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("argv", [
+        ["deco-grid", "--config", "single_mode.json", "--skip-invalid", "--t-steps", "300",
+         "--c-steps", "300"],
+        ["density", "--config", "single_mode.json", "--n", "200"],
+        ["propagate", "--config", "two_mode_window.json", "--steps", "9000"],
+        ["scan", "--config", "two_mode_window.json", "--dxx-steps", "2", "--dxpy-steps", "5000"],
+    ])
+    def test_one_emit_per_slice(self, tmp_path, capsysbinary, emitted, argv, to_file):
+        out_path = tmp_path / "result.csv"
+        assert cli.main(_configs(argv) + (["--out", str(out_path)] if to_file else [])) == 0
+        out = capsysbinary.readouterr().out
+        (table,), slices, writes = emitted["tables"], emitted["joins"], emitted["writes"]
+        assert slices > 1 and len(writes) == 1 + slices
+        assert {type(data) for data in writes} <= {bytes, bytearray}
+        assert writes[0] == (",".join(table.columns) + "\n").encode()
+        written = out_path.read_bytes() if to_file else out
+        assert b"".join(writes) == written == table.render()
+        assert out == (b"" if to_file else written)
+
+
+class TestNothingWrittenOnFailure:
+    """A command opens its sink only after all its checks: an exit 1 or 2
+    leaves no ``--out`` file and no standard output, and calls no ``_emit``."""
+
+    @pytest.fixture
+    def emits(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_emit", lambda data, fh: calls.append(data))
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:thermal_fluctuation_time")
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", "single_mode.json"],
+        ["deco-grid", "--config", "single_mode.json", "--skip-invalid"],
+        ["density", "--config", "single_mode.json"],
+        ["timescales", "--config", "single_mode.json"],
+        ["asymptotic", "--config", "two_mode_window.json"],
+        ["propagate", "--config", "two_mode_window.json"],
+        ["scan", "--config", "two_mode_window.json"],
+    ])
+    def test_unwritable_out_path(self, tmp_path, capsys, emits, argv):
+        out_path = tmp_path / "missing" / "result.csv"
+        code, out, err = run(capsys, _configs(argv) + ["--out", str(out_path)])
+        assert code == 1 and out == "" and emits == []
+        assert err.endswith(f"config error: cannot write {out_path}: No such file or directory\n")
+        assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("argv, want", [
+        (["deco-grid", "--config", "single_mode.json"], 2),  # C = 1 fails validation
+        (["deco-grid", "--config", "single_mode.json", "--c-min", "0.5"], 2),
+        (["deco-grid", "--config", "single_mode.json", "--t-steps", "0"], 1),
+        (["density", "--config", "single_mode.json", "--n", "1"], 1),
+        (["propagate", "--config", "two_mode_window.json", "--steps", "0"], 1),
+        (["scan", "--config", "two_mode_window.json", "--dxx-steps", "0"], 1),
+        (["scan", "--config", "hbar_two.json"], 2),
+        (["propagate", "--config", "hbar_two.json"], 2),
+        (["asymptotic", "--config", "hbar_two.json"], 2),
+        (["asymptotic", "--config", "single_mode.json"], 1),  # no two_mode_env
+    ])
+    def test_failed_command(self, tmp_path, capsys, emits, argv, want):
+        body = dict(FIG1, two_mode_env=dict(WINDOW_ENV, Dxx=0.15, Dpxpx=0.15, Dxpy=0.0))
+        body["oscillator"] = dict(body["oscillator"], mu=0.0, hbar=2.0)
+        write_config(tmp_path, body, "hbar_two.json")
+        argv = _configs([str(tmp_path / a) if a == "hbar_two.json" else a for a in argv])
+        out_path = tmp_path / "result.csv"
+        code, out, err = run(capsys, argv + ["--out", str(out_path)])
+        assert code == want and out == "" and emits == [] and err
+        assert not out_path.exists()
+        assert run(capsys, argv) == (code, "", err)
+
+
+class TestHeapPin:
+    """The CLI pins glibc's mmap and trim thresholds before its first command,
+    so that a warm call does not return its slice buffers to the kernel and
+    fault them in again (a storm of hundreds of minor faults per call, seen
+    to follow the byte layout of the sources)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["deco-grid", "--config", "single_mode.json", "--skip-invalid", "--t-steps", "200",
+         "--c-steps", "200", "--out", "OUT"],
+        ["propagate", "--config", "two_mode_window.json", "--steps", "5001"],
+    ], ids=["deco-grid", "propagate"])
+    def test_warm_calls_take_few_minor_faults(self, tmp_path, monkeypatch, argv):
+        resource = pytest.importorskip("resource")
+        if sys.platform != "linux" or not cli._pin_heap():
+            pytest.skip("glibc's mallopt is not available")
+        argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in _configs(argv)]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            monkeypatch.setattr(sys, "stderr", sink)
+            faults = []
+            for _ in range(25):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert cli.main(argv) == 0
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            monkeypatch.undo()
+        assert max(faults[5:]) <= 8, faults
+
+
 class TestLoadTimeChecks:
     """A config value that is not a finite number, or a fraction for an integer
     key, fails every command at load, before any output."""
@@ -1592,9 +1726,9 @@ class TestRenderAtTheCli:
                                  if isinstance(c, cli.Gather)]
                 super().add_columns(*columns)
 
-            def render(self):
+            def render(self, write=None):
                 tables.append(self)
-                return super().render()
+                return super().render(write)
 
         monkeypatch.setattr(cli, "CsvTable", Recording)
         return tables

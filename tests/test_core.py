@@ -646,6 +646,21 @@ class TestAxisFactors:
             # the first two checks are A's alone: entry_invariants' bits
             assert np.array_equal(got[0], sums[0]) and np.array_equal(got[1], sums[1])
 
+    def test_a_scalar_zero_a01_keeps_the_bits(self):
+        # a scalar a01 = 0, as in the scan's D/lam, leaves out the a00 a01 and
+        # a01 a11 terms of S and U; each was a zero summed first with a
+        # neighbour, so the sums keep the bits of a01 given as a zero column
+        rng = np.random.default_rng(29)
+        for (a00, _, a11), c in _mirror_entries(rng):
+            col, row = (a00[:12, None], a11[:12, None]), [x[None, :20] for x in c]
+            for sign, f in ((-1.0, lambda x: x), (1.0, np.abs)):
+                zero = self._invariants((f(col[0]), 0.0, f(col[1])), [f(x) for x in row], sign)
+                zeros = self._invariants((f(col[0]), np.zeros_like(col[0]), f(col[1])),
+                                         [f(x) for x in row], sign)
+                assert len(axis_factors((col[0], 0.0, col[1]), row)[0][0]) == 6
+                for x, y in zip(zero, zeros, strict=True):
+                    assert np.broadcast_to(x, y.shape).tobytes() == y.tobytes()
+
     def test_a_grid_is_its_nodes(self):
         # factors on a column of A and a row of C, summed over the grid, give
         # each node's bits: the per-node work is elementwise, whatever the

@@ -529,6 +529,18 @@ class TestScanSeparability:
         assert set(statuses[:dxpy_grid.size]) == {"invalid" if dxy else "invalid-window"}
 
 
+def test_scan_solves_the_stationary_blocks_once(monkeypatch):
+    # B = A on every scan node: the one-mode stationary solve runs for A and
+    # for C's symmetric part only
+    from lindosc import single_mode
+
+    solve, calls = single_mode.stationary_covariance, []
+    monkeypatch.setattr(single_mode, "stationary_covariance",
+                        lambda *args: calls.append(args) or solve(*args))
+    scan_separability(WINDOW_ENV, PARAMS, np.linspace(0.05, 0.3, 6), np.linspace(0.0, 1.5, 40))
+    assert len(calls) == 2
+
+
 class TestScanAxes:
     """The scan evaluates on its axes what depends on one of them, and per
     node sums of products of axis factors: every field agrees with the

@@ -353,6 +353,24 @@ class TestMirrorModes:
         sigma = propagate_covariance(stack_blocks(a0, b0, self.C0), env, PARAMS, self.TIMES)
         assert sigma.tobytes() == stack_blocks(want_a, want_b, c).tobytes()
 
+    @pytest.mark.parametrize("case", ["mirror", "next_dyy", "signed_zero_dypy"])
+    def test_steady_b_is_solved_once(self, case, monkeypatch):
+        # B's stationary solve is A's where their coefficients match bit for
+        # bit, and B is then A's tuple; otherwise B is solved on its own
+        env = WINDOW_ENV
+        if case == "next_dyy":
+            env = replace(env, Dyy=float(np.nextafter(env.Dxx, math.inf)))
+        elif case == "signed_zero_dypy":
+            env = replace(env, Dxpx=0.0, Dypy=-0.0)
+        solve, calls = single_mode.stationary_covariance, []
+        monkeypatch.setattr(single_mode, "stationary_covariance",
+                            lambda *args: calls.append(args) or solve(*args))
+        a, b, _ = two_mode.steady_entries(*(getattr(env, k) for k in COEFFICIENTS), PARAMS)
+        shared = case == "mirror"
+        assert (b is a) is shared and len(calls) == 3 - shared
+        b_xx, b_xp, b_pp = solve(replace(PARAMS, mu=0.0), env.Dyy, env.Dypy, env.Dpypy)
+        assert _bits(b) == _bits((b_xx, b_xp, b_xp, b_pp))
+
 
 COEFFICIENTS = ("Dxx", "Dxpx", "Dpxpx", "Dyy", "Dypy", "Dpypy", "Dxy", "Dxpy", "Dypx", "Dpxpy")
 
