@@ -262,11 +262,14 @@ def _join_rows(cells: list) -> bytearray:
 
     The row matrix is a view of a ``bytearray``, so deleting its NUL bytes
     is the one copy of the slice's bytes.  It empties ``cells`` first, so
-    that no cell matrix is alive during that copy.  ``translate`` tests each
-    byte with a branch that follows the data, so its cost follows the edges
-    of NUL runs more than the bytes: cut to the bytes they use, the cells of
-    the three benchmark workloads leave 2.0 to 5.0 edges per row, where
-    25-byte cells left 17.8 to 42.0."""
+    that no cell matrix is alive during that copy.  ``translate`` costs
+    0.5 to 0.8 ns per byte, whatever the NUL bytes' places; ``replace``
+    finds them with ``memchr`` and copies the runs between them, about
+    0.1 ns per byte and 13 ns per NUL.  So where at most 1/64 of the bytes
+    of the first ``_NUL_PROBE_ROWS`` rows are NUL, as in ``propagate``'s
+    slices (0.4 to 1.1 %), ``replace`` deletes them; denser slices, such as
+    ``deco-grid``'s (6 %) and ``scan``'s (19 to 21 %) label padding, take
+    ``translate``."""
     ends = np.cumsum([c.shape[1] + 1 for c in cells])
     buf = bytearray(len(cells[0]) * int(ends[-1]))
     chars = np.frombuffer(buf, np.uint8).reshape(len(cells[0]), ends[-1])
@@ -276,7 +279,14 @@ def _join_rows(cells: list) -> bytearray:
     del c
     cells.clear()
     chars[:, -1] = ord("\n")
+    head = chars[:_NUL_PROBE_ROWS]
+    if 64 * (head.size - np.count_nonzero(head)) <= head.size:
+        return buf.replace(b"\0", b"")
     return buf.translate(None, b"\0")
+
+
+#: Rows of a slice whose NUL share picks :func:`_join_rows`' way to delete them.
+_NUL_PROBE_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +460,8 @@ def _sink(out_path):
     """A command's writer: it opens the file ``out_path``, or takes standard
     output, once, and sends each bytes it is given through :func:`_emit`.
     A command opens it after all its checks, so an exit 1 or 2 writes
-    nothing, and an unwritable ``out_path`` is a :class:`ConfigError`."""
+    nothing, and an unwritable ``out_path`` is a :class:`ConfigError`.  A
+    standard output that is a pipe is widened first (:func:`_widen_pipe`)."""
     if out_path:
         try:
             target = open(out_path, "wb")
@@ -458,10 +469,35 @@ def _sink(out_path):
             raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.flush()  # text written to it before goes first
-        target = nullcontext(getattr(sys.stdout, "buffer", None))
+        fh = getattr(sys.stdout, "buffer", None)
+        if fh is not None:
+            _widen_pipe(fh)
+        target = nullcontext(fh)
     with target as fh:
         # _emit looked up at each call, so that a rebound _emit is the one called
         yield lambda data: _emit(data, fh)
+
+
+#: Capacity that :func:`_widen_pipe` gives a pipe: Linux's default
+#: ``pipe-max-size``, which an unprivileged process may set.
+_PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(fh):
+    """Grow the pipe behind the binary stream ``fh`` to ``_PIPE_BYTES``
+    where it holds less, so that a render slice goes out in one piece while
+    the reader drains it, instead of the writer waiting on the reader at
+    every 64 KiB.  Linux only (``fcntl.F_SETPIPE_SZ``); it never shrinks a
+    pipe, and it does nothing where ``fh`` has no file descriptor, the
+    descriptor is no pipe (``F_GETPIPE_SZ`` fails), or the kernel refuses."""
+    try:
+        import fcntl  # not on Windows
+
+        fd = fh.fileno()
+        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < _PIPE_BYTES:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        pass
 
 
 def _emit(data, fh):
@@ -693,8 +729,9 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     table = CsvTable(["t", *COV_ENTRIES, "simon_score"])
     # Blocks of 4 NODE_BLOCK rows, as scan's: a per-node temporary then takes
     # at most 32 KiB.  Each entry array is cut once per block, so that an
-    # entry B shares with A (a mirror environment) stays one column object,
-    # which render formats once.
+    # array at several places (in a mirror environment B's entries are A's,
+    # and C's x10 is its x01) stays one column object, which render formats
+    # once.
     for start in range(0, t_grid.size, 4 * NODE_BLOCK):
         k = slice(start, start + 4 * NODE_BLOCK)
         cut = {id(x): x[k] for block in blocks for x in block}

@@ -200,14 +200,17 @@ def propagate_entries(a0, b0, c0, env: TwoModeEnvironment, params: OscillatorPar
 
     Where B's inputs are A's bit for bit, its initial entries and (Dyy, Dypy,
     Dpypy) against (Dxx, Dxpx, Dpxpx), B relaxes exactly as A does, and the
-    result's B is A's tuple: the same arrays.  Entries may alias one another
-    in this way, so callers must treat them as read-only."""
+    result's B is A's tuple: the same arrays.  Where C's x10 is its x01 bit
+    for bit, as in a mirror environment from a product state, it is x01's
+    array.  Entries may alias one another in these ways, so callers must
+    treat them as read-only."""
     _warn_mu_ignored(params)
     a_inf, b_inf, c_inf = _env_steady_entries(env, params)
     m = block_entries(single_mode.moment_propagator(replace(params, mu=0.0), t))
-    (a00, a01, _, a11), c = (single_mode.relaxed_entries(m, x0, x_inf)
-                             for x0, x_inf in ((a0, a_inf), (c0, c_inf)))
+    (a00, a01, _, a11), (c00, c01, c10, c11) = (single_mode.relaxed_entries(m, x0, x_inf)
+                                                for x0, x_inf in ((a0, a_inf), (c0, c_inf)))
     a = (a00, a01, a01, a11)
+    c = (c00, c01, c01 if _same_bits((c10,), (c01,)) else c10, c11)
     if b_inf is a_inf and _same_bits(b0, a0):
         return a, a, c
     b00, b01, _, b11 = single_mode.relaxed_entries(m, b0, b_inf)

@@ -9,11 +9,17 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import fcntl
+except ImportError:  # not on Windows
+    fcntl = None
 
 from lindosc import OscillatorParams, ParameterError, ThermalParams, TwoModeEnvironment, cli
 from lindosc.core import NODE_BLOCK
@@ -696,8 +702,8 @@ class TestPropagateCommand:
 
     def test_output_does_not_depend_on_the_block_size(self, capsys, monkeypatch):
         # 9,000 rows are several blocks of 4 NODE_BLOCK rows.  In the mirror
-        # environment B's entries are A's arrays, so each slice formats 9
-        # distinct float columns of the 12.
+        # environment B's entries are A's arrays and C's x10 is its x01, so
+        # each slice formats 8 distinct float columns of the 12.
         argv = ["propagate", "--config", str(ROOT / "configs" / "two_mode_window.json"),
                 "--steps", "9000"]
         kernel, stacks = cli._float_cells, []
@@ -705,7 +711,7 @@ class TestPropagateCommand:
                             lambda x: stacks.append(x.shape) or kernel(x))
         code, want, err = run(capsys, argv)
         assert code == 0 and len(parse_csv(want)) == 9000
-        assert stacks and all(shape[0] == 9 for shape in stacks)
+        assert stacks and all(shape[0] == 8 for shape in stacks)
         for node_block in (1, 3, 65536):
             monkeypatch.setattr(cli, "NODE_BLOCK", node_block)
             assert run(capsys, argv) == (code, want, err)
@@ -895,10 +901,81 @@ class TestOutputFile:
         assert sys.stdout.getvalue() == want
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="pipe capacity is set through Linux fcntl")
+class TestPipeWidening:
+    """A command grows a standard output that is a pipe to ``_PIPE_BYTES``
+    before it writes, and never shrinks one."""
+
+    ARGV = ["asymptotic", "--config", str(ROOT / "configs" / "two_mode_window.json")]
+
+    @staticmethod
+    def _run_into_pipe(monkeypatch, argv, capacity=None):
+        """Exit code, output and pipe capacity before and after ``argv`` runs
+        with standard output on a fresh pipe, first set to ``capacity``."""
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+            if capacity is not None:
+                fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, capacity)
+            before = fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+            text = io.TextIOWrapper(writer, write_through=True)
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", text)
+                code = cli.main(argv)
+            text.detach().close()
+            return code, reader.read(), before, fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+
+    def test_pipe_grows(self, capsysbinary, monkeypatch):
+        code, out, before, after = self._run_into_pipe(monkeypatch, self.ARGV)
+        assert cli.main(self.ARGV) == code == 0 and out == capsysbinary.readouterr().out
+        read_fd, write_fd = os.pipe()  # may this process grow a pipe as far?
+        try:
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, cli._PIPE_BYTES)
+            refused = False
+        except PermissionError:
+            refused = True
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert before < cli._PIPE_BYTES
+        assert after == before if refused else after >= cli._PIPE_BYTES
+
+    def test_wider_pipe_is_not_shrunk(self, monkeypatch):
+        try:
+            code, _, before, after = self._run_into_pipe(monkeypatch, self.ARGV, 1 << 20)
+        except PermissionError:
+            pytest.skip("this process may not grow a pipe to 1 MiB")
+        assert code == 0 and before == after == 1 << 20
+        monkeypatch.setattr(cli, "_PIPE_BYTES", 1 << 17)
+        code, _, before, after = self._run_into_pipe(monkeypatch, self.ARGV, 1 << 20)
+        assert code == 0 and before == after == 1 << 20
+
+    def test_no_pipe_no_fcntl_call(self, tmp_path, monkeypatch):
+        # --out, and a text standard output without bytes underneath, are no
+        # pipe: the command sets nothing and writes as before
+        calls = []
+        monkeypatch.setattr(fcntl, "fcntl", lambda *args: calls.append(args))
+        out_path = tmp_path / "result.csv"
+        assert cli.main(self.ARGV + ["--out", str(out_path)]) == 0
+        want = out_path.read_text()
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.main(self.ARGV) == 0
+        assert sys.stdout.getvalue() == want and calls == []
+
+    def test_fcntl_without_pipe_sizes(self, capsysbinary, monkeypatch):
+        # an fcntl module without F_GETPIPE_SZ and F_SETPIPE_SZ, as on other
+        # systems: the pipe keeps its capacity and takes the same bytes
+        assert cli.main(self.ARGV) == 0
+        want = capsysbinary.readouterr().out
+        monkeypatch.setitem(sys.modules, "fcntl", types.SimpleNamespace(fcntl=fcntl.fcntl))
+        code, out, before, after = self._run_into_pipe(monkeypatch, self.ARGV)
+        assert code == 0 and out == want and before == after
+
+
 class TestClosedStdout:
     def test_closed_pipe_exits_one_without_a_traceback(self):
-        # The output is far larger than a pipe buffer, so the command is still
-        # writing when its reader closes the pipe.
+        # The output (about 5 MB) is far larger than a pipe buffer, also one
+        # widened to 1 MiB, so the command is still writing when its reader
+        # closes the pipe.
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "lindosc", "propagate", "--config",
@@ -1535,40 +1612,87 @@ class TestCsvTable:
                                   for n in blocks)
 
     def test_join_frees_the_cell_matrices(self, monkeypatch):
-        # a deco-grid-like table of 40,000 rows: two gathered axes, two float
-        # columns and a gathered status.  Each slice's join copies its row
-        # matrix once without the NUL bytes, and translate first allocates
-        # the copy at full size.  The join frees the slice's cell matrices
-        # (larger than the copy here) before that, so beyond what render held
-        # when the join began, it adds about one row matrix: 2.0 of them when
-        # the matrices outlive the copy.
-        rng = np.random.default_rng(22)
-        t, c = np.linspace(0.0, 30.0, 200), np.linspace(1.0, 10.0, 200)
-        n = t.size * c.size
-        status = cli.Gather(np.array([b"ok", b"invalid"]),
-                            (rng.random(n) < 0.1).astype(np.uint8))
-        table = cli.CsvTable(["t", "C", "sigma", "degree", "status"])
-        table.add_columns(*cli._grid_columns(t, c), rng.uniform(0.5, 3.0, n), rng.random(n),
-                          status)
-        want = bytes(table.render())
-        join, added = cli._join_rows, []
+        # A deco-grid-like table of 40,000 rows (two gathered axes, two float
+        # columns and a gathered status), whose label padding takes
+        # translate, and a propagate-like one of 5,001 rows (twelve float
+        # columns, one of them of mixed sign), sparse enough for replace.
+        # Each slice's join copies its row matrix once without the NUL
+        # bytes: translate first allocates the copy at full size, replace at
+        # its final size.  The join frees the slice's cell matrices (larger
+        # than the copy) before that, so beyond what render held when the
+        # join began, it adds about one row matrix: 2.0 of them when the
+        # matrices outlive the copy.
+        for kind in ("deco-grid", "propagate"):
+            rng = np.random.default_rng(22)
+            if kind == "deco-grid":
+                t, c = np.linspace(0.0, 30.0, 200), np.linspace(1.0, 10.0, 200)
+                n = t.size * c.size
+                status = cli.Gather(np.array([b"ok", b"invalid"]),
+                                    (rng.random(n) < 0.1).astype(np.uint8))
+                table = cli.CsvTable(["t", "C", "sigma", "degree", "status"])
+                table.add_columns(*cli._grid_columns(t, c), rng.uniform(0.5, 3.0, n),
+                                  rng.random(n), status)
+            else:
+                n = 5001
+                score = rng.uniform(0.1, 1.0, n)
+                score[rng.random(n) < 0.3] *= -1.0
+                table = cli.CsvTable([f"v{k}" for k in range(12)])
+                table.add_columns(np.linspace(0.0, 50.0, n),
+                                  *(rng.uniform(0.5, 3.0, n) for _ in range(10)), score)
+            want = bytes(table.render())
+            join, added, shares = cli._join_rows, [], []
 
-        def traced_join(cells):
-            matrix = len(cells[0]) * sum(m.shape[1] + 1 for m in cells)
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            joined = join(cells)
-            added.append((tracemalloc.get_traced_memory()[1] - before) / matrix)
-            return joined
+            def traced_join(cells):
+                matrix = len(cells[0]) * sum(m.shape[1] + 1 for m in cells)
+                head = min(len(cells[0]), cli._NUL_PROBE_ROWS)
+                shares.append(sum(np.count_nonzero(m[:head] == 0) for m in cells)
+                              / (matrix * head / len(cells[0])))
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                joined = join(cells)
+                added.append((tracemalloc.get_traced_memory()[1] - before) / matrix)
+                return joined
 
-        monkeypatch.setattr(cli, "_join_rows", traced_join)
-        tracemalloc.start()
-        try:
-            out = table.render()
-        finally:
-            tracemalloc.stop()
-        assert out == want
-        assert len(added) > 1 and max(added) <= 1.25
+            monkeypatch.setattr(cli, "_join_rows", traced_join)
+            tracemalloc.start()
+            try:
+                out = table.render()
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert out == want
+            assert len(added) > 1 and max(added) <= 1.25
+            sparse = [share <= 1 / 64 for share in shares]
+            assert all(sparse) if kind == "propagate" else not any(sparse)
+
+    #: Cell widths of the property test's slices: 128-byte rows with the
+    #: separators, so that 2 NUL bytes a row are 1/64 of them.
+    JOIN_WIDTHS = (40, 41, 44)
+
+    @pytest.mark.parametrize("rows, nuls", [
+        (700, 0), (700, 1), (700, 2), (700, 3), (700, 8), (700, 26), (700, 125), (1, 1),
+        (700, (1, 40)),
+    ], ids=["none", "below", "at", "above", "6%", "20%", "all", "one-row", "sparse-head"])
+    def test_both_nul_deletions_give_the_same_bytes(self, monkeypatch, rows, nuls):
+        # Random cells with ``nuls`` NUL bytes in each row, at random places;
+        # a pair is the count in the probed head and in the rows after it.
+        # Up to 1/64 of the head NUL, the join deletes them with replace,
+        # otherwise with translate; an empty head sends every slice to
+        # replace, so both ways run on each matrix.
+        rng = np.random.default_rng(28)
+        head, tail = nuls if isinstance(nuls, tuple) else (nuls, nuls)
+        width = sum(self.JOIN_WIDTHS)
+        chars = rng.integers(ord("0"), ord("z") + 1, (rows, width), dtype=np.uint8)
+        count = np.where(np.arange(rows) < cli._NUL_PROBE_ROWS, head, tail)
+        # a random permutation of each row's places; the first `count` are NUL
+        chars[np.argsort(rng.random((rows, width)), axis=1) < count[:, None]] = 0
+        cells = np.split(chars, np.cumsum(self.JOIN_WIDTHS)[:-1], axis=1)
+        want = b"".join(b",".join(c[i].tobytes().replace(b"\0", b"") for c in cells) + b"\n"
+                        for i in range(rows))
+        for probe in (cli._NUL_PROBE_ROWS, 0):
+            monkeypatch.setattr(cli, "_NUL_PROBE_ROWS", probe)
+            joined = cli._join_rows([np.ascontiguousarray(c) for c in cells])
+            assert type(joined) is bytearray and joined == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

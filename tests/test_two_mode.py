@@ -353,6 +353,34 @@ class TestMirrorModes:
         sigma = propagate_covariance(stack_blocks(a0, b0, self.C0), env, PARAMS, self.TIMES)
         assert sigma.tobytes() == stack_blocks(want_a, want_b, c).tobytes()
 
+    @pytest.mark.parametrize("c0, shared", [
+        ((0.0,) * 4, True),  # propagate's product start
+        (C0, False),
+        ((0.1, 0.0, -0.0, 0.1), False),  # the signed zero shows in the relaxed bits
+    ], ids=["zero", "asymmetric", "signed_zero"])
+    def test_cross_column_is_shared_where_its_bits_agree(self, c0, shared):
+        # C's x10 is x01's array where the two relax to the same bits, and
+        # otherwise its own; either way C is the one-mode relaxation of C0
+        # towards the steady C, entry by entry
+        a0 = self._state(2.0, 0.3)
+        _, _, c = propagate_entries(a0, a0, c0, WINDOW_ENV, PARAMS, self.TIMES)
+        _, _, c_inf = two_mode.steady_entries(*(getattr(WINDOW_ENV, k) for k in COEFFICIENTS),
+                                              PARAMS)
+        m = block_entries(moment_propagator(replace(PARAMS, mu=0.0), self.TIMES))
+        want = single_mode.relaxed_entries(m, c0, c_inf)
+        assert _bits(c) == _bits(want)
+        assert (c[2] is c[1]) is shared and (want[2].tobytes() == want[1].tobytes()) is shared
+
+    def test_bench_trajectory_shares_its_cross_column(self):
+        # the benchmark's propagate call at its seed 0: a mirror window
+        # environment from a product state, 5,001 times
+        env = TwoModeEnvironment.symmetric_env(Dxx=0.2, Dxpx=0.0, Dpxpx=0.2, Dxy=0.0,
+                                               Dxpy=1.0198039027185568, Dpxpy=0.0, lam=0.2)
+        one = self._state(1.25, 0.0)
+        a, b, c = propagate_entries(one, one, (0.0,) * 4, env, OscillatorParams(lam=0.2, mu=0.0),
+                                    np.linspace(0.0, 50.0, 5001))
+        assert b is a and a[2] is a[1] and c[2] is c[1]
+
     @pytest.mark.parametrize("case", ["mirror", "next_dyy", "signed_zero_dypy"])
     def test_steady_b_is_solved_once(self, case, monkeypatch):
         # B's stationary solve is A's where their coefficients match bit for
