@@ -155,15 +155,9 @@ class CsvTable:
                                  f"into them, got {c.values.size} values")
         self._blocks.append((shapes[0][0], cells))
 
-    def render(self, write=None):
-        """The header line, then each slice's lines as soon as they are
-        joined, passed to ``write`` as ``bytes`` or ``bytearray``; without a
-        ``write``, all of them collected in one ``bytearray``, which is
-        returned."""
-        out = None
-        if write is None:
-            out = bytearray()
-            write = out.extend
+    def render(self, write):
+        """Pass the header line, then each slice's lines as soon as they are
+        joined, to ``write`` as ``bytes`` or ``bytearray``."""
         write((",".join(self.columns) + "\n").encode())
         for size, cells in self._blocks:
             # None marks a column of text, or of the slice's stacked float call
@@ -187,7 +181,6 @@ class CsvTable:
                             for c, table in zip(cells, tables)]
                 floats = None  # the kernel's words live on only in matrices
                 write(_join_rows(matrices))
-        return out
 
 
 #: Float-kernel cells per render slice, at most; a slice holds at most
@@ -196,10 +189,8 @@ class CsvTable:
 #: take of at most 22 bytes and a text cell its characters, and the join's
 #: row matrix takes one byte per cell byte.  So a slice's buffers stay near
 #: 0.8 MB, and they are all that render holds of the output: each slice
-#: goes to the writer as soon as it is joined.  The output once held whole
-#: (3.5 MB for the benchmark's 40,000-row deco-grid) pays for slices twice
-#: as large as then, and ``main`` pins the heap they come from
-#: (:func:`_pin_heap`).
+#: goes to the writer as soon as it is joined, from a heap that ``main``
+#: pins (:func:`_pin_heap`).
 _SLICE_CELLS = 8 * NODE_BLOCK
 
 
@@ -724,20 +715,10 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     state1 = correlated_coherent_state(initial.delta, initial.r, params,
                                        x0=initial.x0, p0=initial.p0)
     one = (state1.sxx, state1.sxp, state1.sxp, state1.spp)
-    blocks = propagate_entries(one, one, (0.0,) * 4, env, params, t_grid)
+    a, b, c = propagate_entries(one, one, (0.0,) * 4, env, params, t_grid)
 
     table = CsvTable(["t", *COV_ENTRIES, "simon_score"])
-    # Blocks of 4 NODE_BLOCK rows, as scan's: a per-node temporary then takes
-    # at most 32 KiB.  Each entry array is cut once per block, so that an
-    # array at several places (in a mirror environment B's entries are A's,
-    # and C's x10 is its x01) stays one column object, which render formats
-    # once.
-    for start in range(0, t_grid.size, 4 * NODE_BLOCK):
-        k = slice(start, start + 4 * NODE_BLOCK)
-        cut = {id(x): x[k] for block in blocks for x in block}
-        a, b, c = ([cut[id(x)] for x in block] for block in blocks)
-        table.add_columns(t_grid[k], *_cov_entries(a, b, c),
-                          entry_invariants(a, b, c, which="score"))
+    table.add_columns(t_grid, *_cov_entries(a, b, c), entry_invariants(a, b, c, which="score"))
     return _write_table(table, args.out)
 
 

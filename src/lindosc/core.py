@@ -163,9 +163,10 @@ def negligible(x: float, scale: float) -> bool:
     return abs(x) <= SCALE_RTOL * scale
 
 
-#: Grid nodes go through the stacked kernels, and CSV rows through
-#: rendering, this many at a time; this bounds the memory their
-#: temporaries take on large grids.
+#: The unit of the blocks that bound the memory of temporaries on large
+#: grids: ``scan``'s kernel takes at most 4 NODE_BLOCK nodes at a time, and
+#: a render slice at most 8 NODE_BLOCK float cells.  Commands hand their
+#: kernels and their tables whole columns.
 NODE_BLOCK = 1024
 
 

@@ -319,8 +319,9 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     separable, boundary = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     status = np.empty(shape, dtype=np.uint8)
     # Blocks of whole Dxx rows, at most 4 NODE_BLOCK nodes each: a per-node
-    # temporary then takes at most 32 KiB, below the allocator's 128 KiB mmap
-    # threshold.  A Dxpy row longer than that is cut along Dxpy.
+    # temporary then takes at most 32 KiB, below glibc's default 128 KiB mmap
+    # threshold, which still holds for a library caller, whose heap the CLI
+    # has not pinned.  A Dxpy row longer than that is cut along Dxpy.
     cols = max(1, min(dxpy.size, 4 * NODE_BLOCK))
     rows = max(1, 4 * NODE_BLOCK // cols)
     for j in range(0, dxpy.size, cols):

@@ -125,11 +125,14 @@ def relaxed_entries(M, s0, s_inf):
     matrix a tuple (x00, x01, x10, x11) of floats or arrays that broadcast."""
     m00, m01, m10, m11 = M
     d00, d01, d10, d11 = (x - y for x, y in zip(s0, s_inf))
-    # U = M (s0 - s_inf), then U M^T
+    # U = M (s0 - s_inf), then U M^T; x10 is x01 of M (s0 - s_inf)^T M^T, in
+    # x01's order of operations, so a symmetric s0 - s_inf relaxes to an
+    # exactly symmetric matrix
     u00, u01 = m00 * d00 + m01 * d10, m00 * d01 + m01 * d11
+    w00, w01 = m00 * d00 + m01 * d01, m00 * d10 + m01 * d11
     u10, u11 = m10 * d00 + m11 * d10, m10 * d01 + m11 * d11
     return (u00 * m00 + u01 * m01 + s_inf[0], u00 * m10 + u01 * m11 + s_inf[1],
-            u10 * m00 + u11 * m01 + s_inf[2], u10 * m10 + u11 * m11 + s_inf[3])
+            w00 * m10 + w01 * m11 + s_inf[2], u10 * m10 + u11 * m11 + s_inf[3])
 
 
 @np.errstate(over="ignore")  # beyond float64 an entry is inf

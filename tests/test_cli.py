@@ -51,6 +51,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _rendered(table) -> bytearray:
+    """All the bytes that ``table`` renders, collected from its slices."""
+    table.render((out := bytearray()).extend)
+    return out
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
@@ -700,10 +706,11 @@ class TestPropagateCommand:
         assert code == 0 and len(parse_csv(out)) == 2500
         assert len(solves) == 1
 
-    def test_output_does_not_depend_on_the_block_size(self, capsys, monkeypatch):
-        # 9,000 rows are several blocks of 4 NODE_BLOCK rows.  In the mirror
-        # environment B's entries are A's arrays and C's x10 is its x01, so
-        # each slice formats 8 distinct float columns of the 12.
+    @pytest.mark.parametrize("slice_cells", [1, 3, NODE_BLOCK, 64 * NODE_BLOCK])
+    def test_output_does_not_depend_on_the_slice_size(self, capsys, monkeypatch, slice_cells):
+        # 9,000 rows are several render slices.  In the mirror environment
+        # B's entries are A's arrays and C's x10 is its x01, so each slice
+        # formats 8 distinct float columns of the 12.
         argv = ["propagate", "--config", str(ROOT / "configs" / "two_mode_window.json"),
                 "--steps", "9000"]
         kernel, stacks = cli._float_cells, []
@@ -711,10 +718,30 @@ class TestPropagateCommand:
                             lambda x: stacks.append(x.shape) or kernel(x))
         code, want, err = run(capsys, argv)
         assert code == 0 and len(parse_csv(want)) == 9000
+        monkeypatch.setattr(cli, "_SLICE_CELLS", slice_cells)
+        assert run(capsys, argv) == (code, want, err)
         assert stacks and all(shape[0] == 8 for shape in stacks)
-        for node_block in (1, 3, 65536):
-            monkeypatch.setattr(cli, "NODE_BLOCK", node_block)
-            assert run(capsys, argv) == (code, want, err)
+
+    def test_one_block_shares_the_mirror_columns(self, capsys, monkeypatch):
+        # the trajectory reaches the table as one block of whole columns, in
+        # which B's columns are A's objects and sigma_ypx is sigma_xpy's
+        blocks = []
+
+        class Recording(cli.CsvTable):
+            def add_columns(self, *columns):
+                blocks.append(dict(zip(self.columns, columns)))
+                super().add_columns(*columns)
+
+        monkeypatch.setattr(cli, "CsvTable", Recording)
+        code, out, _ = run(capsys, ["propagate", "--config",
+                                    str(ROOT / "configs" / "two_mode_window.json"),
+                                    "--steps", "9000"])
+        assert code == 0 and len(blocks) == 1
+        (block,) = blocks
+        assert len(block["t"]) == 9000
+        for b, a in (("sigma_yy", "sigma_xx"), ("sigma_ypy", "sigma_xpx"),
+                     ("sigma_pypy", "sigma_pxpx"), ("sigma_ypx", "sigma_xpy")):
+            assert block[b] is block[a]
 
 
 class TestScanCommand:
@@ -1015,9 +1042,9 @@ class TestStreamedOutput:
             return join(cells)
 
         class Recording(cli.CsvTable):
-            def render(self, write=None):
+            def render(self, write):
                 seen["tables"].append(self)
-                return super().render(write)
+                super().render(write)
 
         monkeypatch.setattr(cli, "_emit", recording_emit)
         monkeypatch.setattr(cli, "_join_rows", counting_join)
@@ -1041,7 +1068,7 @@ class TestStreamedOutput:
         assert {type(data) for data in writes} <= {bytes, bytearray}
         assert writes[0] == (",".join(table.columns) + "\n").encode()
         written = out_path.read_bytes() if to_file else out
-        assert b"".join(writes) == written == table.render()
+        assert b"".join(writes) == written == _rendered(table)
         assert out == (b"" if to_file else written)
 
 
@@ -1301,7 +1328,7 @@ class TestCsvTable:
             rows.append(tuple(rng.choice(CELL_VALUES) for _ in range(3)))
             table.add(*rows[-1])
         want = "\n".join(["a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert table.render() == (want + "\n").encode()
+        assert _rendered(table) == (want + "\n").encode()
 
     def test_add_columns_takes_array_columns(self):
         columns = (np.array([0.5, -0.0, math.inf]), np.array([True, False, True]),
@@ -1311,13 +1338,13 @@ class TestCsvTable:
         assert len(table.rows) == 3
         text = (b"a,b,c,d\n5.00000000000000e-01,true,x,1\n"
                 b"-0.00000000000000e+00,false,ok,2\ninf,true,invalid,3\n")
-        assert table.render() == text
+        assert _rendered(table) == text
         with pytest.raises(ValueError):
             table.add_columns(*columns[:3])
         with pytest.raises(ValueError):
             table.add_columns(*columns[:3], [1, 2])
         assert len(table.rows) == 3
-        assert table.render() == text
+        assert _rendered(table) == text
 
     @staticmethod
     def _columns(rng, n):
@@ -1335,7 +1362,7 @@ class TestCsvTable:
         table.add_columns(*columns)
         rows = list(zip(*(c.tolist() for c in columns)))
         want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert table.render() == (want + "\n").encode()
+        assert _rendered(table) == (want + "\n").encode()
         assert len(table.rows) == n and repr(list(table.rows)) == repr(rows)  # nan != nan
 
     @pytest.mark.parametrize("n", [5, 1025, 3000])
@@ -1352,7 +1379,7 @@ class TestCsvTable:
         table = cli.CsvTable("abcdef")
         table.add_columns(*columns)
         rows = list(zip(*(c.tolist() for c in columns)))
-        assert table.render() == self._reference("abcdef", rows).encode()
+        assert _rendered(table) == self._reference("abcdef", rows).encode()
 
     @pytest.mark.parametrize("column", [np.array(["ok", "日本語"]),
                                         np.array([b"ok", "é".encode()])])
@@ -1361,22 +1388,22 @@ class TestCsvTable:
         table = cli.CsvTable(["s"])
         table.add_columns(column)
         with pytest.raises(ValueError, match="ASCII"):
-            table.render()
+            _rendered(table)
 
     def test_empty_table_is_the_header_line(self):
-        assert cli.CsvTable(["x", "y"]).render() == b"x,y\n"
+        assert _rendered(cli.CsvTable(["x", "y"])) == b"x,y\n"
         table = cli.CsvTable(["x", "y"])
         table.add_columns(np.array([]), np.array([], dtype=object))
-        assert table.render() == b"x,y\n"
+        assert _rendered(table) == b"x,y\n"
         # an empty float column is counted before its distinct values are built
         table = cli.CsvTable(["x", "b", "w"])
         table.add_columns(np.array([]), np.array([], dtype=bool), np.array([], dtype=np.float32))
-        assert table.render() == b"x,b,w\n"
+        assert _rendered(table) == b"x,b,w\n"
         # an empty gathered column formats its values but takes no rows
         table = cli.CsvTable(["g", "x", "e"])
         table.add_columns(cli.Gather(np.array([0.5, -0.0]), np.array([], np.uint8)), np.array([]),
                           cli.Gather(np.array([]), np.array([], np.intp)))
-        assert table.render() == b"g,x,e\n" and len(table.rows) == 0
+        assert _rendered(table) == b"g,x,e\n" and len(table.rows) == 0
 
     def test_add_and_add_columns_interleave(self):
         rng = random.Random(11)
@@ -1390,7 +1417,7 @@ class TestCsvTable:
             table.add_columns(*columns)
             rows.extend(zip(*(c.tolist() for c in columns)))
         want = "\n".join(["f,b,s,i"] + [",".join(_fmt(v) for v in row) for row in rows])
-        assert table.render() == (want + "\n").encode()
+        assert _rendered(table) == (want + "\n").encode()
         assert len(table.rows) == len(rows)
 
     @staticmethod
@@ -1407,7 +1434,7 @@ class TestCsvTable:
         table = cli.CsvTable(["v", "i"])
         table.add_columns(cli.Gather(values, index), np.arange(index.size))
         rows = list(zip(values[index].tolist(), range(index.size)))
-        assert table.render() == self._reference(["v", "i"], rows).encode()
+        assert _rendered(table) == self._reference(["v", "i"], rows).encode()
         assert len(table.rows) == index.size and repr(list(table.rows)) == repr(rows)
 
     def test_repeated_signed_zeros_stay_apart(self):
@@ -1448,7 +1475,7 @@ class TestCsvTable:
             index, y = rng.integers(0, grid.size, n, dtype=np.uint8), rng.standard_normal(n)
             table.add_columns(cli.Gather(grid, index), y)
             rows.extend(zip(grid[index].tolist(), y.tolist()))
-        assert table.render() == self._reference(["x", "y"], rows).encode()
+        assert _rendered(table) == self._reference(["x", "y"], rows).encode()
         assert len(table.rows) == len(rows)
 
     def test_gathered_column_is_one_dimensional_and_as_long_as_the_rest(self):
@@ -1460,7 +1487,7 @@ class TestCsvTable:
                     cli.Gather(values, np.zeros(2))):  # not an integer index
             with pytest.raises(ValueError):
                 table.add_columns(bad, np.zeros(2))
-        assert len(table.rows) == 0 and table.render() == b"g,x\n"
+        assert len(table.rows) == 0 and _rendered(table) == b"g,x\n"
 
     @pytest.mark.parametrize("index", [[0, 2], [-1, 0], [1, -3]])
     def test_out_of_range_index_raises_instead_of_wrapping(self, index):
@@ -1503,7 +1530,7 @@ class TestCsvTable:
                 table.add_columns(*cells)
                 rows.extend(zip(*((np.take(*c) if isinstance(c, cli.Gather) else c).tolist()
                                   for c in cells)))
-            _assert_same_text(table.render(), self._reference(columns, rows))
+            _assert_same_text(_rendered(table), self._reference(columns, rows))
 
     @pytest.mark.parametrize("slice_cells", [1, 3, NODE_BLOCK, 64 * NODE_BLOCK])
     def test_cells_are_cut_to_the_bytes_they_use(self, monkeypatch, slice_cells):
@@ -1551,7 +1578,7 @@ class TestCsvTable:
             return join(cells)
 
         monkeypatch.setattr(cli, "_join_rows", spy)
-        _assert_same_text(table.render(), self._reference(columns, rows))
+        _assert_same_text(_rendered(table), self._reference(columns, rows))
 
         def dead(m):
             return not m.any(axis=0).all()
@@ -1603,7 +1630,7 @@ class TestCsvTable:
             return kernel(x)
 
         monkeypatch.setattr(cli, "_float_cells", spy)
-        _assert_same_text(table.render(), self._reference(columns, rows))
+        _assert_same_text(_rendered(table), self._reference(columns, rows))
         assert all(distinct == 3 and distinct * size <= max(slice_cells, 3)
                    for distinct, size in stacks)
         assert sum(size for _, size in stacks) == sum(blocks)
@@ -1639,7 +1666,7 @@ class TestCsvTable:
                 table = cli.CsvTable([f"v{k}" for k in range(12)])
                 table.add_columns(np.linspace(0.0, 50.0, n),
                                   *(rng.uniform(0.5, 3.0, n) for _ in range(10)), score)
-            want = bytes(table.render())
+            want = bytes(_rendered(table))
             join, added, shares = cli._join_rows, [], []
 
             def traced_join(cells):
@@ -1656,7 +1683,7 @@ class TestCsvTable:
             monkeypatch.setattr(cli, "_join_rows", traced_join)
             tracemalloc.start()
             try:
-                out = table.render()
+                out = _rendered(table)
             finally:
                 tracemalloc.stop()
                 monkeypatch.undo()
@@ -1708,7 +1735,7 @@ class TestFloatKernel:
         table.add_columns(*values.T)
         # _fmt of a float is '%.14e' of it, here applied to all rows at once
         lines = "\n".join([",".join(["%.14e"] * width)] * len(values)) % tuple(values.ravel().tolist())
-        _assert_same_text(table.render(), ",".join(table.columns) + "\n" + lines + "\n")
+        _assert_same_text(_rendered(table), ",".join(table.columns) + "\n" + lines + "\n")
 
     def test_random_bit_patterns_over_all_exponents(self):
         bits = np.random.default_rng(13).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
@@ -1815,7 +1842,7 @@ class TestFloatKernel:
             column = column.astype(dtype)
         table = cli.CsvTable(["v", "w"])
         table.add_columns(column, column[::-1])
-        _assert_same_text(table.render(), TestCsvTable._reference(
+        _assert_same_text(_rendered(table), TestCsvTable._reference(
             ["v", "w"], zip(column.tolist(), column[::-1].tolist())))
 
     def test_text_cells_of_any_character(self):
@@ -1828,13 +1855,13 @@ class TestFloatKernel:
                             for j, c in enumerate(zip(*rows))))
         table.add("x,y", 2.0, "\n")
         rows.append(("x,y", 2.0, "\n"))
-        _assert_same_text(table.render(), TestCsvTable._reference(["s", "f", "t"], rows))
+        _assert_same_text(_rendered(table), TestCsvTable._reference(["s", "f", "t"], rows))
         # text is ASCII: a wider character raises rather than render mangled
         for text in ("é", "日本語"):
             table = cli.CsvTable(["s", "f"])
             table.add_columns(np.array(["ok"] * 3000 + [text], dtype=object), np.zeros(3001))
             with pytest.raises(ValueError, match="ASCII"):
-                table.render()
+                _rendered(table)
 
 
 class TestRenderAtTheCli:
@@ -1850,9 +1877,9 @@ class TestRenderAtTheCli:
                                  if isinstance(c, cli.Gather)]
                 super().add_columns(*columns)
 
-            def render(self, write=None):
+            def render(self, write):
                 tables.append(self)
-                return super().render(write)
+                super().render(write)
 
         monkeypatch.setattr(cli, "CsvTable", Recording)
         return tables
@@ -1866,7 +1893,7 @@ class TestRenderAtTheCli:
         assert table.gathered == gathered
         want = "\n".join([",".join(table.columns)]
                          + [",".join(_fmt(v) for v in row) for row in table.rows]) + "\n"
-        assert out.encode() == table.render() == want.encode()
+        assert out.encode() == _rendered(table) == want.encode()
 
     @pytest.mark.parametrize("flags", [
         ["--c-min", "2", "--c-max", "8", "--t-steps", "30", "--c-steps", "40"],

@@ -356,7 +356,7 @@ class TestMirrorModes:
     @pytest.mark.parametrize("c0, shared", [
         ((0.0,) * 4, True),  # propagate's product start
         (C0, False),
-        ((0.1, 0.0, -0.0, 0.1), False),  # the signed zero shows in the relaxed bits
+        ((0.1, 0.0, -0.0, 0.1), True),  # the signed zero is lost in C0 - C_inf
     ], ids=["zero", "asymmetric", "signed_zero"])
     def test_cross_column_is_shared_where_its_bits_agree(self, c0, shared):
         # C's x10 is x01's array where the two relax to the same bits, and
@@ -370,6 +370,21 @@ class TestMirrorModes:
         want = single_mode.relaxed_entries(m, c0, c_inf)
         assert _bits(c) == _bits(want)
         assert (c[2] is c[1]) is shared and (want[2].tobytes() == want[1].tobytes()) is shared
+
+    def test_mirror_trajectories_are_exactly_symmetric(self):
+        # a mirror environment from a product start relaxes C's x01 and x10
+        # to the same bits, so the covariance is its own mode swap P S P^T
+        rng, swap = np.random.default_rng(28), [2, 3, 0, 1]
+        for _ in range(300):
+            p = OscillatorParams(lam=rng.uniform(0.05, 2.0), m=rng.uniform(0.1, 10.0),
+                                 omega=rng.uniform(0.1, 10.0))
+            env = TwoModeEnvironment.symmetric_env(*rng.uniform(-1.0, 1.0, 6), lam=p.lam)
+            s = correlated_coherent_state(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5), p)
+            one, times = (s.sxx, s.sxp, s.sxp, s.spp), np.linspace(0.0, 20.0 / p.lam, 101)
+            _, _, c = propagate_entries(one, one, (0.0,) * 4, env, p, times)
+            assert c[2] is c[1]
+            sigma = propagate_covariance(stack_blocks(one, one, (0.0,) * 4), env, p, times)
+            assert sigma.tobytes() == sigma[:, swap][:, :, swap].tobytes()
 
     def test_bench_trajectory_shares_its_cross_column(self):
         # the benchmark's propagate call at its seed 0: a mirror window
