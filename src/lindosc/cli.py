@@ -18,7 +18,6 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +47,10 @@ from .separability import (
     simon_verdicts,
 )
 from .two_mode import (
-    MU_IGNORED,
     cross_block_route,
     diffusion_matrix,
     drift_matrix,
+    model_params,
     propagate_entries,
     steady_covariance_closed_form,
 )
@@ -531,7 +530,10 @@ def _linspace(lo: float, hi: float, steps, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: max {hi!r} is below min {lo!r}")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"{what}: max - min must be finite, got {lo!r} to {hi!r}")
-    return np.linspace(float(lo), float(hi), steps)
+    try:
+        return np.linspace(float(lo), float(hi), steps)
+    except (ValueError, MemoryError) as exc:  # more steps than numpy can hold
+        raise ConfigError(f"{what}: cannot hold {steps} steps ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +645,8 @@ def cmd_timescales(cfg: RunConfig, args) -> int:
     table.add("t_deco_high_temperature",
               single_mode.decoherence_time(delta, r, params, thermal,
                                            "high_temperature"))
-    # its warning, if the filters in force let it through, prints as a
-    # warning line rather than with a source path and line number
-    with warnings.catch_warnings(record=True) as caught:
-        table.add("t_thermal_fluctuation",
-                  single_mode.thermal_fluctuation_time(delta, r, params, thermal))
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    table.add("t_thermal_fluctuation",
+              single_mode.thermal_fluctuation_time(delta, r, params, thermal))
     table.add("t_relaxation", single_mode.relaxation_time(params))
     return _write_table(table, args.out)
 
@@ -662,18 +659,9 @@ def _warn_env_validity(env, params):
               "results describe the formal dynamics", file=sys.stderr)
 
 
-def _two_mode_oscillator(cfg: RunConfig):
-    """The config's oscillator as the two-mode commands take it: their model
-    has no friction asymmetry, so a nonzero mu is said once, as a warning
-    line, and set to 0."""
-    if cfg.oscillator.mu != 0.0:
-        print(f"warning: {MU_IGNORED}", file=sys.stderr)
-    return replace(cfg.oscillator, mu=0.0)
-
-
 def cmd_asymptotic(cfg: RunConfig, args) -> int:
     env = cfg.require("two_mode_env", "asymptotic")
-    params = _two_mode_oscillator(cfg)
+    params = model_params(cfg.oscillator, env)
     _warn_env_validity(env, params)
     s_inf = steady_covariance_closed_form(env, params)
     resid = lyapunov.residual(drift_matrix(params), s_inf, diffusion_matrix(env))
@@ -708,7 +696,7 @@ def cmd_asymptotic(cfg: RunConfig, args) -> int:
 def cmd_propagate(cfg: RunConfig, args) -> int:
     initial = cfg.require("initial", "propagate")
     env = cfg.require("two_mode_env", "propagate")
-    params = _two_mode_oscillator(cfg)
+    params = model_params(cfg.oscillator, env)
     _warn_env_validity(env, params)
     grid = _grid(cfg, args, "propagate")
     t_grid = _linspace(0.0, grid["t_max"], grid["steps"], "t grid")
@@ -729,7 +717,7 @@ _STATUS_LABELS = np.array(SCAN_STATUSES, dtype="S")
 
 def cmd_scan(cfg: RunConfig, args) -> int:
     env = cfg.require("two_mode_env", "scan")
-    params = _two_mode_oscillator(cfg)
+    params = model_params(cfg.oscillator, env)
     grid = _grid(cfg, args, "scan")
     dxx_grid = _linspace(env.Dxx if grid["dxx_min"] is None else grid["dxx_min"],
                          env.Dxx if grid["dxx_max"] is None else grid["dxx_max"],
@@ -830,19 +818,28 @@ def _pin_heap() -> bool:
     return _heap_pinned
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A library warning as the commands print it: one line on stderr,
+    without the source path and line number."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _pin_heap()
     args = PARSER.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        # looked up at call time, so that a rebound cmd_* is the one called
-        return globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LindoscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    # every warning that the filters in force let through prints as a line
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            cfg = load_config(args.config)
+            # looked up at call time, so that a rebound cmd_* is the one called
+            return globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except LindoscError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 def entrypoint():

@@ -59,12 +59,7 @@ from .core import (  # noqa: F401
     validate_two_mode,
 )
 from .errors import InvalidEnvironmentError, ParameterError
-from .two_mode import (
-    require_covariance4,
-    require_hbar_one,
-    require_matching_lam,
-    steady_entries,
-)
+from .two_mode import model_params, require_covariance4, steady_entries
 
 __all__ = [
     "SeparabilityResult",
@@ -188,14 +183,13 @@ def simon_score_closed_form(env: TwoModeEnvironment, params: OscillatorParams) -
     Matches :func:`simon_score` of the asymptotic covariance whenever the
     cross-block determinant is <= 0 (always the case for Dxy = 0).
     """
-    return closed_form_route(env, params)[0]
+    return closed_form_route(env, model_params(params, env))[0]
 
 
 def closed_form_route(env: TwoModeEnvironment, params: OscillatorParams) -> tuple[float, float]:
     """:func:`simon_score_closed_form` and its rounding bound: ``core.SCORE_RTOL``
     times the closed form with every term and sign taken by its magnitude."""
-    require_hbar_one(params)
-    require_matching_lam(env, params)
+    params = model_params(params, env)
     _require_special_family(env, params)
     m, w, lam = params.m, params.omega, params.lam
     q = lam * lam + w * w
@@ -224,7 +218,7 @@ def entanglement_window(Dxx: float, params: OscillatorParams) -> tuple[float, fl
     bound on the asymptotic state).  ``Dxx`` may be an array, giving
     arrays of endpoints.
     """
-    require_hbar_one(params)
+    params = model_params(params)
     ratio = _window_ratio(Dxx, params)
     if np.any(ratio < 0.5):
         low = float(np.min(ratio))
@@ -272,8 +266,7 @@ def scan_separability(env_template: TwoModeEnvironment, params: OscillatorParams
     than the sum of their bounds, and the bound is the same polynomial (see
     the tolerance policy of :mod:`lindosc.core`).
     """
-    require_hbar_one(params)
-    require_matching_lam(env_template, params)
+    params = model_params(params, env_template)
     dxx = np.asarray(dxx_values, dtype=float).ravel()
     dxpy = np.asarray(dxpy_values, dtype=float).ravel()
     if dxx.size * dxpy.size == 0:  # no node, so no value to check

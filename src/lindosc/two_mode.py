@@ -32,8 +32,10 @@ whatever the number of times it covers.
 :func:`is_physical` tests a covariance with core's invariants, not with
 eigenvalues.
 
-This module requires hbar = 1 (the separability analysis built on top of
-it is normalized that way).
+The model has no friction asymmetry and is normalized to hbar = 1, as the
+separability analysis built on top of it is.  :func:`model_params` keeps
+that rule: every public two-mode entry point, here and in
+:mod:`lindosc.separability`, passes its parameters through it once.
 """
 
 from __future__ import annotations
@@ -68,16 +70,8 @@ __all__ = [
     "cross_block_route",
     "is_physical",
     "require_covariance4",
-    "require_hbar_one",
-    "require_matching_lam",
+    "model_params",
 ]
-
-
-def require_hbar_one(params: OscillatorParams):
-    if params.hbar != 1.0:
-        raise ParameterError(
-            f"two-mode operations are normalized to hbar = 1, got hbar={params.hbar!r}"
-        )
 
 
 def require_covariance4(sigma: np.ndarray) -> np.ndarray:
@@ -100,9 +94,23 @@ def require_covariance4(sigma: np.ndarray) -> np.ndarray:
 MU_IGNORED = "the two-mode model has no friction asymmetry; params.mu is ignored"
 
 
-def _warn_mu_ignored(params: OscillatorParams):
+def model_params(params: OscillatorParams, env: TwoModeEnvironment | None = None
+                 ) -> OscillatorParams:
+    """``params`` as the two-mode model takes them: a nonzero mu is warned
+    about (:data:`MU_IGNORED`, once) and set to 0; then hbar != 1, or an
+    ``env`` whose lam is not ``params.lam``, raises ``ParameterError``."""
     if params.mu != 0.0:
         warnings.warn(MU_IGNORED, stacklevel=3)
+        params = replace(params, mu=0.0)
+    if params.hbar != 1.0:
+        raise ParameterError(
+            f"two-mode operations are normalized to hbar = 1, got hbar={params.hbar!r}"
+        )
+    if env is not None and env.lam != params.lam:
+        raise ParameterError(
+            f"environment and oscillator disagree on lam: {env.lam!r} vs {params.lam!r}"
+        )
+    return params
 
 
 def _block_diagonal(block: np.ndarray) -> np.ndarray:
@@ -113,9 +121,7 @@ def _block_diagonal(block: np.ndarray) -> np.ndarray:
 
 def drift_matrix(params: OscillatorParams) -> np.ndarray:
     """Block-diagonal 4x4 drift; eigenvalues -lam +/- i*omega, twice."""
-    _warn_mu_ignored(params)
-    require_hbar_one(params)
-    return _block_diagonal(single_mode.drift_matrix(replace(params, mu=0.0)))
+    return _block_diagonal(single_mode.drift_matrix(model_params(params)))
 
 
 def propagator(params: OscillatorParams, t) -> np.ndarray:
@@ -125,22 +131,12 @@ def propagator(params: OscillatorParams, t) -> np.ndarray:
 
     ``t`` may be an array of times; the result then has shape t.shape + (4, 4).
     """
-    require_hbar_one(params)
-    _warn_mu_ignored(params)
-    return _block_diagonal(single_mode.moment_propagator(replace(params, mu=0.0), t))
-
-
-def require_matching_lam(env: TwoModeEnvironment, params: OscillatorParams):
-    if env.lam != params.lam:
-        raise ParameterError(
-            f"environment and oscillator disagree on lam: {env.lam!r} vs {params.lam!r}"
-        )
+    return _block_diagonal(single_mode.moment_propagator(model_params(params), t))
 
 
 def _env_steady_entries(env: TwoModeEnvironment, params: OscillatorParams):
-    """:func:`steady_entries` of ``env``, for hbar = 1 and a matching lam."""
-    require_hbar_one(params)
-    require_matching_lam(env, params)
+    """:func:`steady_entries` of ``env``, for ``params`` that
+    :func:`model_params` passed with ``env``."""
     e = env
     return steady_entries(e.Dxx, e.Dxpx, e.Dpxpx, e.Dyy, e.Dypy, e.Dpypy, e.Dxy, e.Dxpy,
                           e.Dypx, e.Dpxpy, params)
@@ -150,17 +146,16 @@ def steady_covariance_closed_form(env: TwoModeEnvironment,
                                   params: OscillatorParams) -> np.ndarray:
     """Asymptotic covariance of any environment: :func:`steady_entries` of its
     coefficients, stacked into a 4x4 matrix."""
-    return stack_blocks(*_env_steady_entries(env, params))
+    return stack_blocks(*_env_steady_entries(env, model_params(params, env)))
 
 
-@np.errstate(over="ignore")  # beyond float64 an entry is inf, and S is not finite
 def steady_entries(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
                    params: OscillatorParams):
     """Closed-form asymptotic covariance of any environment, as the entries of
     its blocks A, B and C in the form :func:`lindosc.core.entry_invariants`
     takes.  The ten diffusion coefficients may be arrays that broadcast
-    together; the caller vouches for hbar = 1 and for their lam being
-    ``params.lam``.
+    together; the caller vouches for their lam being ``params.lam``, and
+    :func:`model_params` checks hbar and warns about mu.
 
     Both modes share the drift block Y1 (single_mode's at mu = 0), so
     Y S + S Y^T = -2 D splits into Y1 X + X Y1^T = -2 D_X for X = A, B and C.
@@ -171,17 +166,18 @@ def steady_entries(Dxx, Dxpx, Dpxpx, Dyy, Dypy, Dpypy, Dxy, Dxpy, Dypx, Dpxpy,
     coefficients are A's bit for bit, B is A's tuple, solved once: the same
     arrays, so callers must treat the entries as read-only.
     """
-    params = replace(params, mu=0.0)
-    a_xx, a_xp, a_pp = single_mode.stationary_covariance(params, Dxx, Dxpx, Dpxpx)
-    a = (a_xx, a_xp, a_xp, a_pp)
-    if _same_bits((Dyy, Dypy, Dpypy), (Dxx, Dxpx, Dpxpx)):
-        b = a
-    else:
-        b_xx, b_xp, b_pp = single_mode.stationary_covariance(params, Dyy, Dypy, Dpypy)
-        b = (b_xx, b_xp, b_xp, b_pp)
-    sym, anti = 0.5 * Dxpy + 0.5 * Dypx, (0.5 * Dxpy - 0.5 * Dypx) / params.lam
-    c_xx, c_xp, c_pp = single_mode.stationary_covariance(params, Dxy, sym, Dpxpy)
-    return a, b, (c_xx, c_xp + anti, c_xp - anti, c_pp)
+    params = model_params(params)  # outside errstate: its warning names the caller
+    with np.errstate(over="ignore"):  # beyond float64 an entry is inf, and S is not finite
+        a_xx, a_xp, a_pp = single_mode.stationary_covariance(params, Dxx, Dxpx, Dpxpx)
+        a = (a_xx, a_xp, a_xp, a_pp)
+        if _same_bits((Dyy, Dypy, Dpypy), (Dxx, Dxpx, Dpxpx)):
+            b = a
+        else:
+            b_xx, b_xp, b_pp = single_mode.stationary_covariance(params, Dyy, Dypy, Dpypy)
+            b = (b_xx, b_xp, b_xp, b_pp)
+        sym, anti = 0.5 * Dxpy + 0.5 * Dypx, (0.5 * Dxpy - 0.5 * Dypx) / params.lam
+        c_xx, c_xp, c_pp = single_mode.stationary_covariance(params, Dxy, sym, Dpxpy)
+        return a, b, (c_xx, c_xp + anti, c_xp - anti, c_pp)
 
 
 def _same_bits(x, y) -> bool:
@@ -204,9 +200,9 @@ def propagate_entries(a0, b0, c0, env: TwoModeEnvironment, params: OscillatorPar
     for bit, as in a mirror environment from a product state, it is x01's
     array.  Entries may alias one another in these ways, so callers must
     treat them as read-only."""
-    _warn_mu_ignored(params)
+    params = model_params(params, env)
     a_inf, b_inf, c_inf = _env_steady_entries(env, params)
-    m = block_entries(single_mode.moment_propagator(replace(params, mu=0.0), t))
+    m = block_entries(single_mode.moment_propagator(params, t))
     (a00, a01, _, a11), (c00, c01, c10, c11) = (single_mode.relaxed_entries(m, x0, x_inf)
                                                 for x0, x_inf in ((a0, a_inf), (c0, c_inf)))
     a = (a00, a01, a01, a11)
@@ -222,7 +218,7 @@ def propagate_covariance(sigma0: np.ndarray, env: TwoModeEnvironment,
     """Exact covariance at times t >= 0 from the initial covariance sigma0:
     :func:`propagate_entries` of its blocks, stacked as t.shape + (4, 4)."""
     blocks = covariance_blocks(require_covariance4(sigma0))
-    return stack_blocks(*propagate_entries(*blocks, env, params, t))
+    return stack_blocks(*propagate_entries(*blocks, env, model_params(params, env), t))
 
 
 def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
@@ -233,7 +229,7 @@ def det_cross_block(env: TwoModeEnvironment, params: OscillatorParams) -> float:
 
     Negative values are the precondition for asymptotic entanglement.
     """
-    return cross_block_route(env, params)[0]
+    return cross_block_route(env, model_params(params, env))[0]
 
 
 def cross_block_route(env: TwoModeEnvironment, params: OscillatorParams) -> tuple[float, float]:
@@ -241,8 +237,7 @@ def cross_block_route(env: TwoModeEnvironment, params: OscillatorParams) -> tupl
     every coefficient and sign taken by its magnitude.  The square of
     Dxpy - Dypx is its own magnitude, as a difference is rounded relative to
     its result."""
-    require_hbar_one(params)
-    require_matching_lam(env, params)
+    params = model_params(params, env)
     m, w, lam = params.m, params.omega, params.lam
     q = lam * lam + w * w
     lead = m * w * w * env.Dxy + env.Dpxpy / m

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -858,6 +859,57 @@ class TestTwoModeMuWarning:
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
+class TestWarningHook:
+    """main runs each command with one hook for library warnings: each that
+    the filters in force let through is one ``warning: <message>`` line."""
+
+    @staticmethod
+    def _mu_config(tmp_path):
+        body = json.loads((ROOT / "configs/two_mode_window.json").read_text())
+        body["oscillator"]["mu"] = 0.1
+        return write_config(tmp_path, body, "mu.json")
+
+    @staticmethod
+    def _hbar_two_config(tmp_path):
+        # D/(hbar lam) = 0.375 I fails det A >= 1/4 at hbar = 2
+        body = dict(FIG1, two_mode_env=dict(WINDOW_ENV, Dxx=0.15, Dpxpx=0.15, Dxpy=0.0))
+        body["oscillator"] = dict(body["oscillator"], mu=0.0, hbar=2.0)
+        return write_config(tmp_path, body, "hbar_two.json")
+
+    def _argv(self, tmp_path, case):
+        return {"timescales": ["timescales", "--config",
+                               str(ROOT / "configs" / "single_mode.json")],
+                "mu": ["asymptotic", "--config", self._mu_config(tmp_path)],
+                "hbar": ["asymptotic", "--config", self._hbar_two_config(tmp_path)],
+                "usage": ["scan", "--config", str(tmp_path / "missing.json")]}[case]
+
+    @pytest.mark.parametrize("case, want", [("timescales", 0), ("mu", 0), ("hbar", 2),
+                                            ("usage", 1)])
+    def test_showwarning_is_restored(self, tmp_path, capsys, case, want):
+        before = warnings.showwarning
+        code, _, _ = run(capsys, self._argv(tmp_path, case))
+        assert code == want and warnings.showwarning is before
+
+    @pytest.mark.parametrize("case, message", [
+        ("timescales", "thermal_fluctuation_time assumes the high-temperature regime"),
+        ("mu", "params.mu is ignored")])
+    def test_filters_in_force_apply(self, tmp_path, capsys, case, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code, out, err = run(capsys, self._argv(tmp_path, case))
+        assert code == 0 and out and message not in err
+
+    @pytest.mark.parametrize("argv", [["asymptotic"], ["propagate"],
+                                      ["propagate", "--steps", "0"],
+                                      ["scan", "--dxx-steps", "0"]])
+    def test_hbar_error_comes_first_and_alone(self, tmp_path, capsys, argv):
+        # no result is produced, so neither the positivity warning of this
+        # environment nor a bad grid flag is reported before the hbar error
+        code, out, err = run(capsys, argv + ["--config", self._hbar_two_config(tmp_path)])
+        assert code == 2 and out == ""
+        assert err == "error: two-mode operations are normalized to hbar = 1, got hbar=2.0\n"
+
+
 class TestMain:
     def test_calls_do_not_share_parsed_state(self, tmp_path, capsys):
         # the parser is built once per process; each call parses afresh
@@ -1121,6 +1173,18 @@ class TestNothingWrittenOnFailure:
         assert code == want and out == "" and emits == [] and err
         assert not out_path.exists()
         assert run(capsys, argv) == (code, "", err)
+
+    @pytest.mark.parametrize("argv, grid", [
+        (["propagate", "--config", "two_mode_window.json", "--steps"], "t grid"),
+        (["scan", "--config", "two_mode_window.json", "--dxpy-steps"], "Dxpy grid"),
+        (["deco-grid", "--config", "single_mode.json", "--t-steps"], "t grid"),
+    ])
+    def test_grid_too_large_for_numpy(self, capsys, argv, grid):
+        # numpy refuses 10**20 float64 values before it allocates any
+        code, out, err = run(capsys, _configs(argv) + [str(10**20)])
+        errors = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+        assert code == 1 and out == "" and len(errors) == 1
+        assert errors[0].startswith(f"config error: {grid}: cannot hold {10**20} steps (")
 
 
 class TestHeapPin:

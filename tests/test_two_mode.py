@@ -1,6 +1,8 @@
 """Tests for two-oscillator covariance dynamics and asymptotics."""
 
+import dataclasses
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from lindosc import (
     TwoModeEnvironment,
     correlated_coherent_state,
 )
-from lindosc import lyapunov, single_mode, two_mode
+from lindosc import lyapunov, separability, single_mode, two_mode
 from lindosc.core import NODE_BLOCK, SCORE_RTOL, block_entries, covariance_blocks, stack_blocks
 from lindosc.separability import simon_score
 from lindosc.lyapunov import steady_covariance
@@ -592,3 +594,81 @@ class TestPhysicalityDiagnostic:
         S = np.diag([1e160, 1e160, 1.0, 1.0])
         S[0, 1] = S[1, 0] = 2e160
         assert is_physical(np.stack([S, np.eye(4)])).tolist() == [False, True]
+
+
+_TIMES = np.linspace(0.0, 5.0, 7)
+_STATE = (1.0, 0.1, 0.1, 0.8)
+
+
+#: The public two-mode entry points, each as a call on the parameters and
+#: the environment.
+ENTRY_POINTS = {
+    "drift_matrix": lambda p, env: drift_matrix(p),
+    "propagator": lambda p, env: propagator(p, _TIMES),
+    "steady_entries": lambda p, env: two_mode.steady_entries(
+        *(getattr(env, k) for k in COEFFICIENTS), p),
+    "steady_covariance_closed_form": lambda p, env: steady_covariance_closed_form(env, p),
+    "propagate_entries": lambda p, env: propagate_entries(
+        _STATE, _STATE, (0.0,) * 4, env, p, _TIMES),
+    "propagate_covariance": lambda p, env: propagate_covariance(
+        _product_initial(2.0, 0.3, PARAMS), env, p, _TIMES),
+    "det_cross_block": lambda p, env: det_cross_block(env, p),
+    "cross_block_route": lambda p, env: two_mode.cross_block_route(env, p),
+    "closed_form_route": lambda p, env: separability.closed_form_route(env, p),
+    "simon_score_closed_form": lambda p, env: separability.simon_score_closed_form(env, p),
+    "entanglement_window": lambda p, env: separability.entanglement_window(
+        np.array([env.Dxx, 0.3]), p),
+    "scan_separability": lambda p, env: separability.scan_separability(
+        env, p, [0.1, 0.3], [-0.5, 0.0, 0.5]),
+}
+#: The entry points that take an environment.
+TAKE_ENV = [name for name in ENTRY_POINTS
+            if name not in ("drift_matrix", "propagator", "steady_entries",
+                            "entanglement_window")]
+
+
+def _result_bits(result) -> list:
+    """Dtype, shape and bytes of each array of a result, with tuples and
+    dataclasses taken apart and None kept."""
+    if isinstance(result, (tuple, list)):
+        return [leaf for item in result for leaf in _result_bits(item)]
+    if dataclasses.is_dataclass(result):
+        return _result_bits([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if result is None:
+        return [None]
+    x = np.asarray(result)
+    return [(x.dtype, x.shape, x.tobytes())]
+
+
+class TestModelParams:
+    """Every public two-mode entry point passes its parameters through the one
+    gate, two_mode.model_params: mu != 0 is one warning and changes no bit,
+    hbar != 1 and a lam that is not the environment's raise."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_mu_is_one_warning_and_changes_nothing(self, name):
+        want = ENTRY_POINTS[name](PARAMS, WINDOW_ENV)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = ENTRY_POINTS[name](replace(PARAMS, mu=0.1), WINDOW_ENV)
+        assert [str(w.message) for w in caught] == [two_mode.MU_IGNORED]
+        assert caught[0].category is UserWarning
+        assert caught[0].filename == __file__  # the caller's line, not the package's
+        assert _result_bits(got) == _result_bits(want)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_hbar_two_raises(self, name):
+        with pytest.raises(ParameterError, match="normalized to hbar = 1"):
+            ENTRY_POINTS[name](replace(PARAMS, hbar=2.0), WINDOW_ENV)
+
+    @pytest.mark.parametrize("name", TAKE_ENV)
+    def test_lam_mismatch_raises(self, name):
+        with pytest.raises(ParameterError, match="disagree on lam"):
+            ENTRY_POINTS[name](replace(PARAMS, lam=0.3), WINDOW_ENV)
+
+    def test_warning_comes_before_the_hbar_error(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError):
+                two_mode.model_params(replace(PARAMS, mu=0.1, hbar=2.0))
+        assert [str(w.message) for w in caught] == [two_mode.MU_IGNORED]
